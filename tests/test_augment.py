@@ -5,8 +5,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from extremecast.augment import (AugmentConfig, _warp_grid, augment_windows,
-                                 jitter, magnitude_warp, scale, time_warp)
+from extremecast.augment import (_JITTER_BLOCK, AugmentConfig, _warp_grid,
+                                 augment_windows, jitter, magnitude_warp, scale,
+                                 time_warp)
 from extremecast.errors import DataError
 from extremecast.rng import Rng
 
@@ -50,6 +51,27 @@ def test_expansion_deterministic_and_per_sample_independent():
     n = X.shape[0]
     for b in range(1, 4):
         npt.assert_array_equal(full[b * n + 2], other[b * n + 2])
+
+
+def test_expansion_matches_window_by_window_reference():
+    # enough windows that the jitter noise is drawn in more than one block
+    n = 2 * _JITTER_BLOCK + 3
+    X, y = sample_stack(n=n, L=6, F=3, seed=4)
+    cfg = AugmentConfig()
+    base = Rng(13, "augment")
+    warped = [time_warp(X[i], base.substream(f"timewarp/{i}"), cfg.warp_knots,
+                        cfg.warp_sigma, cfg.max_warp_retries) if i % 2 == 0 else
+              magnitude_warp(X[i], base.substream(f"magwarp/{i}"), cfg.warp_knots,
+                             cfg.warp_sigma) for i in range(n)]
+    expect = np.concatenate([
+        X,
+        [jitter(X[i], base.substream(f"jitter/{i}"), cfg.jitter_sigma)
+         for i in range(n)],
+        [scale(X[i], base.substream(f"scale/{i}"), cfg.scale_low, cfg.scale_high)
+         for i in range(n)],
+        warped])
+    Xa, _ = augment_windows(X, y, seed=13, cfg=cfg)
+    assert Xa.tobytes() == expect.tobytes()
 
 
 def test_zero_strength_produces_exact_copies():

@@ -6,7 +6,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from extremecast.rng import Rng, fnv1a64, splitmix64
+from extremecast.rng import (_LANE_CROSSOVER, _LANE_LEN, Rng, _jump, _jump_table,
+                             fnv1a64, gaussian_rows, splitmix64)
 
 
 def test_fnv1a64_known_vectors():
@@ -52,13 +53,54 @@ def test_streams_differ_by_label_and_seed():
 
 
 def test_bulk_fill_matches_scalar_path():
-    # 5000 > the bulk threshold, so this exercises the numba path when present
+    # 5000 > the lane crossover, so this exercises the lane kernel
     bulk = Rng(7, "dropout").uniform_array(5000)
     scalar = np.array([Rng(7, "dropout").uniform() for _ in range(1)])
     ref = Rng(7, "dropout")
     expect = np.array([ref.uniform() for _ in range(5000)])
     npt.assert_array_equal(bulk, expect)
     assert bulk[0] == scalar[0]
+
+
+# a lane count that is not a power of two, so the last doubling round is partial
+_LANE_MULTIPLE = _LANE_LEN * (_LANE_CROSSOVER // _LANE_LEN + 5)
+
+
+@pytest.mark.parametrize("n", [0, 1, _LANE_CROSSOVER - 1, _LANE_CROSSOVER,
+                               _LANE_CROSSOVER + 1, _LANE_MULTIPLE,
+                               _LANE_MULTIPLE + 1, 61440])
+def test_bulk_draws_match_scalar_stream_and_continue_it(n):
+    ref = Rng(21, "dropout")
+    expect = [ref.next_u64() for _ in range(n + 1)]
+    raw = Rng(21, "dropout")
+    npt.assert_array_equal(raw._raw(n), np.array(expect[:n], dtype=np.uint64))
+    assert raw.next_u64() == expect[n]
+    r = Rng(21, "dropout")
+    u = r.uniform_array(n)
+    npt.assert_array_equal(u, np.array([(x >> 11) * 2.0**-53 for x in expect[:n]]))
+    # the stream resumes at draw n + 1, exactly where n scalar calls leave it
+    assert r.next_u64() == expect[n]
+
+
+@pytest.mark.parametrize("level", [0, 2])
+def test_jump_table_equals_scalar_steps(level):
+    r = Rng(4, "init")
+    start = np.array([r.state_words()], dtype=np.uint64)
+    for _ in range(_LANE_LEN * 2**level):
+        r.next_u64()
+    assert _jump(start, _jump_table(level))[0].tolist() == list(r.state_words())
+
+
+@pytest.mark.parametrize("n", [1, 7, 1800])
+def test_gaussian_rows_match_each_stream(n):
+    rngs = [Rng(3, "augment").substream(f"jitter/{i}") for i in range(5)]
+    rows = gaussian_rows(rngs, n, 0.0, 0.03)
+    assert rows.shape == (5, n)
+    for i, r in enumerate(rngs):
+        own = Rng(3, "augment").substream(f"jitter/{i}")
+        assert rows[i].tobytes() == own.gaussian_array(n, 0.0, 0.03).tobytes()
+        # each stream advanced by its own 2 n draws
+        assert r.state_words() == own.state_words()
 
 
 def test_uniform_range_and_mantissa_rule():

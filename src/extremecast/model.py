@@ -132,15 +132,13 @@ def _lstm_direction(seq: Var, Wx: Var, Wh: Var, b: Var, H: int,
     stays sequential.  Gate layout along the 4H axis: i, f, o, g.
     """
     B, L, _ = seq.shape
-    ZX = T.matmul(seq, Wx) + b
+    zx = T.split(T.matmul(seq, Wx) + b, L, axis=1)
     h = Var(np.zeros((B, H)))
     c = Var(np.zeros((B, H)))
     order = range(L - 1, -1, -1) if reverse else range(L)
     out: list = [None] * L
     for t in order:
-        hc = T.lstm_cell(ZX[:, t, :] + T.matmul(h, Wh), c)
-        h = hc[:, :H]
-        c = hc[:, H:]
+        h, c = T.split(T.lstm_cell(zx[t] + T.matmul(h, Wh), c), 2, axis=1)
         out[t] = h
     return out
 
@@ -155,12 +153,12 @@ def bilstm_layer(seq: Var, p: dict, H: int) -> Var:
 def _gru_direction(seq: Var, Wx: Var, Wh: Var, bx: Var, bh: Var, H: int,
                    reverse: bool) -> list:
     B, L, _ = seq.shape
-    ZX = T.matmul(seq, Wx) + bx
+    zx = T.split(T.matmul(seq, Wx) + bx, L, axis=1)
     h = Var(np.zeros((B, H)))
     order = range(L - 1, -1, -1) if reverse else range(L)
     out: list = [None] * L
     for t in order:
-        h = T.gru_cell(ZX[:, t, :], T.matmul(h, Wh) + bh, h)
+        h = T.gru_cell(zx[t], T.matmul(h, Wh) + bh, h)
         out[t] = h
     return out
 
@@ -224,12 +222,11 @@ def forward(params: dict[str, Var], X, cfg: ModelConfig, train: bool = False,
     P = T.softmax(T.matmul(H, params["em.W"]) + params["em.b"], axis=-1)
     trans = T.softmax(params["trans.logits"], axis=-1)
     p0 = Var(np.full((B, N), 1.0 / N))
-    q_steps = [T.matmul(p0, trans)]
-    for t in range(1, L):
-        q_steps.append(T.matmul(P[:, t - 1, :], trans))
+    q_steps = [T.matmul(p, trans) for p in [p0] + T.split(P, L, axis=1)[:-1]]
     Q = T.stack(q_steps, axis=1)                  # [B, L, N]; q_t = T^T p_{t-1}
     check_finite(Q, "state_track")
-    o_m = T.matmul(T.concat([H[:, L - 1, :], Q[:, L - 1, :]], axis=1),
+    # Q itself only feeds the introspection dict; the readout takes q_L
+    o_m = T.matmul(T.concat([H[:, L - 1, :], q_steps[-1]], axis=1),
                    params["head_m.W"]) + params["head_m.b"]
 
     # anomaly stream
@@ -251,9 +248,7 @@ def forward(params: dict[str, Var], X, cfg: ModelConfig, train: bool = False,
                    params["head_a.W"]) + params["head_a.b"]
 
     # fusion
-    gamma = T.sigmoid(T.matmul(T.concat([o_m, o_a], axis=1), params["fuse.W"])
-                      + params["fuse.b"])
-    fused = gamma * o_a + (1.0 - gamma) * o_m
+    fused, gamma = fuse_outputs(o_m, o_a, params["fuse.W"], params["fuse.b"])
     pred = (T.matmul(fused, params["out.W"]) + params["out.b"])[:, 0]
     check_finite(pred, "head")
 
@@ -267,7 +262,8 @@ def forward(params: dict[str, Var], X, cfg: ModelConfig, train: bool = False,
 
 
 def fuse_outputs(o_m: Var, o_a: Var, W: Var, b: Var) -> tuple[Var, Var]:
-    """Standalone fusion gate (used directly by the betweenness tests)."""
+    """Fusion gate: gamma = sigmoid(W [o_m, o_a] + b) mixes the two stream
+    outputs elementwise; returns (fused, gamma)."""
     gamma = T.sigmoid(T.matmul(T.concat([o_m, o_a], axis=1), W) + b)
     return gamma * o_a + (1.0 - gamma) * o_m, gamma
 

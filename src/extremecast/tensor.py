@@ -13,6 +13,15 @@ two-route comparison.
 Only basic indexing (ints and slices) is supported by ``__getitem__``.
 ``matmul`` follows numpy broadcasting for stacked matrices and requires both
 operands to have ndim >= 2.
+
+Each ``take`` vjp returns a zero array the size of its whole source, so
+reading a sequence one step at a time through ``take`` makes backward cost
+O(L^2).  ``split`` cuts a Var into equal pieces instead: every piece's vjp
+adds into one gradient buffer the op allocated itself and returns nothing
+for ``backward`` to add, so backward through all pieces costs O(L).  It
+writes in place only into that owned buffer, never into an array another
+node handed over (``add``'s vjp gives both parents the same array), and it
+reproduces ``take``'s gradients bit for bit.
 """
 
 from __future__ import annotations
@@ -372,6 +381,42 @@ def take(a, key) -> Var:
         return (z,)
 
     return _record(np.array(out, dtype=np.float64, copy=True), (a,), vjp)
+
+
+def split(a, n: int, axis: int = 0) -> list:
+    """Cut ``a`` into ``n`` equal pieces along ``axis``; a piece one step
+    wide drops that axis.
+
+    Each piece's vjp adds its gradient in place into one buffer of ``a``'s
+    shape and hands ``backward`` nothing, so backward through all pieces
+    costs the size of ``a`` once.  The buffer becomes ``a.grad``; whenever
+    ``a.grad`` is some other array (another consumer got there first, and
+    ``add`` may have handed it the very array a sibling holds) the next
+    piece starts a new buffer from ``a.grad + 0.0``.  The sums per element,
+    their order and the sign of zero are those of ``take``.
+    """
+    a = as_var(a)
+    av = a.value
+    length = av.shape[axis]
+    if n < 1 or length % n:
+        raise ValueError(f"cannot split axis of length {length} into {n} pieces")
+    k = length // n
+    lead = (slice(None),) * (axis % av.ndim)
+    owned = [None]
+
+    def piece(key) -> Var:
+        def vjp(g):
+            buf = owned[0]
+            if a.grad is None or a.grad is not buf:
+                buf = np.zeros_like(av) if a.grad is None else a.grad + 0.0
+                owned[0] = a.grad = buf
+            buf[key] += g
+            return (None,)
+
+        return _record(av[key].copy(), (a,), vjp)
+
+    return [piece(lead + ((i,) if k == 1 else (slice(i * k, (i + 1) * k),)))
+            for i in range(n)]
 
 
 def dropout(a: Var, rate: float, rng, training: bool) -> Var:

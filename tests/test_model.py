@@ -311,3 +311,51 @@ def test_bilstm_layer_gradients_fd():
 
     report = grad_check(f, raw, eps=1e-6)
     assert report.max_rel_error <= 1e-5, (report.worst_param, report.max_rel_error)
+
+
+def _split_by_take(a, n, axis=0):
+    k = a.shape[axis] // n
+    lead = (slice(None),) * axis
+    return [a[lead + ((t,) if k == 1 else (slice(t * k, (t + 1) * k),))]
+            for t in range(n)]
+
+
+def _train_step_grads(cfg, seed=41):
+    from extremecast.losses import LossConfig, compute_loss
+    model = DualStreamModel(cfg)
+    params = wrap_params(model.init_params(Rng(seed, "init")))
+    X = make_batch(cfg, B=4, seed=seed)
+    pred, _ = model.forward(params, X, train=True, rng=Rng(seed, "dropout"))
+    loss = compute_loss(pred, np.linspace(-1.0, 1.0, 4), LossConfig())
+    T.backward(loss)
+    return loss, {k: v.grad for k, v in params.items()}
+
+
+def test_split_gradients_match_take_slicing_bitwise(monkeypatch):
+    cfg = tiny_cfg(dropout=0.3)
+    _, fast = _train_step_grads(cfg)
+    monkeypatch.setattr(T, "split", _split_by_take)
+    _, ref = _train_step_grads(cfg)
+    assert fast.keys() == ref.keys()
+    for name in fast:
+        assert fast[name].tobytes() == ref[name].tobytes(), name
+
+
+def _take_nodes(root):
+    """take nodes among those ``backward`` visits from ``root``."""
+    seen, stack, takes = {id(root)}, [root], 0
+    while stack:
+        node = stack.pop()
+        takes += node._vjp is not None and node._vjp.__qualname__.startswith("take.")
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return takes
+
+
+def test_take_nodes_do_not_grow_with_lookback():
+    # per-step slicing must go through split, which costs O(L) in backward
+    counts = [_take_nodes(_train_step_grads(tiny_cfg(lookback=L))[0])
+              for L in (5, 12)]
+    assert counts[0] == counts[1], counts

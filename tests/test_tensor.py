@@ -244,3 +244,89 @@ def test_recurrent_cell_gradients_fd():
         return T.mean(d * d)
 
     fd_ok(f_gru, {"zx": zx0, "zh": zh0, "hp": hp0})
+
+
+def _split_by_take(a, n, axis):
+    """Reference for T.split: one ``take`` per piece."""
+    k = a.shape[axis] // n
+    lead = (slice(None),) * axis
+    return [a[lead + ((t,) if k == 1 else (slice(t * k, (t + 1) * k),))]
+            for t in range(n)]
+
+
+def test_split_values_and_gradients_fd():
+    rng = Rng(9, "init")
+    x = rng.gaussian_array((3, 4, 6))
+    steps = T.split(Var(x), 4, axis=1)
+    assert [s.shape for s in steps] == [(3, 6)] * 4
+    for t, s in enumerate(steps):
+        npt.assert_array_equal(s.value, x[:, t, :])
+    wide = T.split(Var(x), 3, axis=-1)
+    assert [s.shape for s in wide] == [(3, 4, 2)] * 3
+    npt.assert_array_equal(wide[2].value, x[:, :, 4:])
+    with pytest.raises(ValueError):
+        T.split(Var(x), 5, axis=1)
+
+    def f_steps(p):
+        s = T.split(p["x"], 4, axis=1)
+        return T.mean(s[0] * s[3]) + T.sum_(T.tanh(s[1]) + s[2] * s[2]) * 0.3
+
+    def f_wide(p):
+        s = T.split(p["x"], 3, axis=2)
+        return T.mean(s[0] * T.tanh(s[2]) + T.sigmoid(s[1]))
+
+    fd_ok(f_steps, {"x": x})
+    fd_ok(f_wide, {"x": x})
+
+
+def _grad_bytes(build, splitter):
+    """Gradients of two leaves as bytes, with pieces cut by ``splitter``."""
+    rng = Rng(10, "init")
+    x = Var(rng.gaussian_array((2, 5, 4)), requires_grad=True)
+    y = Var(rng.gaussian_array((2, 5, 4)), requires_grad=True)
+    backward(build(x, y, splitter))
+    return x.grad.tobytes(), y.grad.tobytes()
+
+
+def test_split_gradients_equal_take_bytewise():
+    # -0.0 in the other consumer's weights puts signed zeros into x.grad
+    w = Var(np.where(np.arange(40).reshape(2, 5, 4) % 3 == 0, -0.0, 0.7))
+    events = []
+
+    def logged(node, tag):
+        vjp = node._vjp
+        node._vjp = lambda g: (events.append(tag), vjp(g))[1]
+        return node
+
+    def shared(x, y, splitter):
+        # other consumers of x run both before and after the pieces; add
+        # hands x and y the same gradient array; pieces[0] is left unused
+        pieces = [logged(p, "piece") for p in splitter(x, 5, 1)]
+        before = T.sum_(T.tanh(logged(x + y, "other")) * w)
+        after = logged(T.sum_(x * w), "other")
+        return before + T.sum_(T.stack(pieces[1:], axis=0) ** 2.0) + after
+
+    def unused(x, y, splitter):
+        pieces = splitter(x, 5, 1)
+        return T.sum_(pieces[1] * pieces[4]) + T.mean(pieces[2] * y[:, 0, :])
+
+    def twice(x, y, splitter):
+        steps = splitter(x, 5, 1)
+        halves = splitter(x, 2, 2)
+        return (T.sum_(steps[0][:, 2:] * halves[1][:, 0, :] + steps[3][:, :2] * y[:, 3, 2:])
+                + T.sum_(halves[0] * halves[0]))
+
+    for build in (shared, unused, twice):
+        events.clear()
+        fast = _grad_bytes(build, T.split)
+        if build is shared:
+            first, last = events.index("piece"), len(events) - events[::-1].index("piece")
+            assert "other" in events[:first] and "other" in events[last:], events
+        assert fast == _grad_bytes(build, _split_by_take), build.__name__
+
+
+def test_split_under_no_grad_records_nothing():
+    x = Var(np.ones((2, 3)), requires_grad=True)
+    with no_grad():
+        pieces = T.split(x, 3, axis=1)
+    assert all(not p.requires_grad and p._parents == () for p in pieces)

@@ -67,8 +67,9 @@ def load_csv(path: str, target: str = TARGET_COLUMN) -> TimeSeriesTable:
 
     The date column must be named 'datetime' or 'date'.  A column is numeric
     when every non-empty cell parses as a float; otherwise it is kept as
-    text and ignored downstream.  Duplicate or out-of-order dates are errors;
-    missing calendar days become all-missing rows.
+    text and ignored downstream.  Blank and 'nan' cells are missing values; an
+    infinite one ('inf', '1e999') is an error, as are duplicate or
+    out-of-order dates.  Missing calendar days become all-missing rows.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -107,8 +108,10 @@ def load_csv(path: str, target: str = TARGET_COLUMN) -> TimeSeriesTable:
     n = len(full_dates)
 
     raw_cells: dict[str, list] = {h: [None] * n for h in header if h != date_col}
-    for row, d in zip(rows, dates):
+    csv_row = [0] * n
+    for r, (row, d) in enumerate(zip(rows, dates), start=2):
         i = pos[d]
+        csv_row[i] = r
         for j, h in enumerate(header):
             if h == date_col:
                 continue
@@ -129,6 +132,10 @@ def load_csv(path: str, target: str = TARGET_COLUMN) -> TimeSeriesTable:
                 numeric = False
                 break
         if numeric:
+            inf = np.flatnonzero(np.isinf(parsed))
+            if inf.size:
+                raise DataError(f"row {csv_row[inf[0]]}: column {name!r} holds the "
+                                f"infinite value {cells[inf[0]].strip()!r}")
             columns[name] = parsed
             missing_mask[name] = np.isnan(parsed)
         else:

@@ -16,6 +16,10 @@ Fusion: gamma = sigmoid(W [o_regime, o_anomaly] + b) gates the two stream
 outputs elementwise; a final linear head maps the fused vector to the scalar
 next-day prediction.
 
+Each direction of a recurrent layer projects all timesteps with one matmul
+and runs as one ``tensor.recurrence`` tape node.  Only q_L reaches the tape;
+the earlier q_t are computed in plain numpy for the introspection dict.
+
 Dropout (train mode only) applies after the embedding activation and inside
 the anomaly MLP, in that order, consuming the dropout stream deterministically.
 Gate layouts: LSTM gates order i, f, o, g (the three sigmoids first so they
@@ -124,49 +128,22 @@ def no_decay_names(cfg: ModelConfig) -> frozenset:
     return frozenset(n for n, _ in _param_specs(cfg) if _is_no_decay_name(n))
 
 
-def _lstm_direction(seq: Var, Wx: Var, Wh: Var, b: Var, H: int,
-                    reverse: bool) -> list:
-    """One direction over a [B, L, n_in] sequence; returns per-step [B, H].
+def bilstm_layer(seq: Var, p: dict) -> Var:
+    """One bidirectional layer: [B, L, n_in] -> [B, L, 2H], forward half first.
 
-    The input projection for all timesteps is one matmul; the recurrent part
-    stays sequential.  Gate layout along the 4H axis: i, f, o, g.
+    Each direction projects all timesteps with one matmul and runs its
+    recurrence as one tape node.  Gate layout along the 4H axis: i, f, o, g.
     """
-    B, L, _ = seq.shape
-    zx = T.split(T.matmul(seq, Wx) + b, L, axis=1)
-    h = Var(np.zeros((B, H)))
-    c = Var(np.zeros((B, H)))
-    order = range(L - 1, -1, -1) if reverse else range(L)
-    out: list = [None] * L
-    for t in order:
-        h, c = T.split(T.lstm_cell(zx[t] + T.matmul(h, Wh), c), 2, axis=1)
-        out[t] = h
-    return out
+    return T.concat([T.recurrence("lstm", T.matmul(seq, p[f"{d}.Wx"]) + p[f"{d}.b"],
+                                  p[f"{d}.Wh"], reverse=d == "b")
+                     for d in ("f", "b")], axis=2)
 
 
-def bilstm_layer(seq: Var, p: dict, H: int) -> Var:
-    """One bidirectional layer: [B, L, n_in] -> [B, L, 2H], forward half first."""
-    fwd = _lstm_direction(seq, p["f.Wx"], p["f.Wh"], p["f.b"], H, reverse=False)
-    bwd = _lstm_direction(seq, p["b.Wx"], p["b.Wh"], p["b.b"], H, reverse=True)
-    return T.concat([T.stack(fwd, axis=1), T.stack(bwd, axis=1)], axis=2)
-
-
-def _gru_direction(seq: Var, Wx: Var, Wh: Var, bx: Var, bh: Var, H: int,
-                   reverse: bool) -> list:
-    B, L, _ = seq.shape
-    zx = T.split(T.matmul(seq, Wx) + bx, L, axis=1)
-    h = Var(np.zeros((B, H)))
-    order = range(L - 1, -1, -1) if reverse else range(L)
-    out: list = [None] * L
-    for t in order:
-        h = T.gru_cell(zx[t], T.matmul(h, Wh) + bh, h)
-        out[t] = h
-    return out
-
-
-def bigru_layer(seq: Var, p: dict, H: int) -> Var:
-    fwd = _gru_direction(seq, p["f.Wx"], p["f.Wh"], p["f.bx"], p["f.bh"], H, False)
-    bwd = _gru_direction(seq, p["b.Wx"], p["b.Wh"], p["b.bx"], p["b.bh"], H, True)
-    return T.concat([T.stack(fwd, axis=1), T.stack(bwd, axis=1)], axis=2)
+def bigru_layer(seq: Var, p: dict) -> Var:
+    """One bidirectional GRU layer, laid out like ``bilstm_layer``."""
+    return T.concat([T.recurrence("gru", T.matmul(seq, p[f"{d}.Wx"]) + p[f"{d}.bx"],
+                                  p[f"{d}.Wh"], p[f"{d}.bh"], reverse=d == "b")
+                     for d in ("f", "b")], axis=2)
 
 
 def _layer_view(params: dict, prefix: str) -> dict:
@@ -208,7 +185,7 @@ def forward(params: dict[str, Var], X, cfg: ModelConfig, train: bool = False,
         raise ConfigError(f"forward expects {cfg.n_features} features, got {F}")
     if train and cfg.dropout > 0.0 and dropout_rng is None:
         raise ConfigError("train-mode forward with dropout needs a dropout stream")
-    HL, HG, N = cfg.lstm_hidden, cfg.gru_hidden, cfg.n_states
+    HG, N = cfg.gru_hidden, cfg.n_states
 
     E = T.sigmoid(T.matmul(Xv, params["emb.W"]) + params["emb.b"])
     E = dropout(E, cfg.dropout, dropout_rng, train)
@@ -217,16 +194,18 @@ def forward(params: dict[str, Var], X, cfg: ModelConfig, train: bool = False,
     # regime stream
     H = E
     for layer in range(cfg.n_layers):
-        H = bilstm_layer(H, _layer_view(params, f"lstm.{layer}."), HL)
+        H = bilstm_layer(H, _layer_view(params, f"lstm.{layer}."))
     check_finite(H, "bilstm")                     # [B, L, 2HL]
     P = T.softmax(T.matmul(H, params["em.W"]) + params["em.b"], axis=-1)
     trans = T.softmax(params["trans.logits"], axis=-1)
-    p0 = Var(np.full((B, N), 1.0 / N))
-    q_steps = [T.matmul(p, trans) for p in [p0] + T.split(P, L, axis=1)[:-1]]
-    Q = T.stack(q_steps, axis=1)                  # [B, L, N]; q_t = T^T p_{t-1}
+    p0 = np.full((B, N), 1.0 / N)
+    # q_t = T^T p_{t-1}; the readout takes only q_L, the rest feed the
+    # introspection dict
+    p_prev = [p0] + [P.value[:, t] for t in range(L - 1)]
+    Q = np.stack([p @ trans.value for p in p_prev], axis=1)     # [B, L, N]
     check_finite(Q, "state_track")
-    # Q itself only feeds the introspection dict; the readout takes q_L
-    o_m = T.matmul(T.concat([H[:, L - 1, :], q_steps[-1]], axis=1),
+    q_last = T.matmul(Var(p0) if L == 1 else P[:, L - 2, :], trans)
+    o_m = T.matmul(T.concat([H[:, L - 1, :], q_last], axis=1),
                    params["head_m.W"]) + params["head_m.b"]
 
     # anomaly stream
@@ -240,7 +219,7 @@ def forward(params: dict[str, Var], X, cfg: ModelConfig, train: bool = False,
     check_finite(Zt, "amplification")
     G = Zt
     for layer in range(cfg.n_layers):
-        G = bigru_layer(G, _layer_view(params, f"gru.{layer}."), HG)
+        G = bigru_layer(G, _layer_view(params, f"gru.{layer}."))
     check_finite(G, "bigru")                      # [B, L, 2HG]
     h_fwd_last = G[:, L - 1, :HG]
     h_bwd_first = G[:, 0, HG:]
@@ -253,7 +232,7 @@ def forward(params: dict[str, Var], X, cfg: ModelConfig, train: bool = False,
     check_finite(pred, "head")
 
     intro = {
-        "p": P.value.copy(), "q": Q.value.copy(), "transition": trans.value.copy(),
+        "p": P.value.copy(), "q": Q, "transition": trans.value.copy(),
         "attention": attn.value.copy(), "alpha": alpha.value[:, :, 0].copy(),
         "gamma": gamma.value.copy(), "o_regime": o_m.value.copy(),
         "o_anomaly": o_a.value.copy(),

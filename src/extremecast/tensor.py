@@ -15,13 +15,15 @@ Only basic indexing (ints and slices) is supported by ``__getitem__``.
 operands to have ndim >= 2.
 
 Each ``take`` vjp returns a zero array the size of its whole source, so
-reading a sequence one step at a time through ``take`` makes backward cost
-O(L^2).  ``split`` cuts a Var into equal pieces instead: every piece's vjp
-adds into one gradient buffer the op allocated itself and returns nothing
-for ``backward`` to add, so backward through all pieces costs O(L).  It
-writes in place only into that owned buffer, never into an array another
-node handed over (``add``'s vjp gives both parents the same array), and it
-reproduces ``take``'s gradients bit for bit.
+reading a sequence one step at a time through ``take`` would make backward
+cost O(L^2).  ``recurrence`` runs a whole LSTM or GRU direction as one tape
+node instead: its forward reads the steps of the input projection as views
+and writes every hidden state into one output array, and its single vjp
+runs backpropagation through time in one loop.  The step math lives once,
+in plain-numpy kernels that the single-step ``lstm_cell`` and ``gru_cell``
+ops share, and the vjp adds gradients up in the order of the per-step
+composition of those ops, so its results equal that composition bit for
+bit.
 """
 
 from __future__ import annotations
@@ -383,42 +385,6 @@ def take(a, key) -> Var:
     return _record(np.array(out, dtype=np.float64, copy=True), (a,), vjp)
 
 
-def split(a, n: int, axis: int = 0) -> list:
-    """Cut ``a`` into ``n`` equal pieces along ``axis``; a piece one step
-    wide drops that axis.
-
-    Each piece's vjp adds its gradient in place into one buffer of ``a``'s
-    shape and hands ``backward`` nothing, so backward through all pieces
-    costs the size of ``a`` once.  The buffer becomes ``a.grad``; whenever
-    ``a.grad`` is some other array (another consumer got there first, and
-    ``add`` may have handed it the very array a sibling holds) the next
-    piece starts a new buffer from ``a.grad + 0.0``.  The sums per element,
-    their order and the sign of zero are those of ``take``.
-    """
-    a = as_var(a)
-    av = a.value
-    length = av.shape[axis]
-    if n < 1 or length % n:
-        raise ValueError(f"cannot split axis of length {length} into {n} pieces")
-    k = length // n
-    lead = (slice(None),) * (axis % av.ndim)
-    owned = [None]
-
-    def piece(key) -> Var:
-        def vjp(g):
-            buf = owned[0]
-            if a.grad is None or a.grad is not buf:
-                buf = np.zeros_like(av) if a.grad is None else a.grad + 0.0
-                owned[0] = a.grad = buf
-            buf[key] += g
-            return (None,)
-
-        return _record(av[key].copy(), (a,), vjp)
-
-    return [piece(lead + ((i,) if k == 1 else (slice(i * k, (i + 1) * k),)))
-            for i in range(n)]
-
-
 def dropout(a: Var, rate: float, rng, training: bool) -> Var:
     """Inverted dropout.
 
@@ -432,6 +398,36 @@ def dropout(a: Var, rate: float, rng, training: bool) -> Var:
         raise ValueError("dropout rate must be in [0, 1)")
     mask = (rng.uniform_array(a.value.shape) >= rate) / (1.0 - rate)
     return mul(a, Var(mask))
+
+
+def _lstm_step(z: np.ndarray, c_prev: np.ndarray):
+    """LSTM step kernel: (h, c, residuals for ``_lstm_step_vjp``)."""
+    hsz = c_prev.shape[1]
+    gates = _sigmoid_value(z[:, : 3 * hsz])
+    i = gates[:, :hsz]
+    f = gates[:, hsz : 2 * hsz]
+    o = gates[:, 2 * hsz :]
+    g = np.tanh(z[:, 3 * hsz :])
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    return o * tc, c, (i, f, o, g, c_prev, tc)
+
+
+def _lstm_step_vjp(gh: np.ndarray, gc: np.ndarray, res):
+    """Adjoint of ``_lstm_step`` for gradients (gh, gc) of (h, c):
+    (gradient of z, gradient of c_prev)."""
+    i, f, o, g, cb, tc = res
+    gc = gc + gh * o * (1.0 - tc * tc)
+    gz = np.concatenate(
+        [
+            gc * g * i * (1.0 - i),
+            gc * cb * f * (1.0 - f),
+            gh * tc * o * (1.0 - o),
+            gc * i * (1.0 - g * g),
+        ],
+        axis=1,
+    )
+    return gz, gc * f
 
 
 def lstm_cell(z: Var, c_prev: Var) -> Var:
@@ -452,33 +448,35 @@ def lstm_cell(z: Var, c_prev: Var) -> Var:
     """
     z = as_var(z)
     c_prev = as_var(c_prev)
-    zb, cb = z.value, c_prev.value
-    hsz = cb.shape[1]
-    gates = _sigmoid_value(zb[:, : 3 * hsz])
-    i = gates[:, :hsz]
-    f = gates[:, hsz : 2 * hsz]
-    o = gates[:, 2 * hsz :]
-    g = np.tanh(zb[:, 3 * hsz :])
-    c = f * cb + i * g
-    tc = np.tanh(c)
-    h = o * tc
-    out = np.concatenate([h, c], axis=1)
+    hsz = c_prev.value.shape[1]
+    h, c, res = _lstm_step(z.value, c_prev.value)
+    return _record(np.concatenate([h, c], axis=1), (z, c_prev),
+                   lambda grad: _lstm_step_vjp(grad[:, :hsz], grad[:, hsz:], res))
 
-    def vjp(grad):
-        gh = grad[:, :hsz]
-        gc = grad[:, hsz:] + gh * o * (1.0 - tc * tc)
-        gz = np.concatenate(
-            [
-                gc * g * i * (1.0 - i),
-                gc * cb * f * (1.0 - f),
-                gh * tc * o * (1.0 - o),
-                gc * i * (1.0 - g * g),
-            ],
-            axis=1,
-        )
-        return gz, gc * f
 
-    return _record(out, (z, c_prev), vjp)
+def _gru_step(zx: np.ndarray, zh: np.ndarray, h_prev: np.ndarray):
+    """GRU step kernel: (h, residuals for ``_gru_step_vjp``)."""
+    hsz = h_prev.shape[1]
+    ru = _sigmoid_value(zx[:, : 2 * hsz] + zh[:, : 2 * hsz])
+    r = ru[:, :hsz]
+    u = ru[:, hsz:]
+    zh_n = zh[:, 2 * hsz :]
+    n = np.tanh(zx[:, 2 * hsz :] + r * zh_n)
+    return (1.0 - u) * n + u * h_prev, (r, u, n, zh_n, h_prev)
+
+
+def _gru_step_vjp(grad: np.ndarray, res):
+    """Adjoint of ``_gru_step``: gradients of (zx, zh, h_prev)."""
+    r, u, n, zh_n, pb = res
+    gn = grad * (1.0 - u)
+    gu = grad * (pb - n)
+    an = gn * (1.0 - n * n)
+    gr = an * zh_n
+    ar = gr * r * (1.0 - r)
+    au = gu * u * (1.0 - u)
+    gzx = np.concatenate([ar, au, an], axis=1)
+    gzh = np.concatenate([ar, au, an * r], axis=1)
+    return gzx, gzh, grad * u
 
 
 def gru_cell(zx: Var, zh: Var, h_prev: Var) -> Var:
@@ -498,27 +496,71 @@ def gru_cell(zx: Var, zh: Var, h_prev: Var) -> Var:
     zx = as_var(zx)
     zh = as_var(zh)
     h_prev = as_var(h_prev)
-    xv, hv, pb = zx.value, zh.value, h_prev.value
-    hsz = pb.shape[1]
-    ru = _sigmoid_value(xv[:, : 2 * hsz] + hv[:, : 2 * hsz])
-    r = ru[:, :hsz]
-    u = ru[:, hsz:]
-    zh_n = hv[:, 2 * hsz :]
-    n = np.tanh(xv[:, 2 * hsz :] + r * zh_n)
-    h = (1.0 - u) * n + u * pb
+    h, res = _gru_step(zx.value, zh.value, h_prev.value)
+    return _record(h, (zx, zh, h_prev), lambda grad: _gru_step_vjp(grad, res))
 
-    def vjp(grad):
-        gn = grad * (1.0 - u)
-        gu = grad * (pb - n)
-        an = gn * (1.0 - n * n)
-        gr = an * zh_n
-        ar = gr * r * (1.0 - r)
-        au = gu * u * (1.0 - u)
-        gzx = np.concatenate([ar, au, an], axis=1)
-        gzh = np.concatenate([ar, au, an * r], axis=1)
-        return gzx, gzh, grad * u
 
-    return _record(h, (zx, zh, h_prev), vjp)
+def recurrence(cell: str, zx, Wh, bh=None, reverse: bool = False) -> Var:
+    """One direction of an LSTM or GRU layer as a single tape node.
+
+    ``zx`` [B, L, G*H] holds every step's input projection, input bias
+    included; ``Wh`` [H, G*H] is the recurrent weight and ``bh`` the GRU's
+    hidden bias (``None`` for the LSTM).  From zero states, step t (t = 0..L-1,
+    or L-1..0 when ``reverse``) is ``lstm_cell(zx_t + h Wh, c)`` or
+    ``gru_cell(zx_t, h Wh + bh, h)``; returns the hidden states [B, L, H].
+    Per-step residuals are kept only when the node is recorded.
+
+    The vjp sums as that per-step composition does on the tape, so results
+    equal it bit for bit: ``Wh`` and ``bh`` terms fold left in backward step
+    order from the first term, the zero-state step included; the ``zx``
+    gradient adds each step onto zeros; a GRU state gradient is (output
+    gradient + direct term) + term through ``Wh``.
+    """
+    zx, Wh = as_var(zx), as_var(Wh)
+    lstm = cell == "lstm"
+    if cell not in ("lstm", "gru") or lstm != (bh is None):
+        raise ValueError("recurrence takes cell 'lstm' without bh or 'gru' with bh")
+    parents = (zx, Wh) if lstm else (zx, Wh, as_var(bh))
+    xv, W = zx.value, Wh.value
+    B, L, _ = xv.shape
+    hsz = W.shape[0]
+    keep = _grad_enabled and any(p.requires_grad for p in parents)
+    out = np.empty((B, L, hsz))
+    h = c = np.zeros((B, hsz))
+    steps = []                                    # (t, h_prev, residuals)
+    for t in (range(L - 1, -1, -1) if reverse else range(L)):
+        h_prev = h
+        if lstm:
+            h, c, res = _lstm_step(xv[:, t] + h_prev @ W, c)
+        else:
+            h, res = _gru_step(xv[:, t], h_prev @ W + parents[2].value, h_prev)
+        out[:, t] = h
+        if keep:
+            steps.append((t, h_prev, res))
+
+    def vjp(G):
+        gzx = np.zeros_like(xv)
+        gW = gb = ga = None
+        dc = np.zeros((B, hsz))
+        for k in range(len(steps) - 1, -1, -1):
+            t, h_prev, res = steps[k]
+            if lstm:
+                gh = G[:, t] if ga is None else G[:, t] + ga
+                gz, dc = _lstm_step_vjp(gh, dc, res)
+                gzh = gz
+            else:
+                gh = G[:, t] if ga is None else (G[:, t] + du) + ga
+                gz, gzh, du = _gru_step_vjp(gh, res)
+                s = gzh.sum(axis=0)
+                gb = s if gb is None else gb + s
+            gzx[:, t] += gz
+            term = h_prev.T @ gzh
+            gW = term if gW is None else gW + term
+            if k:
+                ga = gzh @ W.T
+        return (gzx, gW) if lstm else (gzx, gW, gb)
+
+    return _record(out, parents, vjp)
 
 
 def check_finite(a, stage: str):

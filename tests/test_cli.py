@@ -287,6 +287,21 @@ def test_bad_data_exit_3(work, tmp_path):
                  "--out", str(tmp_path / "c.json")]) == 3
 
 
+@pytest.mark.parametrize("token", ["inf", "-inf", "1e999"])
+def test_infinite_csv_cell_exit_3(work, tmp_path, capsys, token):
+    lines = (work / "raw.csv").read_text().splitlines()
+    col = lines[0].split(",").index("tempmax")
+    cells = lines[5].split(",")
+    cells[col] = token
+    lines[5] = ",".join(cells)
+    bad = tmp_path / "inf.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["prepare", "--config", str(work / "config.json"),
+                 "--input", str(bad), "--out", str(tmp_path / "d.json")]) == 3
+    err = capsys.readouterr().err
+    assert "row 6" in err and "'tempmax'" in err and token in err
+
+
 def test_feature_mismatch_exit_5(work, tmp_path, capsys):
     doc = json.loads((work / "data.json").read_text())
     victim = doc["feature_names"][1]

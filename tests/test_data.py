@@ -33,12 +33,13 @@ def test_load_csv_basic_and_types(tmp_path):
         "2021-01-01,10.5,8.0",
         "2021-01-02,11.0,",
         "2021-01-03,9.25,7.5",
+        "2021-01-04,9.0,nan",
     ])
     t = load_csv(p)
-    assert t.n_days == 3
-    npt.assert_array_equal(t.columns["tempmax"], [10.5, 11.0, 9.25])
+    assert t.n_days == 4
+    npt.assert_array_equal(t.columns["tempmax"], [10.5, 11.0, 9.25, 9.0])
     assert np.isnan(t.columns["temp"][1])
-    npt.assert_array_equal(t.missing_mask["temp"], [False, True, False])
+    npt.assert_array_equal(t.missing_mask["temp"], [False, True, False, True])
 
 
 def test_load_csv_inserts_missing_calendar_days(tmp_path):

@@ -165,8 +165,8 @@ def test_bilstm_time_reversal_with_tied_weights():
     H, n_in = 3, 4
     p = _tied_bidi_params(Rng(8, "init"), n_in, H, "lstm")
     x = Rng(9, "init").gaussian_array((2, 6, n_in))
-    out = bilstm_layer(Var(x), p, H).value
-    out_rev = bilstm_layer(Var(x[:, ::-1, :].copy()), p, H).value
+    out = bilstm_layer(Var(x), p).value
+    out_rev = bilstm_layer(Var(x[:, ::-1, :].copy()), p).value
     swapped = np.concatenate([out_rev[:, ::-1, H:], out_rev[:, ::-1, :H]], axis=2)
     npt.assert_allclose(out, swapped, atol=1e-12)
 
@@ -175,8 +175,8 @@ def test_bigru_time_reversal_with_tied_weights():
     H, n_in = 3, 4
     p = _tied_bidi_params(Rng(10, "init"), n_in, H, "gru")
     x = Rng(11, "init").gaussian_array((2, 5, n_in))
-    out = bigru_layer(Var(x), p, H).value
-    out_rev = bigru_layer(Var(x[:, ::-1, :].copy()), p, H).value
+    out = bigru_layer(Var(x), p).value
+    out_rev = bigru_layer(Var(x[:, ::-1, :].copy()), p).value
     swapped = np.concatenate([out_rev[:, ::-1, H:], out_rev[:, ::-1, :H]], axis=2)
     npt.assert_allclose(out, swapped, atol=1e-12)
 
@@ -274,7 +274,6 @@ def test_amp_gain_zero_pins_alpha_between_one_and_two():
 def test_gru_constant_input_converges_to_fixed_point():
     # constant input: hidden-state step sizes settle down (non-increasing
     # after a short transient) for init-scale random weights
-    from extremecast.model import _gru_direction
     H, n_in, L = 4, 3, 30
     for trial in range(100):
         rng = Rng(trial, "init")
@@ -284,15 +283,15 @@ def test_gru_constant_input_converges_to_fixed_point():
              "Wh": Var(rng.uniform_array((H, 3 * H), -bh, bh)),
              "bx": Var(np.zeros(3 * H)), "bh": Var(np.zeros(3 * H))}
         x = np.tile(rng.gaussian_array((1, 1, n_in)), (1, L, 1))
-        out = _gru_direction(Var(x), p["Wx"], p["Wh"], p["bx"], p["bh"], H,
-                             reverse=False)
-        states = np.stack([h.value[0] for h in out])
+        out = T.recurrence("gru", T.matmul(Var(x), p["Wx"]) + p["bx"], p["Wh"],
+                           p["bh"], reverse=False)
+        states = out.value[0]
         steps = np.linalg.norm(np.diff(states, axis=0), axis=1)
         assert np.all(np.diff(steps[5:]) <= 1e-12), trial
 
 
 def test_bilstm_layer_gradients_fd():
-    # wiring check for the scan + stack/concat composition
+    # wiring check for the two recurrence nodes joined by concat
     from extremecast.gradcheck import grad_check
     H, n_in = 2, 3
     rng = Rng(33, "init")
@@ -303,21 +302,31 @@ def test_bilstm_layer_gradients_fd():
            "b.Wh": rng.gaussian_array((H, 4 * H), 0.0, 0.4),
            "b.b": np.zeros(4 * H)}
     x = rng.gaussian_array((2, 4, n_in))
-    base = bilstm_layer(Var(x), {k: Var(v) for k, v in raw.items()}, H).value
+    base = bilstm_layer(Var(x), {k: Var(v) for k, v in raw.items()}).value
 
     def f(p):
-        d = bilstm_layer(Var(x), p, H) - Var(base + 0.03)
+        d = bilstm_layer(Var(x), p) - Var(base + 0.03)
         return T.mean(d * d)
 
     report = grad_check(f, raw, eps=1e-6)
     assert report.max_rel_error <= 1e-5, (report.worst_param, report.max_rel_error)
 
 
-def _split_by_take(a, n, axis=0):
-    k = a.shape[axis] // n
-    lead = (slice(None),) * axis
-    return [a[lead + ((t,) if k == 1 else (slice(t * k, (t + 1) * k),))]
-            for t in range(n)]
+def _recurrence_by_steps(cell, zx, Wh, bh=None, reverse=False):
+    """Reference for T.recurrence: per-step take, the single-step cell op
+    and stack, every step on the tape."""
+    B, L, _ = zx.shape
+    H = Wh.shape[0]
+    h = c = Var(np.zeros((B, H)))
+    out = [None] * L
+    for t in (range(L - 1, -1, -1) if reverse else range(L)):
+        if cell == "lstm":
+            hc = T.lstm_cell(zx[:, t] + T.matmul(h, Wh), c)
+            h, c = hc[:, :H], hc[:, H:]
+        else:
+            h = T.gru_cell(zx[:, t], T.matmul(h, Wh) + bh, h)
+        out[t] = h
+    return T.stack(out, axis=1)
 
 
 def _train_step_grads(cfg, seed=41):
@@ -331,14 +340,30 @@ def _train_step_grads(cfg, seed=41):
     return loss, {k: v.grad for k, v in params.items()}
 
 
-def test_split_gradients_match_take_slicing_bitwise(monkeypatch):
-    cfg = tiny_cfg(dropout=0.3)
-    _, fast = _train_step_grads(cfg)
-    monkeypatch.setattr(T, "split", _split_by_take)
-    _, ref = _train_step_grads(cfg)
-    assert fast.keys() == ref.keys()
-    for name in fast:
-        assert fast[name].tobytes() == ref[name].tobytes(), name
+def _as_bytes(arrays):
+    return {k: None if v is None else v.tobytes() for k, v in arrays.items()}
+
+
+def _step_and_eval_bytes(cfg, seed=41):
+    """Parameter gradients of a train step, eval predictions and the eval
+    introspection dict, as bytes."""
+    _, grads = _train_step_grads(cfg, seed)
+    model = DualStreamModel(cfg)
+    raw = model.init_params(Rng(seed, "init"))
+    X = make_batch(cfg, B=4, seed=seed)
+    _, intro = model.forward(wrap_params(raw, requires_grad=False), X)
+    return _as_bytes(grads), predict(model, raw, X).tobytes(), _as_bytes(intro)
+
+
+def test_recurrence_matches_per_step_composition_bitwise(monkeypatch):
+    cfgs = [tiny_cfg(dropout=0.3, **over)
+            for over in (dict(lookback=1), dict(lookback=2), dict(n_layers=3))]
+    fast = [_step_and_eval_bytes(cfg) for cfg in cfgs]
+    monkeypatch.setattr(T, "recurrence", _recurrence_by_steps)
+    for cfg, got in zip(cfgs, fast):
+        ref = _step_and_eval_bytes(cfg)
+        for part, g, r in zip(("gradients", "predictions", "introspection"), got, ref):
+            assert g == r, (cfg.lookback, cfg.n_layers, part)
 
 
 def _take_nodes(root):
@@ -355,7 +380,7 @@ def _take_nodes(root):
 
 
 def test_take_nodes_do_not_grow_with_lookback():
-    # per-step slicing must go through split, which costs O(L) in backward
+    # per-step reads stay inside the recurrence nodes, so backward is O(L)
     counts = [_take_nodes(_train_step_grads(tiny_cfg(lookback=L))[0])
               for L in (5, 12)]
     assert counts[0] == counts[1], counts

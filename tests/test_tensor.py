@@ -4,6 +4,8 @@ Gradients are checked against central differences op by op, plus a few
 closed-form oracles so the finite-difference harness itself is covered.
 """
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -246,87 +248,80 @@ def test_recurrent_cell_gradients_fd():
     fd_ok(f_gru, {"zx": zx0, "zh": zh0, "hp": hp0})
 
 
-def _split_by_take(a, n, axis):
-    """Reference for T.split: one ``take`` per piece."""
-    k = a.shape[axis] // n
-    lead = (slice(None),) * axis
-    return [a[lead + ((t,) if k == 1 else (slice(t * k, (t + 1) * k),))]
-            for t in range(n)]
+def _recurrence_params(rng, cell, B, L, H):
+    G = 4 if cell == "lstm" else 3
+    raw = {"zx": rng.gaussian_array((B, L, G * H)),
+           "Wh": rng.gaussian_array((H, G * H), 0.0, 0.5)}
+    if cell == "gru":
+        raw["bh"] = rng.gaussian_array((G * H,), 0.0, 0.3)
+    return raw
 
 
-def test_split_values_and_gradients_fd():
+def test_recurrence_gradients_fd():
     rng = Rng(9, "init")
-    x = rng.gaussian_array((3, 4, 6))
-    steps = T.split(Var(x), 4, axis=1)
-    assert [s.shape for s in steps] == [(3, 6)] * 4
-    for t, s in enumerate(steps):
-        npt.assert_array_equal(s.value, x[:, t, :])
-    wide = T.split(Var(x), 3, axis=-1)
-    assert [s.shape for s in wide] == [(3, 4, 2)] * 3
-    npt.assert_array_equal(wide[2].value, x[:, :, 4:])
-    with pytest.raises(ValueError):
-        T.split(Var(x), 5, axis=1)
+    for cell in ("lstm", "gru"):
+        for L in (1, 4):
+            for reverse in (False, True):
+                raw = _recurrence_params(rng, cell, 2, L, 3)
+                w = Var(rng.gaussian_array((2, L, 3)))
 
-    def f_steps(p):
-        s = T.split(p["x"], 4, axis=1)
-        return T.mean(s[0] * s[3]) + T.sum_(T.tanh(s[1]) + s[2] * s[2]) * 0.3
+                def f(p):
+                    out = T.recurrence(cell, p["zx"], p["Wh"], p.get("bh"), reverse)
+                    return T.sum_(out * w)
 
-    def f_wide(p):
-        s = T.split(p["x"], 3, axis=2)
-        return T.mean(s[0] * T.tanh(s[2]) + T.sigmoid(s[1]))
-
-    fd_ok(f_steps, {"x": x})
-    fd_ok(f_wide, {"x": x})
+                # gradients carried back over several steps are small, so
+                # central differences resolve them to about 1e-6 relative
+                fd_ok(f, raw, tol=1e-5)
 
 
-def _grad_bytes(build, splitter):
-    """Gradients of two leaves as bytes, with pieces cut by ``splitter``."""
+def _one_step_by_cell(cell, zx, Wh, bh):
+    """A one-step sequence through the single-step cell op."""
+    H = Wh.shape[0]
+    h0 = Var(np.zeros((zx.shape[0], H)))
+    if cell == "lstm":
+        return T.lstm_cell(zx[:, 0] + T.matmul(h0, Wh), h0)[:, :H]
+    return T.gru_cell(zx[:, 0], T.matmul(h0, Wh) + bh, h0)
+
+
+def test_recurrence_of_one_step_equals_cell_bitwise():
     rng = Rng(10, "init")
-    x = Var(rng.gaussian_array((2, 5, 4)), requires_grad=True)
-    y = Var(rng.gaussian_array((2, 5, 4)), requires_grad=True)
-    backward(build(x, y, splitter))
-    return x.grad.tobytes(), y.grad.tobytes()
+    for cell in ("lstm", "gru"):
+        raw = _recurrence_params(rng, cell, 3, 1, 4)
+        w = rng.gaussian_array((3, 4))
+
+        def run(step):
+            p = {k: Var(v, requires_grad=True) for k, v in raw.items()}
+            h = step(p)
+            backward(T.sum_(h * w))
+            return [h.value.tobytes()] + [p[k].grad.tobytes() for k in sorted(p)]
+
+        ref = run(lambda p: _one_step_by_cell(cell, p["zx"], p["Wh"], p.get("bh")))
+        for reverse in (False, True):
+            got = run(lambda p: T.recurrence(cell, p["zx"], p["Wh"], p.get("bh"),
+                                             reverse)[:, 0])
+            assert got == ref, (cell, reverse)
 
 
-def test_split_gradients_equal_take_bytewise():
-    # -0.0 in the other consumer's weights puts signed zeros into x.grad
-    w = Var(np.where(np.arange(40).reshape(2, 5, 4) % 3 == 0, -0.0, 0.7))
-    events = []
+def test_recurrence_under_no_grad_records_nothing():
+    rng = Rng(11, "init")
+    for cell in ("lstm", "gru"):
+        p = {k: Var(v, requires_grad=True)
+             for k, v in _recurrence_params(rng, cell, 16, 40, 8).items()}
 
-    def logged(node, tag):
-        vjp = node._vjp
-        node._vjp = lambda g: (events.append(tag), vjp(g))[1]
-        return node
+        def run():
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out = T.recurrence(cell, p["zx"], p["Wh"], p.get("bh"))
+                return out, tracemalloc.get_traced_memory()[0] - base
+            finally:
+                tracemalloc.stop()
 
-    def shared(x, y, splitter):
-        # other consumers of x run both before and after the pieces; add
-        # hands x and y the same gradient array; pieces[0] is left unused
-        pieces = [logged(p, "piece") for p in splitter(x, 5, 1)]
-        before = T.sum_(T.tanh(logged(x + y, "other")) * w)
-        after = logged(T.sum_(x * w), "other")
-        return before + T.sum_(T.stack(pieces[1:], axis=0) ** 2.0) + after
-
-    def unused(x, y, splitter):
-        pieces = splitter(x, 5, 1)
-        return T.sum_(pieces[1] * pieces[4]) + T.mean(pieces[2] * y[:, 0, :])
-
-    def twice(x, y, splitter):
-        steps = splitter(x, 5, 1)
-        halves = splitter(x, 2, 2)
-        return (T.sum_(steps[0][:, 2:] * halves[1][:, 0, :] + steps[3][:, :2] * y[:, 3, 2:])
-                + T.sum_(halves[0] * halves[0]))
-
-    for build in (shared, unused, twice):
-        events.clear()
-        fast = _grad_bytes(build, T.split)
-        if build is shared:
-            first, last = events.index("piece"), len(events) - events[::-1].index("piece")
-            assert "other" in events[:first] and "other" in events[last:], events
-        assert fast == _grad_bytes(build, _split_by_take), build.__name__
-
-
-def test_split_under_no_grad_records_nothing():
-    x = Var(np.ones((2, 3)), requires_grad=True)
-    with no_grad():
-        pieces = T.split(x, 3, axis=1)
-    assert all(not p.requires_grad and p._parents == () for p in pieces)
+        with no_grad():
+            out, kept = run()
+        assert not out.requires_grad and out._parents == () and out._vjp is None
+        # only the output array outlives the call; the recorded node also
+        # keeps every step's residuals
+        assert kept < out.value.nbytes + 4096, (cell, kept)
+        recorded, kept_recorded = run()
+        assert recorded._vjp is not None and kept_recorded > 4 * out.value.nbytes

@@ -12,9 +12,11 @@
   (length L) and forecast (scalar) heads; stack input is the previous
   residual (input - backcast); the prediction is the sum of stack forecasts.
 
-Both trainable baselines use the Huber loss.  Weights initialize
-U(-1/sqrt(fan_in), +1/sqrt(fan_in)) from the "init" stream in parameter-name
-order; biases start at zero and layer-norm gains at one.
+The trainable baselines train on the run config's ``training.loss``, like
+the dual-stream model.  Weights initialize U(-1/sqrt(fan_in),
++1/sqrt(fan_in)) from the "init" stream in parameter-spec order
+(``model.init_from_specs``); biases start at zero and layer-norm gains at
+one.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DataError
+from .model import init_from_specs
 from .rng import Rng
 from .tensor import Var, dropout
 
@@ -35,13 +38,12 @@ from .tensor import Var, dropout
 class PersistenceModel:
     """yhat = last day's scaled target value in the window."""
 
-    loss_kind = "huber"
-
     def __init__(self, target_index: int):
         if target_index < 0:
             raise DataError(
                 "persistence needs the raw target among the selected features")
         self.target_index = target_index
+        self._specs = []
         self.no_decay = frozenset()
 
     def init_params(self, rng: Rng) -> dict[str, np.ndarray]:
@@ -50,13 +52,6 @@ class PersistenceModel:
     def forward(self, params, X, train: bool = False, rng=None):
         Xv = X if isinstance(X, Var) else Var(X)
         return Xv[:, -1, self.target_index], {}
-
-
-def persistence_predict(X: np.ndarray, target_index: int) -> np.ndarray:
-    if target_index < 0:
-        raise DataError(
-            "persistence needs the raw target among the selected features")
-    return X[:, -1, target_index].copy()
 
 
 # --------------------------------------------------------------------- TCN
@@ -108,8 +103,6 @@ def causal_conv(seq: Var, kernels: list, bias: Var, dilation: int) -> Var:
 
 
 class TcnModel:
-    loss_kind = "huber"
-
     def __init__(self, cfg: TcnConfig):
         self.cfg = cfg.validate()
         self._specs = self._param_specs()
@@ -135,16 +128,7 @@ class TcnModel:
         return specs
 
     def init_params(self, rng: Rng) -> dict[str, np.ndarray]:
-        params = {}
-        for name, shape in self._specs:
-            if name.endswith("ln.g"):
-                params[name] = np.ones(shape)
-            elif name in self.no_decay:
-                params[name] = np.zeros(shape)
-            else:
-                bound = 1.0 / np.sqrt(shape[0])
-                params[name] = rng.uniform_array(shape, -bound, bound)
-        return params
+        return init_from_specs(self._specs, self.no_decay, rng)
 
     def forward(self, params, X, train: bool = False, rng=None):
         cfg = self.cfg
@@ -187,8 +171,6 @@ class NBeatsConfig:
 class NBeatsModel:
     """Univariate: consumes only the scaled target column of each window."""
 
-    loss_kind = "huber"
-
     def __init__(self, cfg: NBeatsConfig, target_index: int):
         self.cfg = cfg.validate()
         if target_index < 0:
@@ -210,14 +192,7 @@ class NBeatsModel:
         return specs
 
     def init_params(self, rng: Rng) -> dict[str, np.ndarray]:
-        params = {}
-        for name, shape in self._specs:
-            if name in self.no_decay:
-                params[name] = np.zeros(shape)
-            else:
-                bound = 1.0 / np.sqrt(shape[0])
-                params[name] = rng.uniform_array(shape, -bound, bound)
-        return params
+        return init_from_specs(self._specs, self.no_decay, rng)
 
     def forward(self, params, X, train: bool = False, rng=None):
         Xv = X if isinstance(X, Var) else Var(X)

@@ -25,8 +25,6 @@ from .errors import CompatibilityError, DataError
 
 SCHEMA_VERSION = 1
 
-MODEL_KINDS = ("dual_stream", "tcn", "nbeats", "persistence")
-
 
 # ------------------------------------------------------------ JSON helpers
 
@@ -97,9 +95,16 @@ def _decode_params(blob: dict) -> dict:
     return out
 
 
+def _check_kind(kind) -> str:
+    from .training import MODELS        # training imports this module
+
+    if not isinstance(kind, str) or kind not in MODELS:
+        raise CompatibilityError(f"unknown model kind {kind!r}")
+    return kind
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    if ckpt.model_kind not in MODEL_KINDS:
-        raise CompatibilityError(f"unknown model kind {ckpt.model_kind!r}")
+    _check_kind(ckpt.model_kind)
     doc = {
         "schema_version": ckpt.schema_version,
         "model_kind": ckpt.model_kind,
@@ -128,26 +133,28 @@ def load_checkpoint(path) -> Checkpoint:
         raise CompatibilityError(
             f"checkpoint schema_version {version!r} unsupported "
             f"(expected {SCHEMA_VERSION})")
-    kind = doc.get("model_kind")
-    if kind not in MODEL_KINDS:
-        raise CompatibilityError(f"unknown model kind {kind!r}")
-    scaler = ScalerParams(columns={k: (float(v[0]), float(v[1]))
-                                   for k, v in doc["scaler"].items()})
-    ts = doc.get("train_state", {})
-    return Checkpoint(
-        model_kind=kind,
-        model_config=doc["model_config"],
-        params=_decode_params(doc["params"]),
-        feature_names=list(doc["feature_names"]),
-        scaler=scaler,
-        lookback=int(doc["lookback"]),
-        target=doc["target"],
-        seed=int(doc["seed"]),
-        best_val_loss=ts.get("best_val_loss"),
-        best_epoch=ts.get("epoch"),
-        schema_version=version,
-        extra=doc.get("extra", {}),
-    )
+    kind = _check_kind(doc.get("model_kind"))
+    try:
+        scaler = ScalerParams(columns={k: (float(v[0]), float(v[1]))
+                                       for k, v in doc["scaler"].items()})
+        ts = doc.get("train_state", {})
+        return Checkpoint(
+            model_kind=kind,
+            model_config=doc["model_config"],
+            params=_decode_params(doc["params"]),
+            feature_names=list(doc["feature_names"]),
+            scaler=scaler,
+            lookback=int(doc["lookback"]),
+            target=doc["target"],
+            seed=int(doc["seed"]),
+            best_val_loss=ts.get("best_val_loss"),
+            best_epoch=ts.get("epoch"),
+            schema_version=version,
+            extra=doc.get("extra", {}),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CompatibilityError(
+            f"{path}: malformed checkpoint ({exc!r})") from exc
 
 
 # ---------------------------------------------------------------- datasets

@@ -24,10 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import NBeatsConfig, TcnConfig
-from .checkpoint import (MODEL_KINDS, check_feature_compatibility,
-                         load_checkpoint, load_dataset, save_checkpoint,
-                         save_dataset, write_csv, write_json)
+from .checkpoint import (check_feature_compatibility, load_checkpoint,
+                         load_dataset, save_checkpoint, save_dataset,
+                         write_csv, write_json)
 from .config import RunConfig, load_run_config, validate_report_dict
 from .data import TimeSeriesTable, load_csv
 from .diagnostics import (kmeans_regimes, occlusion_sensitivity,
@@ -36,9 +35,9 @@ from .diagnostics import (kmeans_regimes, occlusion_sensitivity,
 from .errors import CompatibilityError, ConfigError, DataError, ExtremecastError
 from .model import wrap_params
 from .pipeline import PreparedDataset, prepare
-from .training import (HISTORY_COLUMNS, PersistenceConfig, build_model,
-                       evaluate_checkpoint, feature_ablation, learning_curve,
-                       model_config_from_dict, train)
+from .training import (HISTORY_COLUMNS, MODELS, evaluate_checkpoint,
+                       feature_ablation, fit_model_config, learning_curve,
+                       rebuild_model, train)
 
 EXPLAIN_METHODS = ("occlusion", "pdp", "permutation", "residuals", "kmeans",
                    "attention", "states")
@@ -77,26 +76,17 @@ def _sibling(path, suffix: str) -> Path:
     return p.with_name(p.stem + suffix)
 
 
-def _model_config_for(kind: str, run_cfg: RunConfig, ds: PreparedDataset):
-    """Adapt a run config to the dataset's dimensions for the chosen model."""
-    if kind == "dual_stream":
-        return replace(run_cfg.model, n_features=ds.n_features,
-                       lookback=ds.lookback).validate()
-    if kind == "tcn":
-        return TcnConfig(n_features=ds.n_features,
-                         lookback=ds.lookback).validate()
-    if kind == "nbeats":
-        return NBeatsConfig(lookback=ds.lookback).validate()
-    if kind == "persistence":
-        return PersistenceConfig()
-    raise ConfigError(f"unknown model kind {kind!r}; valid: "
-                      + ", ".join(MODEL_KINDS))
+def _base_model_config(run_cfg: RunConfig, kind: str):
+    """The run config's model section when it configures this kind (the
+    dual stream), else the kind's defaults."""
+    cls = MODELS[kind][0]
+    return run_cfg.model if isinstance(run_cfg.model, cls) else cls()
 
 
 def _train_and_save(run_cfg: RunConfig, seed: int, ds: PreparedDataset,
                     kind: str, out) -> tuple:
     train_cfg = replace(run_cfg.training, seed=seed)
-    model_cfg = _model_config_for(kind, run_cfg, ds)
+    model_cfg = fit_model_config(_base_model_config(run_cfg, kind), ds)
     ckpt, state = train(ds, model_cfg, train_cfg)
     save_checkpoint(ckpt, out)
     history_path = _sibling(out, "_history.csv")
@@ -130,12 +120,6 @@ def _print_metrics(report: dict) -> None:
           f"(n={report['n_high']})")
     print(f"  extreme_low_rmse = {report['extreme_low_rmse']} "
           f"(n={report['n_low']})")
-
-
-def _rebuild_model(ckpt, ds: PreparedDataset):
-    model_cfg = model_config_from_dict(ckpt.model_kind, ckpt.model_config)
-    model, _ = build_model(model_cfg, ds)
-    return model
 
 
 # --------------------------------------------------------------- subcommands
@@ -237,7 +221,7 @@ def cmd_explain(args) -> int:
     ds = load_dataset(args.data)
     check_feature_compatibility(ckpt, ds.feature_names)
     seed = _resolve_seed(args.seed, None, default=ckpt.seed)
-    model = _rebuild_model(ckpt, ds)
+    model = rebuild_model(ckpt, ds)
     out = Path(args.out)
 
     if args.method == "occlusion":
@@ -367,24 +351,21 @@ def cmd_sweep(args) -> int:
     run_cfg, doc = _load_config(args.config)
     seed = _resolve_seed(args.seed, doc)
     train_cfg = replace(run_cfg.training, seed=seed)
+    model_cfg = _base_model_config(run_cfg, args.model)
     if args.kind == "learning-curve":
         if not args.data:
             raise ConfigError("learning-curve sweep needs --data")
         ds = load_dataset(args.data)
-        model_cfg = _model_config_for(args.model, run_cfg, ds)
-        rows = learning_curve(ds, model_cfg, train_cfg, csv_path=args.out)
+        rows = learning_curve(ds, fit_model_config(model_cfg, ds), train_cfg,
+                              csv_path=args.out)
     else:  # feature-ablation
         csv_path = args.input or run_cfg.dataset.csv_path
         if not csv_path:
             raise ConfigError("feature-ablation sweep needs --input "
                               "or dataset.csv_path")
         table = load_csv(csv_path, target=run_cfg.dataset.target)
-        # feature_ablation re-fits per mode and adapts n_features/lookback
-        # on the config itself, so no dataset probe is needed here
-        base_configs = {"dual_stream": run_cfg.model, "tcn": TcnConfig(),
-                        "nbeats": NBeatsConfig(),
-                        "persistence": PersistenceConfig()}
-        rows = feature_ablation(table, base_configs[args.model], train_cfg,
+        # feature_ablation fits the config to each mode's dataset
+        rows = feature_ablation(table, model_cfg, train_cfg,
                                 lookback=run_cfg.dataset.lookback,
                                 train_frac=run_cfg.dataset.train_frac,
                                 val_frac=run_cfg.dataset.val_frac,
@@ -418,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset JSON from prepare")
     p.add_argument("--out", required=True, help="checkpoint JSON to write")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--model", default="dual_stream", choices=MODEL_KINDS)
+    p.add_argument("--model", default="dual_stream", choices=MODELS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a checkpoint on a dataset")
@@ -435,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="train a reference model and report in one step")
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--model", required=True, choices=MODEL_KINDS)
+    p.add_argument("--model", required=True, choices=MODELS)
     p.add_argument("--out", required=True, help="checkpoint JSON to write")
     p.add_argument("--report", required=True, help="report JSON to write")
     p.add_argument("--seed", type=int, default=None)
@@ -477,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dataset JSON (learning-curve)")
     p.add_argument("--input", default=None, help="raw CSV (feature-ablation)")
     p.add_argument("--out", required=True, help="CSV to write")
-    p.add_argument("--model", default="dual_stream", choices=MODEL_KINDS)
+    p.add_argument("--model", default="dual_stream", choices=MODELS)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_sweep)
     return parser

@@ -103,20 +103,27 @@ def _param_specs(cfg: ModelConfig) -> list[tuple[str, tuple]]:
     return specs
 
 
-def init_params(cfg: ModelConfig, rng: Rng) -> dict[str, np.ndarray]:
-    """Weights ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in)); biases/logits zero.
-
-    Draw order is the parameter-spec order, row-major within each array, so
-    initialisation is a pure function of (seed, config).
-    """
+def init_from_specs(specs, no_decay, rng: Rng) -> dict[str, np.ndarray]:
+    """Initial parameters for (name, shape) specs, drawn in spec order,
+    row-major within each array, so they are a pure function of (seed,
+    specs): layer-norm gains ``ln.g`` are one, other ``no_decay`` entries
+    zero, and every other array ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in)) with
+    fan_in = shape[0]."""
     params: dict[str, np.ndarray] = {}
-    for name, shape in _param_specs(cfg):
-        if _is_no_decay_name(name):
+    for name, shape in specs:
+        if name.endswith("ln.g"):
+            params[name] = np.ones(shape)
+        elif name in no_decay:
             params[name] = np.zeros(shape)
         else:
             bound = 1.0 / np.sqrt(shape[0])
             params[name] = rng.uniform_array(shape, -bound, bound)
     return params
+
+
+def init_params(cfg: ModelConfig, rng: Rng) -> dict[str, np.ndarray]:
+    """Weights ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in)); biases/logits zero."""
+    return init_from_specs(_param_specs(cfg), no_decay_names(cfg), rng)
 
 
 def _is_no_decay_name(name: str) -> bool:
@@ -252,10 +259,11 @@ class DualStreamModel:
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg.validate()
+        self._specs = _param_specs(cfg)
         self.no_decay = no_decay_names(cfg)
 
     def init_params(self, rng: Rng) -> dict[str, np.ndarray]:
-        return init_params(self.cfg, rng)
+        return init_from_specs(self._specs, self.no_decay, rng)
 
     def forward(self, params: dict[str, Var], X, train: bool = False,
                 rng: Rng | None = None) -> tuple[Var, dict]:

@@ -240,18 +240,6 @@ def matmul(a, b) -> Var:
     return _record(out, (a, b), vjp)
 
 
-def exp(a) -> Var:
-    a = as_var(a)
-    ev = np.exp(a.value)
-    return _record(ev, (a,), lambda g: (g * ev,))
-
-
-def log(a) -> Var:
-    a = as_var(a)
-    av = a.value
-    return _record(np.log(av), (a,), lambda g: (g / av,))
-
-
 def sqrt(a) -> Var:
     a = as_var(a)
     sv = np.sqrt(a.value)
@@ -345,17 +333,6 @@ def concat(parts, axis: int = -1) -> Var:
         gm = np.moveaxis(g, axis, 0)
         return tuple(np.moveaxis(gm[offsets[i]:offsets[i + 1]], 0, axis)
                      for i in range(len(parts)))
-
-    return _record(out, tuple(parts), vjp)
-
-
-def stack(parts, axis: int = 0) -> Var:
-    parts = [as_var(p) for p in parts]
-    out = np.stack([p.value for p in parts], axis=axis)
-
-    def vjp(g):
-        gm = np.moveaxis(g, axis, 0)
-        return tuple(gm[i] for i in range(len(parts)))
 
     return _record(out, tuple(parts), vjp)
 

@@ -28,7 +28,7 @@ from .augment import AugmentConfig, augment_windows
 from .baselines import (NBeatsConfig, NBeatsModel, PersistenceModel,
                         TcnConfig, TcnModel)
 from .checkpoint import Checkpoint
-from .errors import ConfigError, DataError, NumericError
+from .errors import CompatibilityError, ConfigError, DataError, NumericError
 from .losses import LossConfig, compute_loss
 from .metrics import evaluation_report
 from .model import DualStreamModel, ModelConfig, predict, wrap_params
@@ -45,6 +45,20 @@ FEATURE_MODES = ("full", "minimal", "raw_only")
 @dataclass
 class PersistenceConfig:
     """The persistence forecaster has no learnable parameters."""
+
+    def validate(self) -> "PersistenceConfig":
+        return self
+
+
+# The one list of model kinds: kind -> (config class, builder(cfg, dataset)).
+MODELS = {
+    "dual_stream": (ModelConfig, lambda cfg, ds: DualStreamModel(cfg)),
+    "tcn": (TcnConfig, lambda cfg, ds: TcnModel(cfg)),
+    "nbeats": (NBeatsConfig,
+               lambda cfg, ds: NBeatsModel(cfg, ds.target_index())),
+    "persistence": (PersistenceConfig,
+                    lambda cfg, ds: PersistenceModel(ds.target_index())),
+}
 
 
 @dataclass
@@ -89,32 +103,45 @@ class TrainState:
 
 def build_model(model_cfg, dataset: PreparedDataset):
     """Instantiate the model named by a config object; returns (model, kind)."""
-    if isinstance(model_cfg, ModelConfig):
-        return DualStreamModel(model_cfg), "dual_stream"
-    if isinstance(model_cfg, TcnConfig):
-        return TcnModel(model_cfg), "tcn"
-    if isinstance(model_cfg, NBeatsConfig):
-        return NBeatsModel(model_cfg, dataset.target_index()), "nbeats"
-    if isinstance(model_cfg, PersistenceConfig):
-        return PersistenceModel(dataset.target_index()), "persistence"
+    for kind, (cls, builder) in MODELS.items():
+        if isinstance(model_cfg, cls):
+            return builder(model_cfg, dataset), kind
     raise ConfigError(f"unrecognized model config type {type(model_cfg).__name__}")
 
 
 def model_config_from_dict(kind: str, doc: dict):
-    """Rebuild a model config dataclass from its JSON form."""
-    doc = dict(doc)
-    if kind == "dual_stream":
-        return ModelConfig(**doc).validate()
-    if kind == "tcn":
-        for key in ("channels", "dilations"):
-            if key in doc:
-                doc[key] = tuple(doc[key])
-        return TcnConfig(**doc).validate()
-    if kind == "nbeats":
-        return NBeatsConfig(**doc).validate()
-    if kind == "persistence":
-        return PersistenceConfig()
-    raise ConfigError(f"unknown model kind {kind!r}")
+    """Rebuild a model config dataclass from its JSON form (lists -> tuples)."""
+    if kind not in MODELS:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    try:
+        return MODELS[kind][0](**{k: tuple(v) if isinstance(v, list) else v
+                                  for k, v in doc.items()}).validate()
+    except (AttributeError, TypeError) as exc:
+        raise CompatibilityError(
+            f"model_config does not fit model kind {kind!r}: {exc}") from exc
+
+
+def fit_model_config(model_cfg, dataset: PreparedDataset):
+    """The config with whichever of n_features/lookback it has set to the
+    dataset's."""
+    dims = {"n_features": dataset.n_features, "lookback": dataset.lookback}
+    return replace(model_cfg, **{k: v for k, v in dims.items()
+                                 if hasattr(model_cfg, k)}).validate()
+
+
+def rebuild_model(ckpt: Checkpoint, dataset: PreparedDataset):
+    """The checkpoint's model for a dataset, after checking that the stored
+    parameter names and shapes are the model's."""
+    model_cfg = model_config_from_dict(ckpt.model_kind, ckpt.model_config)
+    model, _ = build_model(model_cfg, dataset)
+    expected = dict(model._specs)
+    for name in sorted(expected.keys() | ckpt.params.keys()):
+        have = ckpt.params[name].shape if name in ckpt.params else None
+        if have != expected.get(name):
+            raise CompatibilityError(
+                f"checkpoint parameter {name!r}: shape {have} in the checkpoint, "
+                f"{expected.get(name)} in the {ckpt.model_kind} model")
+    return model
 
 
 def _batch_spans(n: int, batch_size: int) -> list:
@@ -254,9 +281,8 @@ def evaluate_model(model, params, dataset: PreparedDataset,
 
 def evaluate_checkpoint(ckpt: Checkpoint, dataset: PreparedDataset,
                         partition: str = "test", tail_q: float = 0.05) -> dict:
-    model_cfg = model_config_from_dict(ckpt.model_kind, ckpt.model_config)
-    model, _ = build_model(model_cfg, dataset)
-    return evaluate_model(model, ckpt.params, dataset, partition, tail_q)
+    return evaluate_model(rebuild_model(ckpt, dataset), ckpt.params, dataset,
+                          partition, tail_q)
 
 
 def _effective_batches(n_train: int, cfg: TrainConfig, fraction: float) -> int:
@@ -316,13 +342,8 @@ def feature_ablation(table, model_cfg, train_cfg: TrainConfig,
         spec = replace(feature_spec or FeatureSpec(), mode=mode)
         ds = prepare(table, lookback=lookback, train_frac=train_frac,
                      val_frac=val_frac, feature_spec=spec)
-        cfg_m = model_cfg
-        if hasattr(model_cfg, "n_features"):
-            cfg_m = replace(model_cfg, n_features=ds.n_features)
-        if hasattr(model_cfg, "lookback"):
-            cfg_m = replace(cfg_m, lookback=ds.lookback)
         run_cfg = replace(train_cfg.validate(), feature_mode=mode)
-        ckpt, state = train(ds, cfg_m, run_cfg)
+        ckpt, state = train(ds, fit_model_config(model_cfg, ds), run_cfg)
         report = evaluate_checkpoint(ckpt, ds)
         row = {"mode": mode, "n_features": ds.n_features,
                "best_epoch": state.best_epoch,

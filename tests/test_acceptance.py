@@ -455,8 +455,6 @@ def test_criterion_11_diagnostics_sanity():
     slope = 1.7
 
     class PlantedModel:
-        loss_kind = "huber"
-
         def forward(self, params, X, train=False, rng=None):
             Xv = X if isinstance(X, Var) else Var(X)
             return Var(slope * Xv.value[:, :, 0].mean(axis=1)), {}

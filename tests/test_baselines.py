@@ -21,7 +21,6 @@ from extremecast.baselines import (
     TcnConfig,
     TcnModel,
     causal_conv,
-    persistence_predict,
 )
 from extremecast.errors import ConfigError, DataError
 from extremecast.gradcheck import grad_check
@@ -49,14 +48,11 @@ def test_persistence_returns_last_target_value():
     pred, intro = model.forward({}, X)
     assert np.array_equal(pred.value, X[:, -1, 2])
     assert intro == {}
-    assert np.array_equal(persistence_predict(X, 2), X[:, -1, 2])
 
 
 def test_persistence_requires_target_column():
     with pytest.raises(DataError):
         PersistenceModel(target_index=-1)
-    with pytest.raises(DataError):
-        persistence_predict(np.zeros((2, 3, 4)), -1)
 
 
 # --------------------------------------------------------- causal convolution

@@ -71,6 +71,10 @@ def test_unknown_model_kind_guard(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(CompatibilityError, match="perceptron"):
         load_checkpoint(path)
+    doc["model_kind"] = ["tcn"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CompatibilityError, match="unknown model kind"):
+        load_checkpoint(path)
     bad = make_ckpt({})
     bad.model_kind = "perceptron"
     with pytest.raises(CompatibilityError):

@@ -11,6 +11,7 @@ import pytest
 from extremecast.cli import main
 from extremecast.config import validate_report_dict
 from extremecast.synthetic import sinusoid_ar_table, table_to_csv
+from extremecast.training import MODELS
 
 CONFIG = {
     "seed": 7,
@@ -104,6 +105,25 @@ def test_evaluate_report_schema_and_residuals(work):
                  "--data", str(work / "data.json"),
                  "--report", str(again)]) == 0
     assert again.read_bytes() == report_path.read_bytes()
+
+
+@pytest.mark.parametrize("kind", MODELS)
+def test_every_model_kind_trains_and_evaluates_byte_identically(work, kind):
+    runs = []
+    for run in ("a", "b"):
+        stem = f"kind_{kind}_{run}"
+        assert main(["train", "--config", str(work / "config.json"),
+                     "--data", str(work / "data.json"),
+                     "--out", str(work / f"{stem}.json"),
+                     "--model", kind]) == 0
+        assert main(["evaluate", "--checkpoint", str(work / f"{stem}.json"),
+                     "--data", str(work / "data.json"),
+                     "--report", str(work / f"{stem}_report.json")]) == 0
+        runs.append([(work / f"{stem}{suffix}").read_bytes()
+                     for suffix in (".json", "_history.csv", "_report.json",
+                                    "_report_residuals.csv")])
+    assert runs[0] == runs[1]
+    assert json.loads(runs[0][2])["model_kind"] == kind
 
 
 def test_baseline_persistence_trivial_checkpoint(work):
@@ -314,6 +334,32 @@ def test_feature_mismatch_exit_5(work, tmp_path, capsys):
     assert code == 5
     err = capsys.readouterr().err
     assert "position 1" in err and victim in err and "intruder" in err
+
+
+TAMPERINGS = {
+    "extra_config_key": lambda doc: doc["model_config"].update(bogus=1),
+    "no_params_field": lambda doc: doc.pop("params"),
+    "param_data_short_of_shape":
+        lambda doc: doc["params"]["head.W"]["data"].pop(),
+    "missing_param": lambda doc: doc["params"].pop("head.W"),
+}
+
+
+@pytest.mark.parametrize("tampering", TAMPERINGS)
+def test_malformed_checkpoint_exit_5(work, tmp_path, capsys, tampering):
+    ckpt = tmp_path / "tcn.json"
+    assert main(["train", "--config", str(work / "config.json"),
+                 "--data", str(work / "data.json"),
+                 "--out", str(ckpt), "--model", "tcn"]) == 0
+    doc = json.loads(ckpt.read_text())
+    TAMPERINGS[tampering](doc)
+    ckpt.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["evaluate", "--checkpoint", str(ckpt),
+                 "--data", str(work / "data.json"),
+                 "--report", str(tmp_path / "r.json")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 # ------------------------------------------------------- augment and sweep

@@ -314,7 +314,7 @@ def test_bilstm_layer_gradients_fd():
 
 def _recurrence_by_steps(cell, zx, Wh, bh=None, reverse=False):
     """Reference for T.recurrence: per-step take, the single-step cell op
-    and stack, every step on the tape."""
+    and one concat of the steps, every step on the tape."""
     B, L, _ = zx.shape
     H = Wh.shape[0]
     h = c = Var(np.zeros((B, H)))
@@ -326,7 +326,7 @@ def _recurrence_by_steps(cell, zx, Wh, bh=None, reverse=False):
         else:
             h = T.gru_cell(zx[:, t], T.matmul(h, Wh) + bh, h)
         out[t] = h
-    return T.stack(out, axis=1)
+    return T.reshape(T.concat(out, axis=1), (B, L, H))
 
 
 def _train_step_grads(cfg, seed=41):

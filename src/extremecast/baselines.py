@@ -148,7 +148,7 @@ class TcnModel:
             res = T.matmul(h, params[res_key]) if res_key in params else h
             h = z + res
             T.check_finite(h, f"tcn_block_{i}")
-        pred = (T.matmul(h[:, -1, :], params["head.W"]) + params["head.b"])[:, 0]
+        pred = T.linear(h[:, -1, :], params["head.W"], params["head.b"])[:, 0]
         T.check_finite(pred, "tcn_head")
         return pred, {}
 
@@ -199,14 +199,12 @@ class NBeatsModel:
         residual = Xv[:, :, self.target_index]       # [B, L]
         forecasts = []
         for s in range(self.cfg.stacks):
-            h = T.gelu(T.matmul(residual, params[f"stack.{s}.fc1.W"])
-                       + params[f"stack.{s}.fc1.b"])
-            h = T.gelu(T.matmul(h, params[f"stack.{s}.fc2.W"])
-                       + params[f"stack.{s}.fc2.b"])
-            backcast = T.matmul(h, params[f"stack.{s}.back.W"]) \
-                + params[f"stack.{s}.back.b"]
-            forecasts.append(T.matmul(h, params[f"stack.{s}.fore.W"])
-                             + params[f"stack.{s}.fore.b"])
+            fc = {n: (params[f"stack.{s}.{n}.W"], params[f"stack.{s}.{n}.b"])
+                  for n in ("fc1", "fc2", "back", "fore")}
+            h = T.gelu(T.linear(residual, *fc["fc1"]))
+            h = T.gelu(T.linear(h, *fc["fc2"]))
+            backcast = T.linear(h, *fc["back"])
+            forecasts.append(T.linear(h, *fc["fore"]))
             residual = residual - backcast
             T.check_finite(residual, f"nbeats_stack_{s}")
         total = forecasts[0]

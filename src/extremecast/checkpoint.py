@@ -202,30 +202,38 @@ def load_dataset(path):
         raise CompatibilityError(
             f"dataset schema_version {doc.get('schema_version')!r} unsupported "
             f"(expected {SCHEMA_VERSION})")
-    names = list(doc["feature_names"])
-    split = SplitSpec(n_days=int(doc["split"]["n_days"]),
-                      val=tuple(doc["split"]["val"]),
-                      train=tuple(doc["split"]["train"]),
-                      test=tuple(doc["split"]["test"]))
-    matrix = np.array(doc["feature_matrix"], dtype=np.float64).reshape(
-        split.n_days, len(names))
-    target_scaled = np.array(doc["target_scaled"], dtype=np.float64)
-    parts = make_windows(matrix, target_scaled, split, int(doc["lookback"]))
-    return PreparedDataset(
-        feature_names=names,
-        lookback=int(doc["lookback"]),
-        target=doc["target"],
-        scaler=ScalerParams(columns={k: (float(v[0]), float(v[1]))
-                                     for k, v in doc["scaler"].items()}),
-        split=split,
-        parts=parts,
-        dates=[dt.date.fromisoformat(s) for s in doc["dates"]],
-        target_raw=np.array(doc["target_raw"], dtype=np.float64),
-        audit=[(r[0], r[1], float(r[2]), bool(r[3])) for r in doc["audit"]],
-        mode=doc["mode"],
-        feature_matrix=matrix,
-        target_scaled=target_scaled,
-    )
+    try:
+        names = list(doc["feature_names"])
+        split = SplitSpec(n_days=int(doc["split"]["n_days"]),
+                          val=tuple(doc["split"]["val"]),
+                          train=tuple(doc["split"]["train"]),
+                          test=tuple(doc["split"]["test"]))
+        matrix = np.array(doc["feature_matrix"], dtype=np.float64).reshape(
+            split.n_days, len(names))
+        target_scaled = np.array(doc["target_scaled"], dtype=np.float64)
+        parts = make_windows(matrix, target_scaled, split, int(doc["lookback"]))
+        dates = [dt.date.fromisoformat(s) for s in doc["dates"]]
+        target_raw = np.array(doc["target_raw"], dtype=np.float64)
+        if len(dates) != split.n_days or len(target_raw) != split.n_days:
+            raise CompatibilityError(f"{path}: malformed dataset (dates and "
+                                     f"target_raw must hold {split.n_days} days)")
+        return PreparedDataset(
+            feature_names=names,
+            lookback=int(doc["lookback"]),
+            target=doc["target"],
+            scaler=ScalerParams(columns={k: (float(v[0]), float(v[1]))
+                                         for k, v in doc["scaler"].items()}),
+            split=split,
+            parts=parts,
+            dates=dates,
+            target_raw=target_raw,
+            audit=[(r[0], r[1], float(r[2]), bool(r[3])) for r in doc["audit"]],
+            mode=doc["mode"],
+            feature_matrix=matrix,
+            target_scaled=target_scaled,
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CompatibilityError(f"{path}: malformed dataset ({exc!r})") from exc
 
 
 def check_feature_compatibility(ckpt: Checkpoint, feature_names: list) -> None:

@@ -16,9 +16,11 @@ Fusion: gamma = sigmoid(W [o_regime, o_anomaly] + b) gates the two stream
 outputs elementwise; a final linear head maps the fused vector to the scalar
 next-day prediction.
 
-Each direction of a recurrent layer projects all timesteps with one matmul
-and runs as one ``tensor.recurrence`` tape node.  Only q_L reaches the tape;
-the earlier q_t are computed in plain numpy for the introspection dict.
+Every affine map x W + b is one ``tensor.linear`` node.  A bidirectional
+recurrent layer is one ``tensor.bidirectional`` node, which projects all
+timesteps of each direction with one ``linear`` and writes both directions'
+hidden states into one [B, L, 2H] array.  Only q_L reaches the tape; the
+earlier q_t are computed in plain numpy for the introspection dict.
 
 Dropout (train mode only) applies after the embedding activation and inside
 the anomaly MLP, in that order, consuming the dropout stream deterministically.
@@ -135,22 +137,20 @@ def no_decay_names(cfg: ModelConfig) -> frozenset:
     return frozenset(n for n, _ in _param_specs(cfg) if _is_no_decay_name(n))
 
 
-def bilstm_layer(seq: Var, p: dict) -> Var:
-    """One bidirectional layer: [B, L, n_in] -> [B, L, 2H], forward half first.
+def _directions(p: dict, *names: str) -> tuple:
+    return tuple([p[f"{d}.{n}"] for n in names] for d in ("f", "b"))
 
-    Each direction projects all timesteps with one matmul and runs its
-    recurrence as one tape node.  Gate layout along the 4H axis: i, f, o, g.
-    """
-    return T.concat([T.recurrence("lstm", T.matmul(seq, p[f"{d}.Wx"]) + p[f"{d}.b"],
-                                  p[f"{d}.Wh"], reverse=d == "b")
-                     for d in ("f", "b")], axis=2)
+
+def bilstm_layer(seq: Var, p: dict) -> Var:
+    """One bidirectional layer: [B, L, n_in] -> [B, L, 2H], forward half
+    first, as one ``tensor.bidirectional`` node.  Gate layout along the 4H
+    axis: i, f, o, g."""
+    return T.bidirectional("lstm", seq, *_directions(p, "Wx", "b", "Wh"))
 
 
 def bigru_layer(seq: Var, p: dict) -> Var:
     """One bidirectional GRU layer, laid out like ``bilstm_layer``."""
-    return T.concat([T.recurrence("gru", T.matmul(seq, p[f"{d}.Wx"]) + p[f"{d}.bx"],
-                                  p[f"{d}.Wh"], p[f"{d}.bh"], reverse=d == "b")
-                     for d in ("f", "b")], axis=2)
+    return T.bidirectional("gru", seq, *_directions(p, "Wx", "bx", "Wh", "bh"))
 
 
 def _layer_view(params: dict, prefix: str) -> dict:
@@ -194,7 +194,7 @@ def forward(params: dict[str, Var], X, cfg: ModelConfig, train: bool = False,
         raise ConfigError("train-mode forward with dropout needs a dropout stream")
     HG, N = cfg.gru_hidden, cfg.n_states
 
-    E = T.sigmoid(T.matmul(Xv, params["emb.W"]) + params["emb.b"])
+    E = T.sigmoid(T.linear(Xv, params["emb.W"], params["emb.b"]))
     E = dropout(E, cfg.dropout, dropout_rng, train)
     check_finite(E, "embedding")
 
@@ -203,7 +203,7 @@ def forward(params: dict[str, Var], X, cfg: ModelConfig, train: bool = False,
     for layer in range(cfg.n_layers):
         H = bilstm_layer(H, _layer_view(params, f"lstm.{layer}."))
     check_finite(H, "bilstm")                     # [B, L, 2HL]
-    P = T.softmax(T.matmul(H, params["em.W"]) + params["em.b"], axis=-1)
+    P = T.softmax(T.linear(H, params["em.W"], params["em.b"]), axis=-1)
     trans = T.softmax(params["trans.logits"], axis=-1)
     p0 = np.full((B, N), 1.0 / N)
     # q_t = T^T p_{t-1}; the readout takes only q_L, the rest feed the
@@ -212,15 +212,15 @@ def forward(params: dict[str, Var], X, cfg: ModelConfig, train: bool = False,
     Q = np.stack([p @ trans.value for p in p_prev], axis=1)     # [B, L, N]
     check_finite(Q, "state_track")
     q_last = T.matmul(Var(p0) if L == 1 else P[:, L - 2, :], trans)
-    o_m = T.matmul(T.concat([H[:, L - 1, :], q_last], axis=1),
-                   params["head_m.W"]) + params["head_m.b"]
+    o_m = T.linear(T.concat([H[:, L - 1, :], q_last], axis=1),
+                   params["head_m.W"], params["head_m.b"])
 
     # anomaly stream
     Z, attn = multi_head_attention(E, params, cfg.n_heads)
     check_finite(Z, "attention")
-    hidden = T.tanh(T.matmul(Z, params["amp.W1"]) + params["amp.b1"])
+    hidden = T.tanh(T.linear(Z, params["amp.W1"], params["amp.b1"]))
     hidden = dropout(hidden, cfg.dropout, dropout_rng, train)
-    logit = T.matmul(hidden, params["amp.W2"]) + params["amp.b2"]  # [B, L, 1]
+    logit = T.linear(hidden, params["amp.W2"], params["amp.b2"])  # [B, L, 1]
     alpha = 1.0 + cfg.amp_gain * T.sigmoid(logit)
     Zt = Z * alpha
     check_finite(Zt, "amplification")
@@ -230,12 +230,12 @@ def forward(params: dict[str, Var], X, cfg: ModelConfig, train: bool = False,
     check_finite(G, "bigru")                      # [B, L, 2HG]
     h_fwd_last = G[:, L - 1, :HG]
     h_bwd_first = G[:, 0, HG:]
-    o_a = T.matmul(T.concat([h_fwd_last, h_bwd_first], axis=1),
-                   params["head_a.W"]) + params["head_a.b"]
+    o_a = T.linear(T.concat([h_fwd_last, h_bwd_first], axis=1),
+                   params["head_a.W"], params["head_a.b"])
 
     # fusion
     fused, gamma = fuse_outputs(o_m, o_a, params["fuse.W"], params["fuse.b"])
-    pred = (T.matmul(fused, params["out.W"]) + params["out.b"])[:, 0]
+    pred = T.linear(fused, params["out.W"], params["out.b"])[:, 0]
     check_finite(pred, "head")
 
     intro = {
@@ -250,7 +250,7 @@ def forward(params: dict[str, Var], X, cfg: ModelConfig, train: bool = False,
 def fuse_outputs(o_m: Var, o_a: Var, W: Var, b: Var) -> tuple[Var, Var]:
     """Fusion gate: gamma = sigmoid(W [o_m, o_a] + b) mixes the two stream
     outputs elementwise; returns (fused, gamma)."""
-    gamma = T.sigmoid(T.matmul(T.concat([o_m, o_a], axis=1), W) + b)
+    gamma = T.sigmoid(T.linear(T.concat([o_m, o_a], axis=1), W, b))
     return gamma * o_a + (1.0 - gamma) * o_m, gamma
 
 

@@ -14,16 +14,21 @@ Only basic indexing (ints and slices) is supported by ``__getitem__``.
 ``matmul`` follows numpy broadcasting for stacked matrices and requires both
 operands to have ndim >= 2.
 
+``linear`` is ``x @ W + b`` as one node: the bias goes into the fresh
+product in place.  ``matmul`` and ``linear`` compute no gradient for an
+operand that does not require one (the raw input windows, constants).
+
 Each ``take`` vjp returns a zero array the size of its whole source, so
 reading a sequence one step at a time through ``take`` would make backward
 cost O(L^2).  ``recurrence`` runs a whole LSTM or GRU direction as one tape
-node instead: its forward reads the steps of the input projection as views
-and writes every hidden state into one output array, and its single vjp
-runs backpropagation through time in one loop.  The step math lives once,
-in plain-numpy kernels that the single-step ``lstm_cell`` and ``gru_cell``
-ops share, and the vjp adds gradients up in the order of the per-step
-composition of those ops, so its results equal that composition bit for
-bit.
+node instead, and ``bidirectional`` runs both directions of a layer as one:
+the forward scan reads the steps of the input projection as views and writes
+every hidden state straight into one output array, and the single vjp runs
+backpropagation through time in one loop per direction.  The step math lives
+once, in plain-numpy kernels that the single-step ``lstm_cell`` and
+``gru_cell`` ops share; the scan and its BPTT live once too, and the BPTT
+adds gradients up in the order of the per-step composition of those ops, so
+its results equal that composition bit for bit.
 """
 
 from __future__ import annotations
@@ -125,6 +130,11 @@ def as_var(x) -> Var:
     return x if isinstance(x, Var) else Var(x)
 
 
+def _recording(parents) -> bool:
+    """Whether an op over ``parents`` goes on the tape."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _record(value: np.ndarray, parents: tuple, vjp) -> Var:
     # fast construction: op outputs are always fresh float64 ndarrays
     out = Var.__new__(Var)
@@ -134,7 +144,7 @@ def _record(value: np.ndarray, parents: tuple, vjp) -> Var:
     out._parents = ()
     out._vjp = None
     out.requires_grad = False
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _recording(parents):
         out.requires_grad = True
         out._parents = parents
         out._vjp = vjp
@@ -225,19 +235,36 @@ def power(a, p: float) -> Var:
     return _record(av ** p, (a,), lambda g: (g * p * av ** (p - 1.0),))
 
 
+def _matmul_grads(g: np.ndarray, a: Var, b: Var) -> tuple:
+    """Gradients of ``a @ b`` for the operands that require one, None for
+    the others."""
+    av, bv = a.value, b.value
+    ga = _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape) if a.requires_grad else None
+    gb = _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape) if b.requires_grad else None
+    return ga, gb
+
+
 def matmul(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    av, bv = a.value, b.value
-    if av.ndim < 2 or bv.ndim < 2:
+    if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must have ndim >= 2")
-    out = av @ bv
+    return _record(a.value @ b.value, (a, b), lambda g: _matmul_grads(g, a, b))
 
-    def vjp(g):
-        ga = g @ np.swapaxes(bv, -1, -2)
-        gb = np.swapaxes(av, -1, -2) @ g
-        return _unbroadcast(ga, av.shape), _unbroadcast(gb, bv.shape)
 
-    return _record(out, (a, b), vjp)
+def linear(x, W, b) -> Var:
+    """``x @ W + b`` as one tape node.
+
+    The bias is added in place into the fresh product, so no second
+    output-sized array is made; values and gradients equal those of
+    ``matmul`` then ``add`` bit for bit.
+    """
+    x, W, b = as_var(x), as_var(W), as_var(b)
+    if x.ndim < 2 or W.ndim < 2:
+        raise ValueError("linear operands x and W must have ndim >= 2")
+    out = x.value @ W.value
+    out += b.value
+    return _record(out, (x, W, b),
+                   lambda g: _matmul_grads(g, x, W) + (_unbroadcast(g, b.value.shape),))
 
 
 def sqrt(a) -> Var:
@@ -287,9 +314,9 @@ def softmax(a, axis: int = -1) -> Var:
     v = a.value
     if v.size == 0:
         raise ValueError("softmax of an empty array")
-    shifted = v - v.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = v - v.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def vjp(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
@@ -477,6 +504,70 @@ def gru_cell(zx: Var, zh: Var, h_prev: Var) -> Var:
     return _record(h, (zx, zh, h_prev), lambda grad: _gru_step_vjp(grad, res))
 
 
+def _cell_is_lstm(cell: str, bh) -> bool:
+    lstm = cell == "lstm"
+    if cell not in ("lstm", "gru") or lstm != (bh is None):
+        raise ValueError("a recurrence takes cell 'lstm' without bh or 'gru' with bh")
+    return lstm
+
+
+def _scan(xv: np.ndarray, W: np.ndarray, bh, reverse: bool, out: np.ndarray,
+          keep: bool) -> list:
+    """Run one direction from zero states over the input projection ``xv``
+    [B, L, G*H], writing step t's hidden state into ``out[:, t]`` (``out``
+    may be a strided view).  ``bh`` is the GRU's hidden bias, None for the
+    LSTM.  Returns the (t, h_prev, residuals) of every step when ``keep``,
+    else an empty list."""
+    B, L, _ = xv.shape
+    h = c = np.zeros((B, W.shape[0]))
+    steps = []
+    for t in (range(L - 1, -1, -1) if reverse else range(L)):
+        h_prev = h
+        z = h_prev @ W
+        if bh is None:
+            z += xv[:, t]
+            h, c, res = _lstm_step(z, c)
+        else:
+            z += bh
+            h, res = _gru_step(xv[:, t], z, h_prev)
+        out[:, t] = h
+        if keep:
+            steps.append((t, h_prev, res))
+    return steps
+
+
+def _bptt(steps: list, G: np.ndarray, xshape: tuple, W: np.ndarray, lstm: bool) -> tuple:
+    """Backpropagation through time over the steps ``_scan`` kept, for the
+    output gradient ``G`` [B, L, H]: gradients of (zx, Wh), plus bh for the GRU.
+
+    Sums run as the per-step composition of cell ops does on the tape, so
+    results equal it bit for bit: ``Wh`` and ``bh`` terms fold left in
+    backward step order from the first term, the zero-state step included;
+    the ``zx`` gradient adds each step onto zeros; a GRU state gradient is
+    (output gradient + direct term) + term through ``Wh``.
+    """
+    gzx = np.zeros(xshape)
+    gW = gb = ga = None
+    dc = np.zeros((xshape[0], W.shape[0]))
+    for k in range(len(steps) - 1, -1, -1):
+        t, h_prev, res = steps[k]
+        if lstm:
+            gh = G[:, t] if ga is None else G[:, t] + ga
+            gz, dc = _lstm_step_vjp(gh, dc, res)
+            gzh = gz
+        else:
+            gh = G[:, t] if ga is None else (G[:, t] + du) + ga
+            gz, gzh, du = _gru_step_vjp(gh, res)
+            s = gzh.sum(axis=0)
+            gb = s if gb is None else gb + s
+        gzx[:, t] += gz
+        term = h_prev.T @ gzh
+        gW = term if gW is None else gW + term
+        if k:
+            ga = gzh @ W.T
+    return (gzx, gW) if lstm else (gzx, gW, gb)
+
+
 def recurrence(cell: str, zx, Wh, bh=None, reverse: bool = False) -> Var:
     """One direction of an LSTM or GRU layer as a single tape node.
 
@@ -485,59 +576,56 @@ def recurrence(cell: str, zx, Wh, bh=None, reverse: bool = False) -> Var:
     hidden bias (``None`` for the LSTM).  From zero states, step t (t = 0..L-1,
     or L-1..0 when ``reverse``) is ``lstm_cell(zx_t + h Wh, c)`` or
     ``gru_cell(zx_t, h Wh + bh, h)``; returns the hidden states [B, L, H].
-    Per-step residuals are kept only when the node is recorded.
-
-    The vjp sums as that per-step composition does on the tape, so results
-    equal it bit for bit: ``Wh`` and ``bh`` terms fold left in backward step
-    order from the first term, the zero-state step included; the ``zx``
-    gradient adds each step onto zeros; a GRU state gradient is (output
-    gradient + direct term) + term through ``Wh``.
+    Per-step residuals are kept only when the node is recorded, and the vjp
+    (``_bptt``) equals that per-step composition bit for bit.
     """
+    lstm = _cell_is_lstm(cell, bh)
     zx, Wh = as_var(zx), as_var(Wh)
-    lstm = cell == "lstm"
-    if cell not in ("lstm", "gru") or lstm != (bh is None):
-        raise ValueError("recurrence takes cell 'lstm' without bh or 'gru' with bh")
     parents = (zx, Wh) if lstm else (zx, Wh, as_var(bh))
     xv, W = zx.value, Wh.value
-    B, L, _ = xv.shape
-    hsz = W.shape[0]
-    keep = _grad_enabled and any(p.requires_grad for p in parents)
-    out = np.empty((B, L, hsz))
-    h = c = np.zeros((B, hsz))
-    steps = []                                    # (t, h_prev, residuals)
-    for t in (range(L - 1, -1, -1) if reverse else range(L)):
-        h_prev = h
-        if lstm:
-            h, c, res = _lstm_step(xv[:, t] + h_prev @ W, c)
-        else:
-            h, res = _gru_step(xv[:, t], h_prev @ W + parents[2].value, h_prev)
-        out[:, t] = h
+    out = np.empty(xv.shape[:2] + W.shape[:1])
+    steps = _scan(xv, W, None if lstm else parents[2].value, reverse, out,
+                  _recording(parents))
+    return _record(out, parents, lambda G: _bptt(steps, G, xv.shape, W, lstm))
+
+
+def bidirectional(cell: str, x, fwd, bwd) -> Var:
+    """A bidirectional LSTM or GRU layer, [B, L, n_in] -> [B, L, 2H], as one
+    recurrent tape node.
+
+    ``fwd`` and ``bwd`` hold each direction's parameters: (Wx, b, Wh) for
+    the LSTM, (Wx, bx, Wh, bh) for the GRU.  The forward direction, then the
+    backward one, projects ``x`` with ``linear`` and runs ``recurrence``'s
+    scan, writing its hidden states straight into its half of the output,
+    forward half first.  The vjp feeds each direction's BPTT its half of the
+    output gradient, so the layer equals two ``recurrence`` nodes joined by
+    ``concat`` bit for bit, without their two [B, L, H] outputs.  When
+    nothing is recorded, a direction's projection is freed before the next
+    one is made.
+    """
+    x = as_var(x)
+    dirs = [[as_var(p) for p in ps] for ps in (fwd, bwd)]
+    lstm = _cell_is_lstm(cell, None if len(dirs[0]) == 3 else dirs[0][3])
+    keep = _recording([x] + dirs[0] + dirs[1])
+    hsz = dirs[0][2].value.shape[0]
+    out = np.empty(x.shape[:2] + (2 * hsz,))
+    parents, scans = [], []
+    for d, (Wx, b, Wh, *bh) in enumerate(dirs):
+        zx = linear(x, Wx, b)
+        steps = _scan(zx.value, Wh.value, bh[0].value if bh else None, d == 1,
+                      out[:, :, d * hsz:(d + 1) * hsz], keep)
+        scans.append((steps, zx.shape, Wh.value))
         if keep:
-            steps.append((t, h_prev, res))
+            parents += [zx, Wh, *bh]
+        del zx  # unrecorded, it is freed before the next direction's projection
 
     def vjp(G):
-        gzx = np.zeros_like(xv)
-        gW = gb = ga = None
-        dc = np.zeros((B, hsz))
-        for k in range(len(steps) - 1, -1, -1):
-            t, h_prev, res = steps[k]
-            if lstm:
-                gh = G[:, t] if ga is None else G[:, t] + ga
-                gz, dc = _lstm_step_vjp(gh, dc, res)
-                gzh = gz
-            else:
-                gh = G[:, t] if ga is None else (G[:, t] + du) + ga
-                gz, gzh, du = _gru_step_vjp(gh, res)
-                s = gzh.sum(axis=0)
-                gb = s if gb is None else gb + s
-            gzx[:, t] += gz
-            term = h_prev.T @ gzh
-            gW = term if gW is None else gW + term
-            if k:
-                ga = gzh @ W.T
-        return (gzx, gW) if lstm else (gzx, gW, gb)
+        grads = ()
+        for d, (steps, shape, W) in enumerate(scans):
+            grads += _bptt(steps, G[:, :, d * hsz:(d + 1) * hsz], shape, W, lstm)
+        return grads
 
-    return _record(out, parents, vjp)
+    return _record(out, tuple(parents), vjp)
 
 
 def check_finite(a, stage: str):

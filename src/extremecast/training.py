@@ -130,8 +130,13 @@ def fit_model_config(model_cfg, dataset: PreparedDataset):
 
 
 def rebuild_model(ckpt: Checkpoint, dataset: PreparedDataset):
-    """The checkpoint's model for a dataset, after checking that the stored
-    parameter names and shapes are the model's."""
+    """The checkpoint's model for a dataset, after checking that the dataset's
+    lookback is the checkpoint's and that the stored parameter names and
+    shapes are the model's."""
+    if ckpt.lookback != dataset.lookback:
+        raise CompatibilityError(
+            f"lookback mismatch: checkpoint has {ckpt.lookback}, "
+            f"dataset has {dataset.lookback}")
     model_cfg = model_config_from_dict(ckpt.model_kind, ckpt.model_config)
     model, _ = build_model(model_cfg, dataset)
     expected = dict(model._specs)

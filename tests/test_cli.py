@@ -362,6 +362,56 @@ def test_malformed_checkpoint_exit_5(work, tmp_path, capsys, tampering):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def longer_data(work):
+    """The module's dataset prepared again at lookback 10, same features."""
+    doc = json.loads((work / "config.json").read_text())
+    doc["dataset"]["lookback"] = 10
+    (work / "config_lb10.json").write_text(json.dumps(doc))
+    out = work / "data_lb10.json"
+    assert main(["prepare", "--config", str(work / "config_lb10.json"),
+                 "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("kind", ["nbeats", "dual_stream", "tcn"])
+def test_lookback_mismatch_exit_5(work, longer_data, tmp_path, capsys, kind):
+    ckpt = tmp_path / f"{kind}.json"
+    assert main(["train", "--config", str(work / "config.json"),
+                 "--data", str(work / "data.json"),
+                 "--out", str(ckpt), "--model", kind]) == 0
+    assert json.loads(longer_data.read_text())["feature_names"] == \
+        json.loads(ckpt.read_text())["feature_names"]
+    capsys.readouterr()
+    assert main(["evaluate", "--checkpoint", str(ckpt),
+                 "--data", str(longer_data),
+                 "--report", str(tmp_path / "r.json")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "checkpoint has 8" in err and "dataset has 10" in err
+
+
+DATASET_TAMPERINGS = {
+    "no_audit_field": lambda doc: doc.pop("audit"),
+    "feature_matrix_one_short": lambda doc: doc["feature_matrix"].pop(),
+    "dates_one_short": lambda doc: doc["dates"].pop(),
+}
+
+
+@pytest.mark.parametrize("tampering", DATASET_TAMPERINGS)
+def test_malformed_dataset_exit_5(work, tmp_path, capsys, tampering):
+    doc = json.loads((work / "data.json").read_text())
+    DATASET_TAMPERINGS[tampering](doc)
+    bad = tmp_path / "data.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["evaluate", "--checkpoint", str(work / "ckpt.json"),
+                 "--data", str(bad), "--report", str(tmp_path / "r.json")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "malformed dataset" in err
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------- augment and sweep
 
 

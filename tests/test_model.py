@@ -291,7 +291,7 @@ def test_gru_constant_input_converges_to_fixed_point():
 
 
 def test_bilstm_layer_gradients_fd():
-    # wiring check for the two recurrence nodes joined by concat
+    # wiring check for the bidirectional node and its two projections
     from extremecast.gradcheck import grad_check
     H, n_in = 2, 3
     rng = Rng(33, "init")
@@ -329,6 +329,14 @@ def _recurrence_by_steps(cell, zx, Wh, bh=None, reverse=False):
     return T.reshape(T.concat(out, axis=1), (B, L, H))
 
 
+def _bidirectional_by_steps(cell, x, fwd, bwd):
+    """Reference for T.bidirectional: per direction, matmul + add and the
+    per-step reference, joined by one concat."""
+    return T.concat([_recurrence_by_steps(cell, T.matmul(x, Wx) + b, Wh, *bh,
+                                          reverse=d == 1)
+                     for d, (Wx, b, Wh, *bh) in enumerate((fwd, bwd))], axis=2)
+
+
 def _train_step_grads(cfg, seed=41):
     from extremecast.losses import LossConfig, compute_loss
     model = DualStreamModel(cfg)
@@ -359,7 +367,8 @@ def test_recurrence_matches_per_step_composition_bitwise(monkeypatch):
     cfgs = [tiny_cfg(dropout=0.3, **over)
             for over in (dict(lookback=1), dict(lookback=2), dict(n_layers=3))]
     fast = [_step_and_eval_bytes(cfg) for cfg in cfgs]
-    monkeypatch.setattr(T, "recurrence", _recurrence_by_steps)
+    monkeypatch.setattr(T, "bidirectional", _bidirectional_by_steps)
+    monkeypatch.setattr(T, "linear", lambda x, W, b: T.matmul(x, W) + b)
     for cfg, got in zip(cfgs, fast):
         ref = _step_and_eval_bytes(cfg)
         for part, g, r in zip(("gradients", "predictions", "introspection"), got, ref):

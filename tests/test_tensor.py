@@ -325,3 +325,111 @@ def test_recurrence_under_no_grad_records_nothing():
         assert kept < out.value.nbytes + 4096, (cell, kept)
         recorded, kept_recorded = run()
         assert recorded._vjp is not None and kept_recorded > 4 * out.value.nbytes
+
+
+def test_matmul_skips_gradient_of_constant_operand():
+    const, param = Var(np.ones((2, 3))), Var(np.ones((3, 4)), requires_grad=True)
+    ga, gb = T.matmul(const, param)._vjp(np.ones((2, 4)))
+    assert ga is None and gb.shape == (3, 4)
+    ga, gb = T.matmul(param, Var(np.ones((4, 2))))._vjp(np.ones((3, 2)))
+    assert ga.shape == (3, 4) and gb is None
+
+
+def test_linear_gradients_fd():
+    rng = Rng(12, "init")
+    for xshape in ((3, 4), (2, 3, 4)):
+        raw = {"x": rng.gaussian_array(xshape), "W": rng.gaussian_array((4, 5)),
+               "b": rng.gaussian_array((5,))}
+        w = Var(rng.gaussian_array(xshape[:-1] + (5,)))
+
+        def f(p):
+            return T.sum_(T.tanh(T.linear(p["x"], p["W"], p["b"])) * w)
+
+        fd_ok(f, raw)
+
+
+def test_linear_equals_matmul_then_add_bitwise():
+    rng = Rng(13, "init")
+    for xshape in ((5, 4), (2, 6, 4)):
+        raw = {"x": rng.gaussian_array(xshape), "W": rng.gaussian_array((4, 3)),
+               "b": rng.gaussian_array((3,))}
+        w = rng.gaussian_array(xshape[:-1] + (3,))
+        for x_grad in (True, False):
+            def run(op):
+                p = {k: Var(v, requires_grad=k != "x" or x_grad) for k, v in raw.items()}
+                out = op(p["x"], p["W"], p["b"])
+                backward(T.sum_(out * w))
+                return [out.value.tobytes()] + [
+                    None if p[k].grad is None else p[k].grad.tobytes() for k in ("W", "b", "x")]
+
+            got = run(T.linear)
+            assert got == run(lambda x, W, b: T.matmul(x, W) + b), (xshape, x_grad)
+            assert (got[3] is None) != x_grad
+
+
+def _bidirectional_params(rng, cell, n_in, H):
+    """Per-direction parameters as {"f.Wx": ..., "b.Wh": ...} and their
+    names in ``bidirectional``'s order."""
+    G = 4 if cell == "lstm" else 3
+    names = ("Wx", "b", "Wh") if cell == "lstm" else ("Wx", "bx", "Wh", "bh")
+    shapes = {"Wx": (n_in, G * H), "Wh": (H, G * H)}
+    return {f"{d}.{n}": rng.gaussian_array(shapes.get(n, (G * H,)), 0.0, 0.5)
+            for d in "fb" for n in names}, names
+
+
+def _bidirectional(cell, x, p, names):
+    return T.bidirectional(cell, x, *([p[f"{d}.{n}"] for n in names] for d in "fb"))
+
+
+def test_bidirectional_gradients_fd():
+    rng = Rng(14, "init")
+    for cell in ("lstm", "gru"):
+        for L in (1, 4):
+            raw, names = _bidirectional_params(rng, cell, 3, 2)
+            raw["x"] = rng.gaussian_array((2, L, 3))
+            w = Var(rng.gaussian_array((2, L, 4)))
+
+            def f(p):
+                return T.sum_(_bidirectional(cell, p["x"], p, names) * w)
+
+            fd_ok(f, raw, tol=1e-5)
+
+
+def test_bidirectional_equals_two_recurrences_and_concat_bitwise():
+    rng = Rng(15, "init")
+    for cell in ("lstm", "gru"):
+        raw, names = _bidirectional_params(rng, cell, 3, 4)
+        raw["x"] = rng.gaussian_array((3, 5, 3))
+        w = rng.gaussian_array((3, 5, 8))
+
+        def reference(x, p):
+            return T.concat([T.recurrence(cell, T.matmul(x, p[f"{d}.Wx"]) + p[f"{d}.{names[1]}"],
+                                          p[f"{d}.Wh"], p.get(f"{d}.bh"), reverse=d == "b")
+                             for d in "fb"], axis=2)
+
+        def run(layer):
+            p = {k: Var(v, requires_grad=True) for k, v in raw.items()}
+            out = layer(p["x"], p)
+            backward(T.sum_(out * w))
+            return [out.value.tobytes()] + [p[k].grad.tobytes() for k in sorted(p)]
+
+        assert run(lambda x, p: _bidirectional(cell, x, p, names)) == run(reference), cell
+
+
+def test_bidirectional_under_no_grad_holds_one_projection():
+    rng = Rng(16, "init")
+    for cell in ("lstm", "gru"):
+        raw, names = _bidirectional_params(rng, cell, 8, 8)
+        p = {k: Var(v, requires_grad=True) for k, v in raw.items()}
+        x = Var(rng.gaussian_array((32, 60, 8)))
+        with no_grad():
+            tracemalloc.start()
+            try:
+                out = _bidirectional(cell, x, p, names)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert not out.requires_grad and out._parents == () and out._vjp is None
+        projection = x.value.nbytes * raw["f.Wx"].shape[1] // 8
+        # the output, one direction's projection and small per-step arrays
+        assert peak < out.value.nbytes + 1.5 * projection, (cell, peak)

@@ -15,8 +15,7 @@
 The trainable baselines train on the run config's ``training.loss``, like
 the dual-stream model.  Weights initialize U(-1/sqrt(fan_in),
 +1/sqrt(fan_in)) from the "init" stream in parameter-spec order
-(``model.init_from_specs``); biases start at zero and layer-norm gains at
-one.
+(``model.SpecModel``); biases start at zero and layer-norm gains at one.
 """
 
 from __future__ import annotations
@@ -27,15 +26,14 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DataError
-from .model import init_from_specs
-from .rng import Rng
+from .model import SpecModel
 from .tensor import Var, dropout
 
 
 # ------------------------------------------------------------- persistence
 
 
-class PersistenceModel:
+class PersistenceModel(SpecModel):
     """yhat = last day's scaled target value in the window."""
 
     def __init__(self, target_index: int):
@@ -43,11 +41,7 @@ class PersistenceModel:
             raise DataError(
                 "persistence needs the raw target among the selected features")
         self.target_index = target_index
-        self._specs = []
-        self.no_decay = frozenset()
-
-    def init_params(self, rng: Rng) -> dict[str, np.ndarray]:
-        return {}
+        super().__init__([])
 
     def forward(self, params, X, train: bool = False, rng=None):
         Xv = X if isinstance(X, Var) else Var(X)
@@ -102,13 +96,10 @@ def causal_conv(seq: Var, kernels: list, bias: Var, dilation: int) -> Var:
     return out + bias
 
 
-class TcnModel:
+class TcnModel(SpecModel):
     def __init__(self, cfg: TcnConfig):
         self.cfg = cfg.validate()
-        self._specs = self._param_specs()
-        self.no_decay = frozenset(
-            n for n, _ in self._specs
-            if n.endswith(".b") or ".ln." in n)
+        super().__init__(self._param_specs())
 
     def _param_specs(self):
         cfg = self.cfg
@@ -126,9 +117,6 @@ class TcnModel:
         specs.append(("head.W", (c_in, 1)))
         specs.append(("head.b", (1,)))
         return specs
-
-    def init_params(self, rng: Rng) -> dict[str, np.ndarray]:
-        return init_from_specs(self._specs, self.no_decay, rng)
 
     def forward(self, params, X, train: bool = False, rng=None):
         cfg = self.cfg
@@ -168,7 +156,7 @@ class NBeatsConfig:
         return self
 
 
-class NBeatsModel:
+class NBeatsModel(SpecModel):
     """Univariate: consumes only the scaled target column of each window."""
 
     def __init__(self, cfg: NBeatsConfig, target_index: int):
@@ -178,8 +166,7 @@ class NBeatsModel:
                 "the univariate baseline needs the raw target among the "
                 "selected features")
         self.target_index = target_index
-        self._specs = self._param_specs()
-        self.no_decay = frozenset(n for n, _ in self._specs if n.endswith(".b"))
+        super().__init__(self._param_specs())
 
     def _param_specs(self):
         L, U = self.cfg.lookback, self.cfg.fc_units
@@ -190,9 +177,6 @@ class NBeatsModel:
                       (f"stack.{s}.back.W", (U, L)), (f"stack.{s}.back.b", (L,)),
                       (f"stack.{s}.fore.W", (U, 1)), (f"stack.{s}.fore.b", (1,))]
         return specs
-
-    def init_params(self, rng: Rng) -> dict[str, np.ndarray]:
-        return init_from_specs(self._specs, self.no_decay, rng)
 
     def forward(self, params, X, train: bool = False, rng=None):
         Xv = X if isinstance(X, Var) else Var(X)

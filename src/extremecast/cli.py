@@ -24,9 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import (check_feature_compatibility, load_checkpoint,
-                         load_dataset, save_checkpoint, save_dataset,
-                         write_csv, write_json)
+from .checkpoint import (load_checkpoint, load_dataset, save_checkpoint,
+                         save_dataset, write_csv, write_json)
 from .config import RunConfig, load_run_config, validate_report_dict
 from .data import TimeSeriesTable, load_csv
 from .diagnostics import (kmeans_regimes, occlusion_sensitivity,
@@ -97,7 +96,6 @@ def _train_and_save(run_cfg: RunConfig, seed: int, ds: PreparedDataset,
 
 def _write_report(ckpt, ds: PreparedDataset, partition: str, tail_q: float,
                   report_path) -> dict:
-    check_feature_compatibility(ckpt, ds.feature_names)
     report = evaluate_checkpoint(ckpt, ds, partition=partition, tail_q=tail_q)
     report["model_kind"] = ckpt.model_kind
     report["best_val_loss"] = ckpt.best_val_loss
@@ -219,9 +217,8 @@ def cmd_explain(args) -> int:
                           + ", ".join(EXPLAIN_METHODS))
     ckpt = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.data)
-    check_feature_compatibility(ckpt, ds.feature_names)
-    seed = _resolve_seed(args.seed, None, default=ckpt.seed)
     model = rebuild_model(ckpt, ds)
+    seed = _resolve_seed(args.seed, None, default=ckpt.seed)
     out = Path(args.out)
 
     if args.method == "occlusion":

@@ -5,6 +5,8 @@ Conventions fixed here:
 * A table holds one row per calendar day, strictly increasing, no gaps;
   missing calendar days found while loading are inserted as all-missing rows
   before imputation.  Missing numeric cells are NaN.
+* A column is kept only when every non-empty cell parses as a float; a
+  column holding any other text is dropped while loading.
 * Imputation is two-stage: linear interpolation between observed neighbours,
   then backward-fill before the first observation and forward-fill after the
   last one.
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,8 +39,6 @@ DATE_COLUMNS = ("datetime", "date")
 class TimeSeriesTable:
     dates: list
     columns: dict[str, np.ndarray]
-    text_columns: dict[str, list] = field(default_factory=dict)
-    missing_mask: dict[str, np.ndarray] = field(default_factory=dict)
     target: str = TARGET_COLUMN
 
     @property
@@ -49,8 +49,6 @@ class TimeSeriesTable:
         return TimeSeriesTable(
             dates=list(self.dates),
             columns={k: v.copy() for k, v in self.columns.items()},
-            text_columns={k: list(v) for k, v in self.text_columns.items()},
-            missing_mask={k: v.copy() for k, v in self.missing_mask.items()},
             target=self.target,
         )
 
@@ -66,10 +64,10 @@ def load_csv(path: str, target: str = TARGET_COLUMN) -> TimeSeriesTable:
     """Read a daily weather CSV into a table.
 
     The date column must be named 'datetime' or 'date'.  A column is numeric
-    when every non-empty cell parses as a float; otherwise it is kept as
-    text and ignored downstream.  Blank and 'nan' cells are missing values; an
-    infinite one ('inf', '1e999') is an error, as are duplicate or
-    out-of-order dates.  Missing calendar days become all-missing rows.
+    when every non-empty cell parses as a float; otherwise it is dropped.
+    Blank and 'nan' cells are missing values; an infinite one ('inf',
+    '1e999') is an error, as are duplicate or out-of-order dates.  Missing
+    calendar days become all-missing rows.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -118,8 +116,6 @@ def load_csv(path: str, target: str = TARGET_COLUMN) -> TimeSeriesTable:
             raw_cells[h][i] = row[j]
 
     columns: dict[str, np.ndarray] = {}
-    text_columns: dict[str, list] = {}
-    missing_mask: dict[str, np.ndarray] = {}
     for name, cells in raw_cells.items():
         parsed = np.full(n, np.nan)
         numeric = True
@@ -131,19 +127,16 @@ def load_csv(path: str, target: str = TARGET_COLUMN) -> TimeSeriesTable:
             except ValueError:
                 numeric = False
                 break
-        if numeric:
-            inf = np.flatnonzero(np.isinf(parsed))
-            if inf.size:
-                raise DataError(f"row {csv_row[inf[0]]}: column {name!r} holds the "
-                                f"infinite value {cells[inf[0]].strip()!r}")
-            columns[name] = parsed
-            missing_mask[name] = np.isnan(parsed)
-        else:
-            text_columns[name] = [None if c is None or c.strip() == "" else c
-                                  for c in cells]
+        if not numeric:
+            continue
+        inf = np.flatnonzero(np.isinf(parsed))
+        if inf.size:
+            raise DataError(f"row {csv_row[inf[0]]}: column {name!r} holds the "
+                            f"infinite value {cells[inf[0]].strip()!r}")
+        columns[name] = parsed
     if target not in columns:
         raise DataError(f"{path}: target column {target!r} missing or non-numeric")
-    return TimeSeriesTable(full_dates, columns, text_columns, missing_mask, target)
+    return TimeSeriesTable(full_dates, columns, target)
 
 
 def impute_two_stage(table: TimeSeriesTable) -> TimeSeriesTable:

@@ -32,7 +32,6 @@ from .errors import ConfigError, DataError
 from .metrics import regression_metrics
 from .model import predict
 from .rng import Rng
-from .training import evaluate_model
 
 ACF_MAX_LAG = 30
 
@@ -47,11 +46,6 @@ def _part_rmse(model, params, dataset, X, partition):
     return regression_metrics(y, yhat).rmse
 
 
-def _baseline_rmse(model, params, dataset, partition):
-    # shared code path with the evaluation report, by construction
-    return evaluate_model(model, params, dataset, partition)["metrics"]["rmse"]
-
-
 # -------------------------------------------------------------- occlusion
 
 
@@ -60,7 +54,7 @@ def occlusion_sensitivity(model, params, dataset, partition: str = "test") -> di
     part = dataset.part(partition)
     if part.n_samples == 0:
         raise DataError(f"partition {partition!r} is empty")
-    baseline = _baseline_rmse(model, params, dataset, partition)
+    baseline = _part_rmse(model, params, dataset, part.X, partition)
     rows = []
     for f, name in enumerate(dataset.feature_names):
         occluded = part.X.copy()
@@ -116,7 +110,7 @@ def permutation_importance(model, params, dataset, partition: str = "test",
     part = dataset.part(partition)
     if part.n_samples == 0:
         raise DataError(f"partition {partition!r} is empty")
-    baseline = _baseline_rmse(model, params, dataset, partition)
+    baseline = _part_rmse(model, params, dataset, part.X, partition)
     base = Rng(seed, "permutation")
     rows = []
     for f, name in enumerate(dataset.feature_names):

@@ -100,7 +100,6 @@ class Climatology:
     """Per day-of-year mean/std per column, fitted on train rows only."""
     mean: dict[str, np.ndarray]   # indexed by day-of-year 1..366 at [doy]
     std: dict[str, np.ndarray]
-    observed: dict[str, np.ndarray]
 
 
 def day_of_year(dates) -> np.ndarray:
@@ -110,7 +109,7 @@ def day_of_year(dates) -> np.ndarray:
 def fit_climatology(table: TimeSeriesTable, columns, train_slice: slice,
                     std_floor: float = 1e-8) -> Climatology:
     doy = day_of_year(table.dates)[train_slice]
-    mean, std, observed = {}, {}, {}
+    mean, std = {}, {}
     for name in columns:
         col = table.columns[name][train_slice]
         m = np.zeros(367)
@@ -133,8 +132,8 @@ def fit_climatology(table: TimeSeriesTable, columns, train_slice: slice,
                 m[d], s[d] = m[365], s[365]
             else:
                 m[d], s[d] = glob_m, glob_s
-        mean[name], std[name], observed[name] = m, s, obs
-    return Climatology(mean, std, observed)
+        mean[name], std[name] = m, s
+    return Climatology(mean, std)
 
 
 def climatology_anomaly(x: np.ndarray, doy: np.ndarray, clim: Climatology,

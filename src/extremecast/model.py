@@ -12,9 +12,9 @@ per-timestep scalar amplification alpha_t = 1 + gain * sigmoid(MLP(z_t))
 (tanh hidden layer, width D/2) -> two-layer bidirectional GRU -> linear
 readout from [h_L_forward, h_1_backward].
 
-Fusion: gamma = sigmoid(W [o_regime, o_anomaly] + b) gates the two stream
-outputs elementwise; a final linear head maps the fused vector to the scalar
-next-day prediction.
+Fusion: gamma = sigmoid(W [o_m, o_a] + b) mixes the regime and anomaly
+stream outputs o_m and o_a elementwise; a final linear head maps the fused
+vector to the scalar next-day prediction.
 
 Every affine map x W + b is one ``tensor.linear`` node.  A bidirectional
 recurrent layer is one ``tensor.bidirectional`` node, which projects all
@@ -105,36 +105,35 @@ def _param_specs(cfg: ModelConfig) -> list[tuple[str, tuple]]:
     return specs
 
 
-def init_from_specs(specs, no_decay, rng: Rng) -> dict[str, np.ndarray]:
-    """Initial parameters for (name, shape) specs, drawn in spec order,
-    row-major within each array, so they are a pure function of (seed,
-    specs): layer-norm gains ``ln.g`` are one, other ``no_decay`` entries
-    zero, and every other array ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in)) with
-    fan_in = shape[0]."""
-    params: dict[str, np.ndarray] = {}
-    for name, shape in specs:
-        if name.endswith("ln.g"):
-            params[name] = np.ones(shape)
-        elif name in no_decay:
-            params[name] = np.zeros(shape)
-        else:
-            bound = 1.0 / np.sqrt(shape[0])
-            params[name] = rng.uniform_array(shape, -bound, bound)
-    return params
+# Leaf names (after the last dot) of the parameters that skip weight decay
+# and start constant: biases, layer-norm gains and the transition logits.
+_NO_DECAY_LEAVES = frozenset({"b", "b1", "b2", "bx", "bh", "g", "logits"})
 
 
-def init_params(cfg: ModelConfig, rng: Rng) -> dict[str, np.ndarray]:
-    """Weights ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in)); biases/logits zero."""
-    return init_from_specs(_param_specs(cfg), no_decay_names(cfg), rng)
+class SpecModel:
+    """Parameters of a model kind, from its (name, shape) list ``_specs``.
 
+    ``no_decay`` holds the names whose leaf is in ``_NO_DECAY_LEAVES``; those
+    start at one for a layer-norm gain ``g`` and at zero otherwise.  Every
+    other array ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in)) with fan_in = shape[0],
+    drawn in spec order, row-major within each array, so initial parameters
+    are a pure function of (seed, specs).
+    """
 
-def _is_no_decay_name(name: str) -> bool:
-    leaf = name.rsplit(".", 1)[-1]
-    return leaf in ("b", "b1", "b2", "bx", "bh", "logits")
+    def __init__(self, specs: list):
+        self._specs = specs
+        self.no_decay = frozenset(n for n, _ in specs
+                                  if n.rsplit(".", 1)[-1] in _NO_DECAY_LEAVES)
 
-
-def no_decay_names(cfg: ModelConfig) -> frozenset:
-    return frozenset(n for n, _ in _param_specs(cfg) if _is_no_decay_name(n))
+    def init_params(self, rng: Rng) -> dict[str, np.ndarray]:
+        params: dict[str, np.ndarray] = {}
+        for name, shape in self._specs:
+            if name in self.no_decay:
+                params[name] = (np.ones if name.endswith(".g") else np.zeros)(shape)
+            else:
+                bound = 1.0 / np.sqrt(shape[0])
+                params[name] = rng.uniform_array(shape, -bound, bound)
+        return params
 
 
 def _directions(p: dict, *names: str) -> tuple:
@@ -145,12 +144,12 @@ def bilstm_layer(seq: Var, p: dict) -> Var:
     """One bidirectional layer: [B, L, n_in] -> [B, L, 2H], forward half
     first, as one ``tensor.bidirectional`` node.  Gate layout along the 4H
     axis: i, f, o, g."""
-    return T.bidirectional("lstm", seq, *_directions(p, "Wx", "b", "Wh"))
+    return T.bidirectional(seq, *_directions(p, "Wx", "b", "Wh"))
 
 
 def bigru_layer(seq: Var, p: dict) -> Var:
     """One bidirectional GRU layer, laid out like ``bilstm_layer``."""
-    return T.bidirectional("gru", seq, *_directions(p, "Wx", "bx", "Wh", "bh"))
+    return T.bidirectional(seq, *_directions(p, "Wx", "bx", "Wh", "bh"))
 
 
 def _layer_view(params: dict, prefix: str) -> dict:
@@ -184,7 +183,7 @@ def forward(params: dict[str, Var], X, cfg: ModelConfig, train: bool = False,
     X: [B, L, F] scaled feature windows (Var or ndarray).  Returns the
     scaled next-day prediction [B] and an introspection dict of detached
     arrays (regime probabilities p and q, transition matrix, attention,
-    amplification, fusion gate, stream outputs).
+    amplification, fusion gate).
     """
     Xv = X if isinstance(X, Var) else Var(X)
     B, L, F = Xv.shape
@@ -241,8 +240,7 @@ def forward(params: dict[str, Var], X, cfg: ModelConfig, train: bool = False,
     intro = {
         "p": P.value.copy(), "q": Q, "transition": trans.value.copy(),
         "attention": attn.value.copy(), "alpha": alpha.value[:, :, 0].copy(),
-        "gamma": gamma.value.copy(), "o_regime": o_m.value.copy(),
-        "o_anomaly": o_a.value.copy(),
+        "gamma": gamma.value.copy(),
     }
     return pred, intro
 
@@ -254,16 +252,12 @@ def fuse_outputs(o_m: Var, o_a: Var, W: Var, b: Var) -> tuple[Var, Var]:
     return gamma * o_a + (1.0 - gamma) * o_m, gamma
 
 
-class DualStreamModel:
+class DualStreamModel(SpecModel):
     """Trainer-facing wrapper: params container + forward."""
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg.validate()
-        self._specs = _param_specs(cfg)
-        self.no_decay = no_decay_names(cfg)
-
-    def init_params(self, rng: Rng) -> dict[str, np.ndarray]:
-        return init_from_specs(self._specs, self.no_decay, rng)
+        super().__init__(_param_specs(cfg))
 
     def forward(self, params: dict[str, Var], X, train: bool = False,
                 rng: Rng | None = None) -> tuple[Var, dict]:

@@ -18,7 +18,8 @@ bit for bit:
 
 * ``uniform`` maps one raw draw to a double via the 53-bit mantissa rule
   ``(out >> 11) * 2**-53`` giving u in [0, 1), then ``lo + u * (hi - lo)``.
-* ``gaussian`` is Box-Muller and consumes exactly two uniforms u1, u2:
+* ``gaussian_array`` is Box-Muller: value i consumes the uniforms u1, u2 at
+  positions 2i and 2i+1 of the stream and is
   ``mu + sigma * sqrt(-2 ln(1 - u1)) * cos(2 pi u2)``.  ``1 - u1`` is never
   zero because u1 <= 1 - 2**-53.
 * ``randint(n)`` uses rejection sampling on raw draws so every value in
@@ -42,7 +43,6 @@ Tests in tests/test_rng.py pin both against the scalar ``next_u64`` loop.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -255,12 +255,6 @@ class Rng:
         n = int(np.prod(shape)) if not isinstance(shape, int) else shape
         out = lo + _unit(self._raw(n)) * (hi - lo)
         return out.reshape(shape)
-
-    def gaussian(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        u1 = self.uniform()
-        u2 = self.uniform()
-        z = math.sqrt(-2.0 * math.log(1.0 - u1)) * math.cos(2.0 * math.pi * u2)
-        return mu + sigma * z
 
     def gaussian_array(self, shape, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
         n = int(np.prod(shape)) if not isinstance(shape, int) else shape

@@ -56,8 +56,7 @@ def sinusoid_ar_table(seed: int, n_days: int = 2000, amplitude: float = 15.0,
         "feelslike": feelslike, "humidity": humidity, "precip": precip,
         "sealevelpressure": pressure,
     }
-    mask = {name: np.zeros(n_days, dtype=bool) for name in columns}
-    return TimeSeriesTable(dates, columns, {}, mask)
+    return TimeSeriesTable(dates, columns)
 
 
 def persistence_task_table(seed: int, n_days: int = 700, phi: float = 0.97,
@@ -85,8 +84,7 @@ def persistence_task_table(seed: int, n_days: int = 700, phi: float = 0.97,
         "sealevelpressure": noise.gaussian_array(n_days, 1013.0, 4.0),
     }
     dates = [start + dt.timedelta(days=i) for i in range(n_days)]
-    mask = {name: np.zeros(n_days, dtype=bool) for name in columns}
-    return TimeSeriesTable(dates, columns, {}, mask)
+    return TimeSeriesTable(dates, columns)
 
 
 def table_to_csv(table: TimeSeriesTable, path: str) -> None:

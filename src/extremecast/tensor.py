@@ -18,17 +18,14 @@ operands to have ndim >= 2.
 product in place.  ``matmul`` and ``linear`` compute no gradient for an
 operand that does not require one (the raw input windows, constants).
 
-Each ``take`` vjp returns a zero array the size of its whole source, so
-reading a sequence one step at a time through ``take`` would make backward
-cost O(L^2).  ``recurrence`` runs a whole LSTM or GRU direction as one tape
-node instead, and ``bidirectional`` runs both directions of a layer as one:
-the forward scan reads the steps of the input projection as views and writes
-every hidden state straight into one output array, and the single vjp runs
-backpropagation through time in one loop per direction.  The step math lives
-once, in plain-numpy kernels that the single-step ``lstm_cell`` and
-``gru_cell`` ops share; the scan and its BPTT live once too, and the BPTT
-adds gradients up in the order of the per-step composition of those ops, so
-its results equal that composition bit for bit.
+``bidirectional`` runs a whole bidirectional LSTM or GRU layer as one tape
+node: the scan reads the steps of each direction's input projection as views
+and writes every hidden state straight into one output array, and the single
+vjp runs backpropagation through time in one loop per direction.  The step
+math lives once, in plain-numpy kernels that the single-step ``lstm_cell``
+and ``gru_cell`` ops share, and the BPTT adds gradients up in the order of
+the per-step composition of those ops, so its results equal that
+composition bit for bit.
 """
 
 from __future__ import annotations
@@ -118,9 +115,6 @@ class Var:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __pow__(self, p):
-        return power(self, p)
 
     def __getitem__(self, key):
         return take(self, key)
@@ -226,13 +220,6 @@ def div(a, b) -> Var:
 def neg(a) -> Var:
     a = as_var(a)
     return _record(-a.value, (a,), lambda g: (-g,))
-
-
-def power(a, p: float) -> Var:
-    a = as_var(a)
-    av = a.value
-    p = float(p)
-    return _record(av ** p, (a,), lambda g: (g * p * av ** (p - 1.0),))
 
 
 def _matmul_grads(g: np.ndarray, a: Var, b: Var) -> tuple:
@@ -504,13 +491,6 @@ def gru_cell(zx: Var, zh: Var, h_prev: Var) -> Var:
     return _record(h, (zx, zh, h_prev), lambda grad: _gru_step_vjp(grad, res))
 
 
-def _cell_is_lstm(cell: str, bh) -> bool:
-    lstm = cell == "lstm"
-    if cell not in ("lstm", "gru") or lstm != (bh is None):
-        raise ValueError("a recurrence takes cell 'lstm' without bh or 'gru' with bh")
-    return lstm
-
-
 def _scan(xv: np.ndarray, W: np.ndarray, bh, reverse: bool, out: np.ndarray,
           keep: bool) -> list:
     """Run one direction from zero states over the input projection ``xv``
@@ -568,44 +548,28 @@ def _bptt(steps: list, G: np.ndarray, xshape: tuple, W: np.ndarray, lstm: bool) 
     return (gzx, gW) if lstm else (gzx, gW, gb)
 
 
-def recurrence(cell: str, zx, Wh, bh=None, reverse: bool = False) -> Var:
-    """One direction of an LSTM or GRU layer as a single tape node.
-
-    ``zx`` [B, L, G*H] holds every step's input projection, input bias
-    included; ``Wh`` [H, G*H] is the recurrent weight and ``bh`` the GRU's
-    hidden bias (``None`` for the LSTM).  From zero states, step t (t = 0..L-1,
-    or L-1..0 when ``reverse``) is ``lstm_cell(zx_t + h Wh, c)`` or
-    ``gru_cell(zx_t, h Wh + bh, h)``; returns the hidden states [B, L, H].
-    Per-step residuals are kept only when the node is recorded, and the vjp
-    (``_bptt``) equals that per-step composition bit for bit.
-    """
-    lstm = _cell_is_lstm(cell, bh)
-    zx, Wh = as_var(zx), as_var(Wh)
-    parents = (zx, Wh) if lstm else (zx, Wh, as_var(bh))
-    xv, W = zx.value, Wh.value
-    out = np.empty(xv.shape[:2] + W.shape[:1])
-    steps = _scan(xv, W, None if lstm else parents[2].value, reverse, out,
-                  _recording(parents))
-    return _record(out, parents, lambda G: _bptt(steps, G, xv.shape, W, lstm))
-
-
-def bidirectional(cell: str, x, fwd, bwd) -> Var:
+def bidirectional(x, fwd, bwd) -> Var:
     """A bidirectional LSTM or GRU layer, [B, L, n_in] -> [B, L, 2H], as one
     recurrent tape node.
 
-    ``fwd`` and ``bwd`` hold each direction's parameters: (Wx, b, Wh) for
-    the LSTM, (Wx, bx, Wh, bh) for the GRU.  The forward direction, then the
-    backward one, projects ``x`` with ``linear`` and runs ``recurrence``'s
-    scan, writing its hidden states straight into its half of the output,
-    forward half first.  The vjp feeds each direction's BPTT its half of the
-    output gradient, so the layer equals two ``recurrence`` nodes joined by
-    ``concat`` bit for bit, without their two [B, L, H] outputs.  When
-    nothing is recorded, a direction's projection is freed before the next
-    one is made.
+    ``fwd`` and ``bwd`` hold each direction's parameters, and their count
+    names the cell: (Wx, b, Wh) for the LSTM, (Wx, bx, Wh, bh) for the GRU.
+    With zx = ``linear(x, Wx, b)`` and zero initial states, step t (t =
+    0..L-1 forward, L-1..0 backward) is ``lstm_cell(zx_t + h Wh, c)`` or
+    ``gru_cell(zx_t, h Wh + bh, h)``.  The forward direction, then the
+    backward one, is projected and scanned, writing its hidden states
+    straight into its half of the output, forward half first.  Per-step
+    residuals are kept only when the node is recorded, and the vjp feeds
+    each direction's BPTT its half of the output gradient.  When nothing is
+    recorded, a direction's projection is freed before the next one is
+    made.
     """
     x = as_var(x)
     dirs = [[as_var(p) for p in ps] for ps in (fwd, bwd)]
-    lstm = _cell_is_lstm(cell, None if len(dirs[0]) == 3 else dirs[0][3])
+    if len(dirs[0]) not in (3, 4) or len(dirs[1]) != len(dirs[0]):
+        raise ValueError("each direction takes (Wx, b, Wh) for an LSTM "
+                         "or (Wx, bx, Wh, bh) for a GRU")
+    lstm = len(dirs[0]) == 3
     keep = _recording([x] + dirs[0] + dirs[1])
     hsz = dirs[0][2].value.shape[0]
     out = np.empty(x.shape[:2] + (2 * hsz,))

@@ -21,13 +21,11 @@ import time
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 
-import numpy as np
-
 from . import tensor as T
 from .augment import AugmentConfig, augment_windows
 from .baselines import (NBeatsConfig, NBeatsModel, PersistenceModel,
                         TcnConfig, TcnModel)
-from .checkpoint import Checkpoint
+from .checkpoint import Checkpoint, check_feature_compatibility
 from .errors import CompatibilityError, ConfigError, DataError, NumericError
 from .losses import LossConfig, compute_loss
 from .metrics import evaluation_report
@@ -131,8 +129,9 @@ def fit_model_config(model_cfg, dataset: PreparedDataset):
 
 def rebuild_model(ckpt: Checkpoint, dataset: PreparedDataset):
     """The checkpoint's model for a dataset, after checking that the dataset's
-    lookback is the checkpoint's and that the stored parameter names and
-    shapes are the model's."""
+    feature list and lookback are the checkpoint's and that the stored
+    parameter names and shapes are the model's."""
+    check_feature_compatibility(ckpt, dataset.feature_names)
     if ckpt.lookback != dataset.lookback:
         raise CompatibilityError(
             f"lookback mismatch: checkpoint has {ckpt.lookback}, "

@@ -30,8 +30,8 @@ from extremecast.features import FeatureSpec, build_features, savgol_causal
 from extremecast.gradcheck import grad_check
 from extremecast.losses import LossConfig, compute_loss, extreme_weather_loss
 from extremecast.metrics import regression_metrics
-from extremecast.model import (ModelConfig, forward, fuse_outputs, init_params,
-                               wrap_params)
+from extremecast.model import (DualStreamModel, ModelConfig, forward,
+                               fuse_outputs, wrap_params)
 from extremecast.pipeline import PreparedDataset, prepare
 from extremecast.rng import Rng
 from extremecast.synthetic import (persistence_task_table, sinusoid_ar_table,
@@ -129,7 +129,6 @@ def test_criterion_01_gradient_correctness():
     X = data_rng.gaussian_array((4, 8, 6))
     targets = data_rng.gaussian_array(4, 0.0, 1.0)
 
-    from extremecast.model import DualStreamModel
     dual = DualStreamModel(tiny_dual_cfg())
     _grad_check_model(dual, dual.init_params(rng), X, targets)
 
@@ -203,8 +202,9 @@ def test_criterion_03_simplex_invariants():
     draw = 0
     while total < 10_000:
         B = 100
-        params = wrap_params(init_params(cfg, Rng(1000 + draw, "init")),
-                             requires_grad=False)
+        params = wrap_params(
+            DualStreamModel(cfg).init_params(Rng(1000 + draw, "init")),
+            requires_grad=False)
         X = Rng(2000 + draw, "acceptance").gaussian_array(
             (B, cfg.lookback, cfg.n_features), 0.0, 1.0 + (draw % 3))
         _, intro = forward(params, X, cfg)
@@ -270,8 +270,6 @@ def test_criterion_06_pipeline_causality_audit():
         short.dates = short.dates[:cut]
         for name in short.columns:
             short.columns[name] = short.columns[name][:cut]
-        for name in short.missing_mask:
-            short.missing_mask[name] = short.missing_mask[name][:cut]
         short_split = SplitSpec(cut, val=split.val, train=split.train,
                                 test=(fit_end, cut))
         feats_short, _ = build_features(short, short_split, FeatureSpec())

@@ -16,8 +16,7 @@ from extremecast.synthetic import sinusoid_ar_table, table_to_csv
 def mk_table(values, start=dt.date(2020, 1, 1), name="tempmax"):
     arr = np.asarray(values, dtype=np.float64)
     dates = [start + dt.timedelta(days=i) for i in range(arr.size)]
-    return TimeSeriesTable(dates, {name: arr},
-                           missing_mask={name: np.isnan(arr)})
+    return TimeSeriesTable(dates, {name: arr})
 
 
 def write_csv(path, rows, header="datetime,tempmax,temp"):
@@ -38,8 +37,7 @@ def test_load_csv_basic_and_types(tmp_path):
     t = load_csv(p)
     assert t.n_days == 4
     npt.assert_array_equal(t.columns["tempmax"], [10.5, 11.0, 9.25, 9.0])
-    assert np.isnan(t.columns["temp"][1])
-    npt.assert_array_equal(t.missing_mask["temp"], [False, True, False, True])
+    npt.assert_array_equal(np.isnan(t.columns["temp"]), [False, True, False, True])
 
 
 def test_load_csv_inserts_missing_calendar_days(tmp_path):
@@ -53,14 +51,14 @@ def test_load_csv_inserts_missing_calendar_days(tmp_path):
     assert np.isnan(t.columns["tempmax"][1]) and np.isnan(t.columns["tempmax"][2])
 
 
-def test_load_csv_text_columns_kept_aside(tmp_path):
+def test_load_csv_drops_text_columns(tmp_path):
     p = write_csv(tmp_path / "w.csv", [
-        "2021-01-01,10.0,sunny",
-        "2021-01-02,11.0,rain",
-    ], header="datetime,tempmax,conditions")
+        "2021-01-01,10.0,sunny,1.5",
+        "2021-01-02,11.0,rain,",
+        "2021-01-03,12.0,,2.5",
+    ], header="datetime,tempmax,conditions,precip")
     t = load_csv(p)
-    assert "conditions" not in t.columns
-    assert t.text_columns["conditions"] == ["sunny", "rain"]
+    assert sorted(t.columns) == ["precip", "tempmax"]
 
 
 def test_load_csv_errors_name_offending_row(tmp_path):

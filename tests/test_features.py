@@ -24,8 +24,7 @@ def mk_table(cols, start=dt.date(2019, 1, 1)):
     n = len(next(iter(cols.values())))
     dates = [start + dt.timedelta(days=i) for i in range(n)]
     np_cols = {k: np.asarray(v, dtype=np.float64) for k, v in cols.items()}
-    return TimeSeriesTable(dates, np_cols,
-                           missing_mask={k: np.zeros(n, bool) for k in np_cols})
+    return TimeSeriesTable(dates, np_cols)
 
 
 # ----------------------------------------------------------------- rolling
@@ -107,7 +106,8 @@ def test_climatology_leap_day_borrows_and_global_fallback():
     vals = np.linspace(0.0, 10.0, n)
     table = mk_table({"tempmax": vals}, start=dt.date(2020, 1, 1))
     clim = fit_climatology(table, ["tempmax"], slice(0, n))
-    assert clim.observed["tempmax"][1] and not clim.observed["tempmax"][200]
+    # an observed day keeps its own statistics
+    assert clim.mean["tempmax"][1] == vals[0] and clim.std["tempmax"][1] == 1e-8
     # unobserved ordinary day falls back to global train stats
     assert clim.mean["tempmax"][200] == pytest.approx(vals.mean())
     assert clim.std["tempmax"][200] == pytest.approx(vals.std())

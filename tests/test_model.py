@@ -13,9 +13,8 @@ import pytest
 from extremecast import tensor as T
 from extremecast.errors import ConfigError
 from extremecast.model import (DualStreamModel, ModelConfig, bigru_layer,
-                               bilstm_layer, fuse_outputs, init_params,
-                               multi_head_attention, no_decay_names, predict,
-                               wrap_params)
+                               bilstm_layer, fuse_outputs,
+                               multi_head_attention, predict, wrap_params)
 from extremecast.rng import Rng
 from extremecast.tensor import Var
 
@@ -45,21 +44,21 @@ def test_config_validation():
 
 
 def test_init_reproducible_and_bounded():
-    cfg = tiny_cfg()
-    p1 = init_params(cfg, Rng(5, "init"))
-    p2 = init_params(cfg, Rng(5, "init"))
+    model = DualStreamModel(tiny_cfg())
+    p1 = model.init_params(Rng(5, "init"))
+    p2 = model.init_params(Rng(5, "init"))
     assert p1.keys() == p2.keys()
     for name in p1:
         npt.assert_array_equal(p1[name], p2[name])
     # biases and transition logits start at zero; weights within init bounds
-    for name in no_decay_names(cfg):
+    for name in model.no_decay:
         npt.assert_array_equal(p1[name], np.zeros_like(p1[name]))
     for name, arr in p1.items():
-        if name not in no_decay_names(cfg):
+        if name not in model.no_decay:
             bound = 1.0 / np.sqrt(arr.shape[0])
             assert np.all(np.abs(arr) < bound)
     # a different seed moves every weight matrix
-    p3 = init_params(cfg, Rng(6, "init"))
+    p3 = model.init_params(Rng(6, "init"))
     assert any(not np.array_equal(p1[k], p3[k]) for k in p1)
 
 
@@ -283,9 +282,9 @@ def test_gru_constant_input_converges_to_fixed_point():
              "Wh": Var(rng.uniform_array((H, 3 * H), -bh, bh)),
              "bx": Var(np.zeros(3 * H)), "bh": Var(np.zeros(3 * H))}
         x = np.tile(rng.gaussian_array((1, 1, n_in)), (1, L, 1))
-        out = T.recurrence("gru", T.matmul(Var(x), p["Wx"]) + p["bx"], p["Wh"],
-                           p["bh"], reverse=False)
-        states = out.value[0]
+        # both directions share the weights; the forward half is checked
+        out = bigru_layer(Var(x), {f"{d}.{k}": v for d in "fb" for k, v in p.items()})
+        states = out.value[0, :, :H]
         steps = np.linalg.norm(np.diff(states, axis=0), axis=1)
         assert np.all(np.diff(steps[5:]) <= 1e-12), trial
 
@@ -312,15 +311,16 @@ def test_bilstm_layer_gradients_fd():
     assert report.max_rel_error <= 1e-5, (report.worst_param, report.max_rel_error)
 
 
-def _recurrence_by_steps(cell, zx, Wh, bh=None, reverse=False):
-    """Reference for T.recurrence: per-step take, the single-step cell op
-    and one concat of the steps, every step on the tape."""
+def _recurrence_by_steps(zx, Wh, bh=None, reverse=False):
+    """One direction of the T.bidirectional reference: per-step take, the
+    single-step cell op (the LSTM's without ``bh``, the GRU's with it) and
+    one concat of the steps, every step on the tape."""
     B, L, _ = zx.shape
     H = Wh.shape[0]
     h = c = Var(np.zeros((B, H)))
     out = [None] * L
     for t in (range(L - 1, -1, -1) if reverse else range(L)):
-        if cell == "lstm":
+        if bh is None:
             hc = T.lstm_cell(zx[:, t] + T.matmul(h, Wh), c)
             h, c = hc[:, :H], hc[:, H:]
         else:
@@ -329,10 +329,10 @@ def _recurrence_by_steps(cell, zx, Wh, bh=None, reverse=False):
     return T.reshape(T.concat(out, axis=1), (B, L, H))
 
 
-def _bidirectional_by_steps(cell, x, fwd, bwd):
+def _bidirectional_by_steps(x, fwd, bwd):
     """Reference for T.bidirectional: per direction, matmul + add and the
     per-step reference, joined by one concat."""
-    return T.concat([_recurrence_by_steps(cell, T.matmul(x, Wx) + b, Wh, *bh,
+    return T.concat([_recurrence_by_steps(T.matmul(x, Wx) + b, Wh, *bh,
                                           reverse=d == 1)
                      for d, (Wx, b, Wh, *bh) in enumerate((fwd, bwd))], axis=2)
 

@@ -2,7 +2,7 @@
 best-checkpoint restoration, and the sweep helpers."""
 
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,11 +10,11 @@ import pytest
 
 import extremecast.training as training
 from extremecast.augment import AugmentConfig
-from extremecast.baselines import NBeatsConfig, TcnConfig
-from extremecast.errors import ConfigError, NumericError
+from extremecast.baselines import NBeatsConfig, NBeatsModel, TcnConfig, TcnModel
+from extremecast.errors import CompatibilityError, ConfigError, NumericError
 from extremecast.features import FeatureSpec
 from extremecast.losses import LossConfig
-from extremecast.model import ModelConfig
+from extremecast.model import DualStreamModel, ModelConfig
 from extremecast.optim import OptimConfig, cosine_warm_restart_lr
 from extremecast.pipeline import prepare
 from extremecast.synthetic import persistence_task_table
@@ -88,6 +88,33 @@ def test_training_arrays_augment_quadruples(dataset):
     X, y = _training_arrays(dataset, quick_cfg(augment=AugmentConfig(
         enabled=True)))
     assert X.shape[0] == 4 * n and y.shape[0] == 4 * n
+
+
+def test_no_decay_sets_by_name():
+    # biases, layer-norm gains and the transition logits skip weight decay
+    dual = DualStreamModel(ModelConfig(n_features=3, lookback=4, embed_dim=4,
+                                       lstm_hidden=2, gru_hidden=2, n_states=2,
+                                       n_heads=2, stream_dim=2, n_layers=1))
+    assert dual.no_decay == {
+        "emb.b", "lstm.0.f.b", "lstm.0.b.b", "em.b", "trans.logits", "head_m.b",
+        "amp.b1", "amp.b2", "gru.0.f.bx", "gru.0.f.bh", "gru.0.b.bx",
+        "gru.0.b.bh", "head_a.b", "fuse.b", "out.b"}
+    # with and without the first block's residual projection block.0.res.W
+    for n_features, res in ((3, True), (4, False)):
+        tcn = TcnModel(TcnConfig(n_features=n_features, lookback=4,
+                                 channels=(4, 5), dilations=(1, 2)))
+        assert ("block.0.res.W" in dict(tcn._specs)) == res
+        assert tcn.no_decay == {
+            "block.0.conv.b", "block.0.ln.g", "block.0.ln.b",
+            "block.1.conv.b", "block.1.ln.g", "block.1.ln.b", "head.b"}
+    nbeats = NBeatsModel(NBeatsConfig(lookback=4, stacks=2, fc_units=3), 0)
+    assert nbeats.no_decay == {f"stack.{s}.{n}.b" for s in (0, 1)
+                               for n in ("fc1", "fc2", "back", "fore")}
+    # (no-decay, all) parameter counts at the default configs
+    counts = [(len(m.no_decay), len(m._specs)) for m in (
+        DualStreamModel(ModelConfig()), TcnModel(TcnConfig()),
+        TcnModel(TcnConfig(n_features=16)), NBeatsModel(NBeatsConfig(), 0))]
+    assert counts == [(21, 49), (10, 23), (10, 22), (16, 32)]
 
 
 def test_model_config_round_trip(dataset):
@@ -232,6 +259,21 @@ def test_evaluate_model_report(dataset):
     assert report["n_test"] == dataset.part("test").n_samples
     assert math.isfinite(report["metrics"]["rmse"])
     assert report["training_time_s"] is None
+
+
+def test_evaluate_checkpoint_refuses_swapped_feature_columns(dataset):
+    # the same windows with two feature columns swapped would still give a
+    # plausible report; the feature lists tell the datasets apart
+    tcn = TcnConfig(n_features=dataset.n_features, lookback=8, channels=(4,),
+                    dilations=(1,))
+    ckpt, _ = train(dataset, tcn, quick_cfg(max_epochs=1))
+    order = [1, 0, *range(2, dataset.n_features)]
+    swapped = replace(
+        dataset, feature_names=[dataset.feature_names[i] for i in order],
+        parts={k: replace(p, X=p.X[:, :, order]) for k, p in dataset.parts.items()})
+    evaluate_checkpoint(ckpt, dataset)
+    with pytest.raises(CompatibilityError, match="position 0"):
+        evaluate_checkpoint(ckpt, swapped)
 
 
 def test_learning_curve_rows(dataset):

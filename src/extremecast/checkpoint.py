@@ -190,9 +190,10 @@ def save_dataset(ds, path) -> None:
 
 
 def load_dataset(path):
+    """The dataset ``save_dataset`` wrote; malformed if it fails check_split."""
     import datetime as dt
 
-    from .data import SplitSpec, make_windows
+    from .data import SplitSpec, check_split, make_windows
     from .pipeline import PreparedDataset
 
     doc = read_json(path)
@@ -211,7 +212,9 @@ def load_dataset(path):
         matrix = np.array(doc["feature_matrix"], dtype=np.float64).reshape(
             split.n_days, len(names))
         target_scaled = np.array(doc["target_scaled"], dtype=np.float64)
-        parts = make_windows(matrix, target_scaled, split, int(doc["lookback"]))
+        lookback = int(doc["lookback"])
+        parts = make_windows(matrix, target_scaled,
+                             check_split(split, lookback), lookback)
         dates = [dt.date.fromisoformat(s) for s in doc["dates"]]
         target_raw = np.array(doc["target_raw"], dtype=np.float64)
         if len(dates) != split.n_days or len(target_raw) != split.n_days:
@@ -219,7 +222,7 @@ def load_dataset(path):
                                      f"target_raw must hold {split.n_days} days)")
         return PreparedDataset(
             feature_names=names,
-            lookback=int(doc["lookback"]),
+            lookback=lookback,
             target=doc["target"],
             scaler=ScalerParams(columns={k: (float(v[0]), float(v[1]))
                                          for k, v in doc["scaler"].items()}),
@@ -232,7 +235,7 @@ def load_dataset(path):
             feature_matrix=matrix,
             target_scaled=target_scaled,
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, DataError, KeyError, TypeError, ValueError) as exc:
         raise CompatibilityError(f"{path}: malformed dataset ({exc!r})") from exc
 
 

@@ -194,14 +194,13 @@ def cmd_baseline(args) -> int:
     return 0
 
 
-def _explain_sample(ds: PreparedDataset, partition: str, index: int):
+def _sample(ds: PreparedDataset, partition: str, index: int):
+    """Window ``index`` of a partition as one-sample (X, y) stacks."""
     part = ds.part(partition)
-    if part.n_samples == 0:
-        raise DataError(f"partition {partition!r} has no windows")
     if not 0 <= index < part.n_samples:
         raise DataError(f"sample index {index} out of range "
                         f"[0, {part.n_samples})")
-    return part.X[index:index + 1]
+    return part.X[index:index + 1], part.y[index:index + 1]
 
 
 def _require_dual_stream(ckpt, method: str) -> None:
@@ -288,7 +287,7 @@ def cmd_explain(args) -> int:
         print(f"centroids -> {centroid_path}")
     elif args.method == "attention":
         _require_dual_stream(ckpt, args.method)
-        X = _explain_sample(ds, args.partition, args.sample)
+        X, _ = _sample(ds, args.partition, args.sample)
         _, intro = model.forward(wrap_params(ckpt.params, requires_grad=False),
                                  X, train=False)
         attn = intro["attention"][0].mean(axis=0)       # heads -> [L, L]
@@ -298,7 +297,7 @@ def cmd_explain(args) -> int:
               f"{attn.shape[0]}x{attn.shape[1]} (head-averaged)")
     else:  # states
         _require_dual_stream(ckpt, args.method)
-        X = _explain_sample(ds, args.partition, args.sample)
+        X, _ = _sample(ds, args.partition, args.sample)
         _, intro = model.forward(wrap_params(ckpt.params, requires_grad=False),
                                  X, train=False)
         P = intro["p"][0]                               # [L, N]
@@ -321,14 +320,7 @@ def cmd_augment_preview(args) -> int:
     run_cfg, doc = _load_config(args.config)
     seed = _resolve_seed(args.seed, doc)
     ds = load_dataset(args.data)
-    part = ds.part("train")
-    if part.n_samples == 0:
-        raise DataError("training partition has no windows")
-    if not 0 <= args.sample < part.n_samples:
-        raise DataError(f"sample index {args.sample} out of range "
-                        f"[0, {part.n_samples})")
-    X1 = part.X[args.sample:args.sample + 1]
-    y1 = part.y[args.sample:args.sample + 1]
+    X1, y1 = _sample(ds, "train", args.sample)
     cfg = replace(run_cfg.augment, enabled=True)
     X4, y4 = augment_windows(X1, y1, seed, cfg)
     variants = ("original", "jitter", "scale", "warp")

@@ -40,8 +40,8 @@ class DatasetConfig:
             raise ConfigError("dataset.lookback must be >= 1")
         if not 0.0 < self.train_frac < 1.0:
             raise ConfigError("dataset.train_frac must be in (0, 1)")
-        if not 0.0 <= self.val_frac < 1.0:
-            raise ConfigError("dataset.val_frac must be in [0, 1)")
+        if not 0.0 < self.val_frac < 1.0:
+            raise ConfigError("dataset.val_frac must be in (0, 1)")
         return self
 
 

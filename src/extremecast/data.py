@@ -193,28 +193,35 @@ class SplitSpec:
         return slice(lo, hi)
 
 
+def check_split(split: SplitSpec, lookback: int) -> SplitSpec:
+    """The one valid-split rule: lookback >= 1, and val | train | test lie
+    contiguous over [0, n_days), each with >= lookback+1 rows (one window)."""
+    if lookback < 1:
+        raise DataError(f"lookback must be >= 1, got {lookback}")
+    (v0, v1), (t0, t1), (s0, s1) = split.val, split.train, split.test
+    if (v0, t0, s0, s1) != (0, v1, t1, split.n_days):
+        raise DataError(f"{split} is not contiguous val | train | test")
+    for part in ("val", "train", "test"):
+        lo, hi = getattr(split, part)
+        if hi - lo < lookback + 1:
+            raise DataError(f"partition {part!r} has {hi - lo} rows; needs at "
+                            f"least lookback+1 = {lookback + 1}")
+    return split
+
+
 def chronological_split(n_days: int, lookback: int, train_frac: float = 0.8,
                         val_frac: float = 0.2) -> SplitSpec:
     """Last (1-train_frac) of days is test; first val_frac of the training
-    period is validation; the remainder is train.  Each partition must keep
-    at least lookback+1 rows so it yields at least one window."""
+    period is validation; the remainder is train; see ``check_split``."""
     if not 0.0 < train_frac < 1.0:
         raise DataError(f"train_frac must be in (0, 1), got {train_frac}")
     if not 0.0 < val_frac < 1.0:
         raise DataError(f"val_frac must be in (0, 1), got {val_frac}")
-    if lookback < 1:
-        raise DataError(f"lookback must be >= 1, got {lookback}")
     n_period = int(np.floor(n_days * train_frac))
     n_val = int(np.floor(n_period * val_frac))
-    split = SplitSpec(n_days, val=(0, n_val), train=(n_val, n_period),
-                      test=(n_period, n_days))
-    for part in ("val", "train", "test"):
-        lo, hi = getattr(split, part)
-        if hi - lo < lookback + 1:
-            raise DataError(
-                f"partition {part!r} has {hi - lo} rows; needs at least "
-                f"lookback+1 = {lookback + 1}")
-    return split
+    return check_split(SplitSpec(n_days, val=(0, n_val),
+                                 train=(n_val, n_period),
+                                 test=(n_period, n_days)), lookback)
 
 
 @dataclass

@@ -52,8 +52,6 @@ def _part_rmse(model, params, dataset, X, partition):
 def occlusion_sensitivity(model, params, dataset, partition: str = "test") -> dict:
     """RMSE increase when each feature is replaced by its partition median."""
     part = dataset.part(partition)
-    if part.n_samples == 0:
-        raise DataError(f"partition {partition!r} is empty")
     baseline = _part_rmse(model, params, dataset, part.X, partition)
     rows = []
     for f, name in enumerate(dataset.feature_names):
@@ -77,8 +75,6 @@ def partial_dependence(model, params, dataset, feature: str,
         raise ConfigError(f"unknown feature {feature!r}")
     f = dataset.feature_names.index(feature)
     part = dataset.part(partition)
-    if part.n_samples == 0:
-        raise DataError(f"partition {partition!r} is empty")
     values = part.X[:, :, f].ravel()
     lo, hi = np.quantile(values, 0.01), np.quantile(values, 0.99)
     if lo == hi:
@@ -108,8 +104,6 @@ def permutation_importance(model, params, dataset, partition: str = "test",
     if repeats < 1:
         raise ConfigError("permutation_importance repeats must be >= 1")
     part = dataset.part(partition)
-    if part.n_samples == 0:
-        raise DataError(f"partition {partition!r} is empty")
     baseline = _part_rmse(model, params, dataset, part.X, partition)
     base = Rng(seed, "permutation")
     rows = []

@@ -1,8 +1,8 @@
 """Error taxonomy shared by the library and the CLI.
 
 Exit codes: 2 config validation, 3 data loading/shape, 4 numeric failure
-(non-finite loss or activations), 5 artifact compatibility (checkpoint vs
-dataset mismatch).  Anything else surfaces as 1.
+(non-finite loss or activations), 5 artifact compatibility (a checkpoint that
+does not fit its dataset, or a malformed file).  Anything else surfaces as 1.
 """
 
 

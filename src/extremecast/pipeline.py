@@ -1,6 +1,7 @@
 """End-to-end dataset preparation: impute -> split -> features -> select ->
 scale -> window.  Everything downstream (training, evaluation, diagnostics)
-consumes the PreparedDataset produced here."""
+consumes the PreparedDataset produced here or by ``checkpoint.load_dataset``;
+both apply ``data.check_split``, so each partition holds at least one window."""
 
 from __future__ import annotations
 

@@ -83,6 +83,10 @@ class TrainConfig:
         if self.feature_mode not in FEATURE_MODES:
             raise ConfigError(
                 f"training.feature_mode must be one of {FEATURE_MODES}")
+        if self.augment.scale_low > self.augment.scale_high:
+            raise ConfigError(
+                f"augment.scale_low ({self.augment.scale_low}) must not "
+                f"exceed augment.scale_high ({self.augment.scale_high})")
         return self
 
 
@@ -200,8 +204,6 @@ def train(dataset: PreparedDataset, model_cfg, train_cfg: TrainConfig):
     cfg = train_cfg.validate()
     model, kind = build_model(model_cfg, dataset)
     val = dataset.part("val")
-    if dataset.part("train").n_samples == 0 or val.n_samples == 0:
-        raise DataError("training requires non-empty train and val partitions")
 
     state = TrainState()
     started = time.monotonic()
@@ -274,8 +276,6 @@ def evaluate_model(model, params, dataset: PreparedDataset,
                    training_time_s=None) -> dict:
     """Raw-unit evaluation report for one partition."""
     part = dataset.part(partition)
-    if part.n_samples == 0:
-        raise DataError(f"partition {partition!r} has no windows to evaluate")
     yhat = dataset.invert_target(predict(model, params, part.X))
     y = dataset.target_raw[part.target_rows]
     dates = [dataset.dates[r] for r in part.target_rows]

@@ -11,7 +11,7 @@ import pytest
 from extremecast.cli import main
 from extremecast.config import validate_report_dict
 from extremecast.synthetic import sinusoid_ar_table, table_to_csv
-from extremecast.training import MODELS
+from extremecast.training import FEATURE_MODES, MODELS
 
 CONFIG = {
     "seed": 7,
@@ -105,6 +105,21 @@ def test_evaluate_report_schema_and_residuals(work):
                  "--data", str(work / "data.json"),
                  "--report", str(again)]) == 0
     assert again.read_bytes() == report_path.read_bytes()
+
+
+def test_evaluate_config_sets_tail_q(work, tmp_path):
+    doc = json.loads((work / "config.json").read_text())
+    doc["eval"]["tail_q"] = 0.1
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    n_high = []
+    for extra in ([], ["--config", str(config)]):
+        report = tmp_path / "report.json"
+        assert main(["evaluate", "--checkpoint", str(work / "ckpt.json"),
+                     "--data", str(work / "data.json"),
+                     "--report", str(report), *extra]) == 0
+        n_high.append(json.loads(report.read_text())["n_high"])
+    assert n_high[1] > n_high[0]
 
 
 @pytest.mark.parametrize("kind", MODELS)
@@ -391,10 +406,25 @@ def test_lookback_mismatch_exit_5(work, longer_data, tmp_path, capsys, kind):
     assert "checkpoint has 8" in err and "dataset has 10" in err
 
 
+def _shift(part, edge, by):
+    def tamper(doc):
+        doc["split"][part][edge] += by
+    return tamper
+
+
+def _short_val(doc):
+    doc["split"]["val"][1] = doc["split"]["train"][0] = doc["lookback"]
+
+
 DATASET_TAMPERINGS = {
     "no_audit_field": lambda doc: doc.pop("audit"),
     "feature_matrix_one_short": lambda doc: doc["feature_matrix"].pop(),
     "dates_one_short": lambda doc: doc["dates"].pop(),
+    "test_overlaps_train": _shift("test", 0, -10),
+    "gap_between_val_and_train": _shift("train", 0, 5),
+    "val_shorter_than_lookback_plus_1": _short_val,
+    "lookback_0": lambda doc: doc.update(lookback=0),
+    "target_scaled_one_short": lambda doc: doc["target_scaled"].pop(),
 }
 
 
@@ -409,7 +439,19 @@ def test_malformed_dataset_exit_5(work, tmp_path, capsys, tampering):
                  "--data", str(bad), "--report", str(tmp_path / "r.json")]) == 5
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "malformed dataset" in err
-    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_sample_index_out_of_range_exit_3(work, tmp_path, capsys):
+    data = str(work / "data.json")
+    assert main(["explain", "--checkpoint", str(work / "ckpt.json"),
+                 "--data", data, "--method", "attention",
+                 "--sample", "100000", "--out", str(tmp_path / "a.csv")]) == 3
+    assert "sample index 100000 out of range" in capsys.readouterr().err
+    assert main(["augment-preview", "--config", str(work / "config.json"),
+                 "--data", data, "--sample", "-1",
+                 "--out", str(tmp_path / "p.csv")]) == 3
+    assert "sample index -1 out of range" in capsys.readouterr().err
 
 
 # ------------------------------------------------------- augment and sweep
@@ -450,3 +492,19 @@ def test_sweep_learning_curve_csv(work):
     assert main(["sweep", "--config", str(work / "config.json"),
                  "--kind", "learning-curve",
                  "--out", str(out), "--model", "persistence"]) == 2
+
+
+def test_sweep_feature_ablation_csv(work, tmp_path):
+    doc = json.loads((work / "config.json").read_text())
+    doc["training"]["max_epochs"] = 1
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    outs = [tmp_path / f"ablation_{run}.csv" for run in ("a", "b")]
+    for out in outs:
+        assert main(["sweep", "--config", str(config),
+                     "--kind", "feature-ablation",
+                     "--out", str(out), "--model", "tcn"]) == 0
+    rows = read_rows(outs[0])
+    assert rows[0][:2] == ["mode", "n_features"]
+    assert [r[0] for r in rows[1:]] == list(FEATURE_MODES)
+    assert outs[0].read_bytes() == outs[1].read_bytes()

@@ -5,11 +5,13 @@ import json
 
 import pytest
 
-from extremecast.config import (RunConfig, load_run_config,
+from extremecast.augment import AugmentConfig
+from extremecast.config import (DatasetConfig, RunConfig, load_run_config,
                                 run_config_from_dict, validate_config_dict,
                                 validate_report_dict)
 from extremecast.errors import ConfigError
 from extremecast.metrics import evaluation_report
+from extremecast.training import TrainConfig
 
 
 def test_empty_document_yields_defaults():
@@ -43,6 +45,21 @@ def test_enum_and_range_violations_name_paths():
         run_config_from_dict({"eval": {"tail_q": 0.9}})
     with pytest.raises(ConfigError, match=r"training\.batch_size"):
         run_config_from_dict({"training": {"batch_size": 1}})
+
+
+def test_zero_val_frac_is_a_config_error():
+    with pytest.raises(ConfigError, match=r"dataset\.val_frac"):
+        run_config_from_dict({"dataset": {"val_frac": 0}})
+    with pytest.raises(ConfigError, match=r"dataset\.val_frac"):
+        DatasetConfig(val_frac=0.0).validate()
+
+
+def test_inverted_scale_range_is_a_config_error():
+    inverted = {"scale_low": 1.2, "scale_high": 0.8}
+    with pytest.raises(ConfigError, match=r"augment\.scale_low"):
+        run_config_from_dict({"augment": inverted})
+    with pytest.raises(ConfigError, match=r"augment\.scale_low"):
+        TrainConfig(augment=AugmentConfig(**inverted)).validate()
 
 
 def test_seed_and_augment_are_threaded_into_training():

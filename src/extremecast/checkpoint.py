@@ -3,12 +3,11 @@
 Everything is JSON: UTF-8, sorted keys, floats written via Python's
 shortest-round-trip ``repr`` (what ``json`` emits for float64), so a
 save→load cycle reproduces every parameter bit for bit.  Parameter tensors
-are stored flattened in row-major order next to their shapes.
+are stored flattened in row-major order next to their shapes.  Loaders read
+integers and number arrays strictly (``_int``, ``_floats``): a fractional
+integer or a null or non-finite number makes the file malformed.
 
-``wall_clock_to_best`` is part of the checkpoint schema but persisted as
-null: identical (config, data, seed) runs must produce byte-identical
-checkpoint files, and wall-clock time is the one quantity that cannot be
-deterministic.  The measured value lives on the in-memory TrainState.
+No timing is stored: identical runs must write identical bytes.
 """
 
 from __future__ import annotations
@@ -59,6 +58,21 @@ def _cell(v):
     return v
 
 
+def _int(value) -> int:
+    """A JSON integer as it stands; bool, float and str are refused."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _floats(values) -> np.ndarray:
+    """A JSON number list as float64; null and non-finite values are refused."""
+    arr = np.array(values, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError("a number array holds null or non-finite values")
+    return arr
+
+
 # -------------------------------------------------------------- checkpoint
 
 
@@ -74,7 +88,6 @@ class Checkpoint:
     seed: int
     best_val_loss: float | None = None
     best_epoch: int | None = None
-    schema_version: int = SCHEMA_VERSION
     extra: dict = field(default_factory=dict)
 
 
@@ -90,8 +103,7 @@ def _encode_params(params: dict) -> dict:
 def _decode_params(blob: dict) -> dict:
     out = {}
     for name, entry in blob.items():
-        arr = np.array(entry["data"], dtype=np.float64)
-        out[name] = arr.reshape(entry["shape"])
+        out[name] = _floats(entry["data"]).reshape(entry["shape"])
     return out
 
 
@@ -106,7 +118,7 @@ def _check_kind(kind) -> str:
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     _check_kind(ckpt.model_kind)
     doc = {
-        "schema_version": ckpt.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "model_kind": ckpt.model_kind,
         "model_config": ckpt.model_config,
         "params": _encode_params(ckpt.params),
@@ -119,7 +131,6 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "train_state": {
             "best_val_loss": ckpt.best_val_loss,
             "epoch": ckpt.best_epoch,
-            "wall_clock_to_best": None,
         },
         "extra": ckpt.extra,
     }
@@ -144,12 +155,11 @@ def load_checkpoint(path) -> Checkpoint:
             params=_decode_params(doc["params"]),
             feature_names=list(doc["feature_names"]),
             scaler=scaler,
-            lookback=int(doc["lookback"]),
+            lookback=_int(doc["lookback"]),
             target=doc["target"],
-            seed=int(doc["seed"]),
+            seed=_int(doc["seed"]),
             best_val_loss=ts.get("best_val_loss"),
             best_epoch=ts.get("epoch"),
-            schema_version=version,
             extra=doc.get("extra", {}),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -205,27 +215,30 @@ def load_dataset(path):
             f"(expected {SCHEMA_VERSION})")
     try:
         names = list(doc["feature_names"])
-        split = SplitSpec(n_days=int(doc["split"]["n_days"]),
-                          val=tuple(doc["split"]["val"]),
-                          train=tuple(doc["split"]["train"]),
-                          test=tuple(doc["split"]["test"]))
-        matrix = np.array(doc["feature_matrix"], dtype=np.float64).reshape(
-            split.n_days, len(names))
-        target_scaled = np.array(doc["target_scaled"], dtype=np.float64)
-        lookback = int(doc["lookback"])
+        bounds = doc["split"]
+        split = SplitSpec(n_days=_int(bounds["n_days"]),
+                          **{part: tuple(_int(b) for b in bounds[part])
+                             for part in ("val", "train", "test")})
+        matrix = _floats(doc["feature_matrix"]).reshape(split.n_days, len(names))
+        target_scaled = _floats(doc["target_scaled"])
+        lookback = _int(doc["lookback"])
         parts = make_windows(matrix, target_scaled,
                              check_split(split, lookback), lookback)
         dates = [dt.date.fromisoformat(s) for s in doc["dates"]]
-        target_raw = np.array(doc["target_raw"], dtype=np.float64)
+        target_raw = _floats(doc["target_raw"])
         if len(dates) != split.n_days or len(target_raw) != split.n_days:
             raise CompatibilityError(f"{path}: malformed dataset (dates and "
                                      f"target_raw must hold {split.n_days} days)")
+        scaler = ScalerParams(columns={k: (float(v[0]), float(v[1]))
+                                       for k, v in doc["scaler"].items()})
+        if doc["target"] not in scaler.columns:
+            raise CompatibilityError(f"{path}: malformed dataset (the scaler "
+                                     f"lacks the target {doc['target']!r})")
         return PreparedDataset(
             feature_names=names,
             lookback=lookback,
             target=doc["target"],
-            scaler=ScalerParams(columns={k: (float(v[0]), float(v[1]))
-                                         for k, v in doc["scaler"].items()}),
+            scaler=scaler,
             split=split,
             parts=parts,
             dates=dates,

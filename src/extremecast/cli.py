@@ -32,6 +32,7 @@ from .diagnostics import (kmeans_regimes, occlusion_sensitivity,
                           partial_dependence, permutation_importance,
                           ranking_agreement, residual_diagnostics)
 from .errors import CompatibilityError, ConfigError, DataError, ExtremecastError
+from .metrics import TAIL_Q
 from .model import wrap_params
 from .pipeline import PreparedDataset, prepare
 from .training import (HISTORY_COLUMNS, MODELS, evaluate_checkpoint,
@@ -167,7 +168,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.data)
-    tail_q = 0.05
+    tail_q = TAIL_Q
     if args.config:
         run_cfg, _ = _load_config(args.config)
         tail_q = run_cfg.eval.tail_q

@@ -7,13 +7,14 @@ Structure is enforced by the published schema
 offending path.  Value constraints beyond the schema (cross-field rules)
 live in each dataclass's ``validate``.  The single top-level ``seed`` and
 ``augment`` sections are threaded into the training config so one document
-fully determines a run.
+fully determines a run.  The model's ``n_features`` and ``lookback`` are not
+settable: ``training.fit_model_config`` takes them from the dataset.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from importlib import resources
 
 import jsonschema
@@ -22,6 +23,7 @@ from .augment import AugmentConfig
 from .errors import ConfigError
 from .features import FeatureSpec
 from .losses import LossConfig
+from .metrics import TAIL_Q
 from .model import ModelConfig
 from .optim import OptimConfig
 from .training import TrainConfig
@@ -47,7 +49,7 @@ class DatasetConfig:
 
 @dataclass
 class EvalConfig:
-    tail_q: float = 0.05
+    tail_q: float = TAIL_Q
 
     def validate(self) -> "EvalConfig":
         if not 0.0 < self.tail_q <= 0.5:
@@ -71,18 +73,6 @@ class RunConfig:
         self.training.validate()
         self.eval.validate()
         return self
-
-    def to_dict(self) -> dict:
-        training = asdict(self.training)
-        # seed and augment live at the top level of the document
-        training.pop("seed")
-        training.pop("augment")
-        doc = {"seed": self.seed, "dataset": asdict(self.dataset),
-               "features": asdict(self.features),
-               "augment": asdict(self.augment), "model": asdict(self.model),
-               "training": training, "eval": asdict(self.eval)}
-        # JSON has no tuples; normalize through a dump/load cycle
-        return json.loads(json.dumps(doc))
 
 
 def load_schema(name: str) -> dict:
@@ -123,9 +113,7 @@ def run_config_from_dict(doc: dict) -> RunConfig:
 
     augment = AugmentConfig(**doc.get("augment", {}))
 
-    model_doc = dict(doc.get("model", {}))
-    model_doc.setdefault("lookback", dataset.lookback)
-    model = ModelConfig(**model_doc)
+    model = ModelConfig(**doc.get("model", {}))
 
     training_doc = dict(doc.get("training", {}))
     loss = LossConfig(**training_doc.pop("loss", {}))

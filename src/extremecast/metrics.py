@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAPE_EPS = 1e-6
+TAIL_Q = 0.05      # the share of observations in each extreme tail
 
 
 @dataclass
@@ -75,7 +76,7 @@ def regression_metrics(y: np.ndarray, yhat: np.ndarray) -> MetricSet:
 
 
 def tail_rmse(y: np.ndarray, yhat: np.ndarray, tail: str,
-              q: float = 0.05) -> tuple[float | None, int, str | None]:
+              q: float = TAIL_Q) -> tuple[float | None, int, str | None]:
     """(rmse, n, reason) over the strict 5% tail of the observations.
 
     ``tail``: "high" keeps y > quantile(y, 1-q); "low" keeps y < quantile(y, q).
@@ -99,8 +100,7 @@ def tail_rmse(y: np.ndarray, yhat: np.ndarray, tail: str,
 
 
 def evaluation_report(y: np.ndarray, yhat: np.ndarray, dates=None,
-                      tail_q: float = 0.05,
-                      training_time_s: float | None = None) -> dict:
+                      tail_q: float = TAIL_Q) -> dict:
     """Full report dict (JSON-ready): overall metrics, both tails, residual
     rows (date, y, yhat, e)."""
     m = regression_metrics(y, yhat)
@@ -123,7 +123,6 @@ def evaluation_report(y: np.ndarray, yhat: np.ndarray, dates=None,
         "n_high": n_hi,
         "n_low": n_lo,
         "tail_q": tail_q,
-        "training_time_s": training_time_s,
         "residuals": residuals,
     }
     reasons = {}

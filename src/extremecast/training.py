@@ -28,7 +28,7 @@ from .baselines import (NBeatsConfig, NBeatsModel, PersistenceModel,
 from .checkpoint import Checkpoint, check_feature_compatibility
 from .errors import CompatibilityError, ConfigError, DataError, NumericError
 from .losses import LossConfig, compute_loss
-from .metrics import evaluation_report
+from .metrics import TAIL_Q, evaluation_report
 from .model import DualStreamModel, ModelConfig, predict, wrap_params
 from .optim import (AdamWState, OptimConfig, adamw_step, clip_global_norm,
                     cosine_warm_restart_lr)
@@ -69,7 +69,6 @@ class TrainConfig:
     optim: OptimConfig = field(default_factory=OptimConfig)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
     train_fraction: float = 1.0
-    feature_mode: str = "full"
 
     def validate(self) -> "TrainConfig":
         if self.batch_size < 2:
@@ -80,9 +79,6 @@ class TrainConfig:
             raise ConfigError("training.max_epochs must be >= 1")
         if not 0.0 < self.train_fraction <= 1.0:
             raise ConfigError("training.train_fraction must be in (0, 1]")
-        if self.feature_mode not in FEATURE_MODES:
-            raise ConfigError(
-                f"training.feature_mode must be one of {FEATURE_MODES}")
         if self.augment.scale_low > self.augment.scale_high:
             raise ConfigError(
                 f"augment.scale_low ({self.augment.scale_low}) must not "
@@ -272,19 +268,17 @@ def train(dataset: PreparedDataset, model_cfg, train_cfg: TrainConfig):
 
 
 def evaluate_model(model, params, dataset: PreparedDataset,
-                   partition: str = "test", tail_q: float = 0.05,
-                   training_time_s=None) -> dict:
+                   partition: str = "test", tail_q: float = TAIL_Q) -> dict:
     """Raw-unit evaluation report for one partition."""
     part = dataset.part(partition)
     yhat = dataset.invert_target(predict(model, params, part.X))
     y = dataset.target_raw[part.target_rows]
     dates = [dataset.dates[r] for r in part.target_rows]
-    return evaluation_report(y, yhat, dates=dates, tail_q=tail_q,
-                             training_time_s=training_time_s)
+    return evaluation_report(y, yhat, dates=dates, tail_q=tail_q)
 
 
 def evaluate_checkpoint(ckpt: Checkpoint, dataset: PreparedDataset,
-                        partition: str = "test", tail_q: float = 0.05) -> dict:
+                        partition: str = "test", tail_q: float = TAIL_Q) -> dict:
     return evaluate_model(rebuild_model(ckpt, dataset), ckpt.params, dataset,
                           partition, tail_q)
 
@@ -346,8 +340,7 @@ def feature_ablation(table, model_cfg, train_cfg: TrainConfig,
         spec = replace(feature_spec or FeatureSpec(), mode=mode)
         ds = prepare(table, lookback=lookback, train_frac=train_frac,
                      val_frac=val_frac, feature_spec=spec)
-        run_cfg = replace(train_cfg.validate(), feature_mode=mode)
-        ckpt, state = train(ds, fit_model_config(model_cfg, ds), run_cfg)
+        ckpt, state = train(ds, fit_model_config(model_cfg, ds), train_cfg)
         report = evaluate_checkpoint(ckpt, ds)
         row = {"mode": mode, "n_features": ds.n_features,
                "best_epoch": state.best_epoch,

@@ -90,11 +90,15 @@ def test_feature_compatibility_names_first_divergence():
         check_feature_compatibility(ckpt, ["a", "b", "c"])
 
 
-def test_wall_clock_persisted_as_null(tmp_path):
+def test_wall_clock_not_persisted(tmp_path):
     path = tmp_path / "ckpt.json"
     save_checkpoint(make_ckpt({"w": np.zeros(1)}), path)
     doc = json.loads(path.read_text())
-    assert doc["train_state"]["wall_clock_to_best"] is None
+    assert "wall_clock_to_best" not in doc["train_state"]
+    # checkpoints written with the old null slot still load
+    doc["train_state"]["wall_clock_to_best"] = None
+    path.write_text(json.dumps(doc))
+    assert load_checkpoint(path).best_epoch == 3
 
 
 def test_write_json_sorted_and_utf8(tmp_path):

@@ -357,6 +357,10 @@ TAMPERINGS = {
     "param_data_short_of_shape":
         lambda doc: doc["params"]["head.W"]["data"].pop(),
     "missing_param": lambda doc: doc["params"].pop("head.W"),
+    "fractional_lookback": lambda doc: doc.update(lookback=8.5),
+    "fractional_seed": lambda doc: doc.update(seed=7.9),
+    "null_param_cell": lambda doc: doc["params"]["head.W"]["data"].__setitem__(
+        0, None),
 }
 
 
@@ -374,7 +378,8 @@ def test_malformed_checkpoint_exit_5(work, tmp_path, capsys, tampering):
                  "--data", str(work / "data.json"),
                  "--report", str(tmp_path / "r.json")]) == 5
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 @pytest.fixture(scope="module")
@@ -425,6 +430,15 @@ DATASET_TAMPERINGS = {
     "val_shorter_than_lookback_plus_1": _short_val,
     "lookback_0": lambda doc: doc.update(lookback=0),
     "target_scaled_one_short": lambda doc: doc["target_scaled"].pop(),
+    "fractional_lookback": lambda doc: doc.update(lookback=8.5),
+    "float_n_days": lambda doc: doc["split"].update(
+        n_days=float(doc["split"]["n_days"])),
+    "null_test_feature_cell":
+        lambda doc: doc["feature_matrix"].__setitem__(-1, None),
+    "null_test_target_scaled":
+        lambda doc: doc["target_scaled"].__setitem__(-1, None),
+    "null_test_target_raw": lambda doc: doc["target_raw"].__setitem__(-1, None),
+    "scaler_lacks_target": lambda doc: doc["scaler"].pop(doc["target"]),
 }
 
 

@@ -1,17 +1,22 @@
 """Run-config schema validation: defaults, dotted error paths, unknown-key
-rejection, seed/augment threading, and document round-trips."""
+rejection, seed/augment threading, and README's example document."""
 
 import json
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from extremecast.augment import AugmentConfig
 from extremecast.config import (DatasetConfig, RunConfig, load_run_config,
-                                run_config_from_dict, validate_config_dict,
-                                validate_report_dict)
+                                run_config_from_dict, validate_report_dict)
 from extremecast.errors import ConfigError
+from extremecast.features import FeatureSpec
 from extremecast.metrics import evaluation_report
-from extremecast.training import TrainConfig
+from extremecast.pipeline import prepare
+from extremecast.synthetic import persistence_task_table
+from extremecast.training import TrainConfig, fit_model_config
 
 
 def test_empty_document_yields_defaults():
@@ -34,6 +39,12 @@ def test_unknown_keys_rejected_with_location():
         run_config_from_dict({"dataset": {"extra_knob": 1}})
     with pytest.raises(ConfigError, match="training.*momentum"):
         run_config_from_dict({"training": {"optim": {"momentum": 0.9}}})
+    # the dataset alone sets these
+    for section, key, value in (("model", "lookback", 21),
+                                ("model", "n_features", 99),
+                                ("training", "feature_mode", "raw_only")):
+        with pytest.raises(ConfigError, match=f"{section}.*{key}"):
+            run_config_from_dict({section: {key: value}})
 
 
 def test_enum_and_range_violations_name_paths():
@@ -85,19 +96,20 @@ def test_nested_loss_and_optim_sections():
 
 def test_model_lookback_defaults_to_dataset_lookback():
     cfg = run_config_from_dict({"dataset": {"lookback": 14}})
-    assert cfg.model.lookback == 14
-    explicit = run_config_from_dict({"dataset": {"lookback": 14},
-                                     "model": {"lookback": 21}})
-    assert explicit.model.lookback == 21
+    ds = prepare(persistence_task_table(0, n_days=200),
+                 lookback=cfg.dataset.lookback,
+                 feature_spec=FeatureSpec(mode="minimal"))
+    assert fit_model_config(cfg.model, ds).lookback == 14
+    # the dataset's lookback wins over any the model config was built with
+    assert fit_model_config(replace(cfg.model, lookback=21), ds).lookback == 14
 
 
-def test_document_round_trip():
-    cfg = run_config_from_dict({"seed": 3,
-                                "features": {"mode": "minimal", "top_k": 5},
-                                "model": {"n_states": 4}})
-    doc = cfg.to_dict()
-    validate_config_dict(doc)
-    assert run_config_from_dict(doc) == cfg
+def test_readme_config_example_parses():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"```json\n(.*?)```", readme.read_text(encoding="utf-8"),
+                      re.DOTALL)
+    cfg = run_config_from_dict(json.loads(block.group(1)))
+    assert cfg.seed == 7 and cfg.augment.enabled
 
 
 def test_load_run_config_file_errors(tmp_path):

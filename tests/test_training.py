@@ -61,8 +61,6 @@ def test_train_config_validation():
         TrainConfig(train_fraction=0.0).validate()
     with pytest.raises(ConfigError):
         TrainConfig(train_fraction=1.5).validate()
-    with pytest.raises(ConfigError):
-        TrainConfig(feature_mode="bogus").validate()
 
 
 def test_batch_spans_drop_singleton_tail():
@@ -258,7 +256,7 @@ def test_evaluate_model_report(dataset):
     report = evaluate_model(model, {}, dataset)
     assert report["n_test"] == dataset.part("test").n_samples
     assert math.isfinite(report["metrics"]["rmse"])
-    assert report["training_time_s"] is None
+    assert "training_time_s" not in report
 
 
 def test_evaluate_checkpoint_refuses_swapped_feature_columns(dataset):

@@ -14,7 +14,7 @@ Warps build a curve through a handful of knots with a natural cubic spline:
   (L,L) is evaluated on the integer grid, clipped to [1, L], and sort-
   repaired into a monotone time map tau; each column is then linearly
   resampled at tau.  Draws failing strict monotonicity after repair are
-  retried up to 10 times.  tau(1) = 1 and tau(L) = L always.
+  retried up to WARP_RETRIES times.  tau(1) = 1 and tau(L) = L always.
 * magnitude warp: knot values ~ N(1, sigma^2) at knots+2 anchors spanning
   [1, L]; the spline is clipped to [0.5, 1.5] and multiplies every column.
 """
@@ -35,6 +35,8 @@ from .rng import Rng, gaussian_rows
 # blocks of 16 / 32 / 64 / 128 / 256 (2-vCPU Xeon, numpy 2.4).
 _JITTER_BLOCK = 64
 
+WARP_RETRIES = 10
+
 
 @dataclass
 class AugmentConfig:
@@ -44,7 +46,6 @@ class AugmentConfig:
     scale_high: float = 1.1
     warp_knots: int = 4
     warp_sigma: float = 0.2
-    max_warp_retries: int = 10
 
 
 def jitter(X: np.ndarray, rng: Rng, sigma: float) -> np.ndarray:
@@ -76,10 +77,10 @@ def scale(X: np.ndarray, rng: Rng, low: float, high: float) -> np.ndarray:
     return X * rng.uniform(low, high)
 
 
-def _warp_grid(L: int, rng: Rng, knots: int, sigma: float, retries: int) -> np.ndarray:
+def _warp_grid(L: int, rng: Rng, knots: int, sigma: float) -> np.ndarray:
     grid = np.arange(1.0, L + 1.0)
     anchors = 1.0 + (np.arange(1, knots + 1) / (knots + 1)) * (L - 1.0)
-    for _ in range(retries + 1):
+    for _ in range(WARP_RETRIES + 1):
         offsets = rng.gaussian_array(knots, 0.0, sigma * L / knots)
         xs = np.concatenate([[1.0], anchors, [float(L)]])
         ys = np.concatenate([[1.0], anchors + offsets, [float(L)]])
@@ -90,18 +91,18 @@ def _warp_grid(L: int, rng: Rng, knots: int, sigma: float, retries: int) -> np.n
         if np.all(np.diff(tau) > 0.0):
             return tau
     raise NumericError(f"time warp failed to produce a strictly monotone map "
-                       f"after {retries} retries")
+                       f"after {WARP_RETRIES} retries")
 
 
-def time_warp(X: np.ndarray, rng: Rng, knots: int = 4, sigma: float = 0.2,
-              retries: int = 10) -> np.ndarray:
+def time_warp(X: np.ndarray, rng: Rng, knots: int = 4,
+              sigma: float = 0.2) -> np.ndarray:
     """Resample each column at a smooth monotone warp of the time axis."""
     L = X.shape[0]
     if L < 2:
         raise DataError("time warp needs a window of at least 2 steps")
     if sigma == 0.0:
         return X.copy()
-    tau = _warp_grid(L, rng, knots, sigma, retries)
+    tau = _warp_grid(L, rng, knots, sigma)
     grid = np.arange(1.0, L + 1.0)
     out = np.empty_like(X)
     for f in range(X.shape[1]):
@@ -124,17 +125,14 @@ def magnitude_warp(X: np.ndarray, rng: Rng, knots: int = 4,
     return X * m[:, None]
 
 
-def augment_windows(X: np.ndarray, y: np.ndarray, seed: int, cfg: AugmentConfig,
-                    partition: str = "train") -> tuple[np.ndarray, np.ndarray]:
+def augment_windows(X: np.ndarray, y: np.ndarray, seed: int,
+                    cfg: AugmentConfig) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic 4x expansion of a window stack.
 
     Output order: all originals, then one jittered copy per sample, then one
     scaled copy, then one warped copy (time warp for even sample indices,
-    magnitude warp for odd).  Targets are repeated untouched.  Refuses any
-    partition other than train.
+    magnitude warp for odd).  Targets are repeated untouched.
     """
-    if partition != "train":
-        raise DataError(f"augmentation is train-only; got partition {partition!r}")
     if X.ndim != 3 or y.shape[0] != X.shape[0]:
         raise DataError("augment_windows expects X [n, L, F] and matching y")
     base = Rng(seed, "augment")
@@ -147,8 +145,7 @@ def augment_windows(X: np.ndarray, y: np.ndarray, seed: int, cfg: AugmentConfig,
                           cfg.scale_low, cfg.scale_high)
         if i % 2 == 0:
             warped[i] = time_warp(X[i], base.substream(f"timewarp/{i}"),
-                                  cfg.warp_knots, cfg.warp_sigma,
-                                  cfg.max_warp_retries)
+                                  cfg.warp_knots, cfg.warp_sigma)
         else:
             warped[i] = magnitude_warp(X[i], base.substream(f"magwarp/{i}"),
                                        cfg.warp_knots, cfg.warp_sigma)

@@ -4,8 +4,10 @@ Everything is JSON: UTF-8, sorted keys, floats written via Python's
 shortest-round-trip ``repr`` (what ``json`` emits for float64), so a
 save→load cycle reproduces every parameter bit for bit.  Parameter tensors
 are stored flattened in row-major order next to their shapes.  Loaders read
-integers and number arrays strictly (``_int``, ``_floats``): a fractional
-integer or a null or non-finite number makes the file malformed.
+integers, numbers and scalers strictly (``_int``, ``_floats``,
+``_read_scaler``): a fractional integer, a string, boolean, null or
+non-finite number, or a scaler divisor that is not positive makes the file
+malformed.
 
 No timing is stored: identical runs must write identical bytes.
 """
@@ -66,11 +68,31 @@ def _int(value) -> int:
 
 
 def _floats(values) -> np.ndarray:
-    """A JSON number list as float64; null and non-finite values are refused."""
+    """A JSON number list as float64; strings, booleans, null and non-finite
+    values are refused."""
+    if not set(map(type, values)) <= {float, int}:
+        raise ValueError("a number array holds a value that is not a number")
     arr = np.array(values, dtype=np.float64)
     if not np.isfinite(arr).all():
-        raise ValueError("a number array holds null or non-finite values")
+        raise ValueError("a number array holds non-finite values")
     return arr
+
+
+def _scaler_doc(scaler: ScalerParams) -> dict:
+    return {k: [float(m), float(d)] for k, (m, d) in sorted(scaler.columns.items())}
+
+
+def _read_scaler(doc: dict) -> ScalerParams:
+    """The (median, divisor) pairs ``_scaler_doc`` wrote; every median must be
+    finite and every divisor finite and positive."""
+    columns = {}
+    for name, pair in doc.items():
+        med, div = _floats(pair)
+        if not div > 0.0:
+            raise ValueError(f"the scaler divisor of {name!r} is {div!r}, "
+                             f"not positive")
+        columns[name] = (float(med), float(div))
+    return ScalerParams(columns)
 
 
 # -------------------------------------------------------------- checkpoint
@@ -123,8 +145,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "model_config": ckpt.model_config,
         "params": _encode_params(ckpt.params),
         "feature_names": list(ckpt.feature_names),
-        "scaler": {k: [float(m), float(d)]
-                   for k, (m, d) in sorted(ckpt.scaler.columns.items())},
+        "scaler": _scaler_doc(ckpt.scaler),
         "lookback": ckpt.lookback,
         "target": ckpt.target,
         "seed": ckpt.seed,
@@ -146,20 +167,19 @@ def load_checkpoint(path) -> Checkpoint:
             f"(expected {SCHEMA_VERSION})")
     kind = _check_kind(doc.get("model_kind"))
     try:
-        scaler = ScalerParams(columns={k: (float(v[0]), float(v[1]))
-                                       for k, v in doc["scaler"].items()})
         ts = doc.get("train_state", {})
+        best, epoch = ts.get("best_val_loss"), ts.get("epoch")
         return Checkpoint(
             model_kind=kind,
             model_config=doc["model_config"],
             params=_decode_params(doc["params"]),
             feature_names=list(doc["feature_names"]),
-            scaler=scaler,
+            scaler=_read_scaler(doc["scaler"]),
             lookback=_int(doc["lookback"]),
             target=doc["target"],
             seed=_int(doc["seed"]),
-            best_val_loss=ts.get("best_val_loss"),
-            best_epoch=ts.get("epoch"),
+            best_val_loss=None if best is None else float(_floats([best])[0]),
+            best_epoch=None if epoch is None else _int(epoch),
             extra=doc.get("extra", {}),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -185,8 +205,7 @@ def save_dataset(ds, path) -> None:
         "lookback": ds.lookback,
         "target": ds.target,
         "mode": ds.mode,
-        "scaler": {k: [float(m), float(d)]
-                   for k, (m, d) in sorted(ds.scaler.columns.items())},
+        "scaler": _scaler_doc(ds.scaler),
         "split": {"n_days": ds.split.n_days, "val": list(ds.split.val),
                   "train": list(ds.split.train), "test": list(ds.split.test)},
         "dates": [d.isoformat() for d in ds.dates],
@@ -229,8 +248,7 @@ def load_dataset(path):
         if len(dates) != split.n_days or len(target_raw) != split.n_days:
             raise CompatibilityError(f"{path}: malformed dataset (dates and "
                                      f"target_raw must hold {split.n_days} days)")
-        scaler = ScalerParams(columns={k: (float(v[0]), float(v[1]))
-                                       for k, v in doc["scaler"].items()})
+        scaler = _read_scaler(doc["scaler"])
         if doc["target"] not in scaler.columns:
             raise CompatibilityError(f"{path}: malformed dataset (the scaler "
                                      f"lacks the target {doc['target']!r})")

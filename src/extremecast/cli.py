@@ -32,7 +32,6 @@ from .diagnostics import (kmeans_regimes, occlusion_sensitivity,
                           partial_dependence, permutation_importance,
                           ranking_agreement, residual_diagnostics)
 from .errors import CompatibilityError, ConfigError, DataError, ExtremecastError
-from .metrics import TAIL_Q
 from .model import wrap_params
 from .pipeline import PreparedDataset, prepare
 from .training import (HISTORY_COLUMNS, MODELS, evaluate_checkpoint,
@@ -95,9 +94,9 @@ def _train_and_save(run_cfg: RunConfig, seed: int, ds: PreparedDataset,
     return ckpt, state, history_path
 
 
-def _write_report(ckpt, ds: PreparedDataset, partition: str, tail_q: float,
+def _write_report(ckpt, ds: PreparedDataset, partition: str,
                   report_path) -> dict:
-    report = evaluate_checkpoint(ckpt, ds, partition=partition, tail_q=tail_q)
+    report = evaluate_checkpoint(ckpt, ds, partition=partition)
     report["model_kind"] = ckpt.model_kind
     report["best_val_loss"] = ckpt.best_val_loss
     report["partition"] = partition
@@ -168,11 +167,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.data)
-    tail_q = TAIL_Q
-    if args.config:
-        run_cfg, _ = _load_config(args.config)
-        tail_q = run_cfg.eval.tail_q
-    report = _write_report(ckpt, ds, args.partition, tail_q, args.report)
+    report = _write_report(ckpt, ds, args.partition, args.report)
     _print_metrics(report)
     print(f"report -> {args.report}")
     print(f"residuals -> {_sibling(args.report, '_residuals.csv')}")
@@ -185,7 +180,7 @@ def cmd_baseline(args) -> int:
     ds = load_dataset(args.data)
     ckpt, state, history_path = _train_and_save(
         run_cfg, seed, ds, args.model, args.out)
-    report = _write_report(ckpt, ds, "test", run_cfg.eval.tail_q, args.report)
+    report = _write_report(ckpt, ds, "test", args.report)
     print(f"baseline {ckpt.model_kind}: seed {seed}, "
           f"{state.epoch} epochs ({state.stopped_reason})")
     _print_metrics(report)
@@ -398,8 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True, help="report JSON to write")
     p.add_argument("--partition", default="test",
                    choices=("train", "val", "test"))
-    p.add_argument("--config", default=None,
-                   help="optional run config (sets eval.tail_q)")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("baseline",

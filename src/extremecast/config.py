@@ -23,7 +23,6 @@ from .augment import AugmentConfig
 from .errors import ConfigError
 from .features import FeatureSpec
 from .losses import LossConfig
-from .metrics import TAIL_Q
 from .model import ModelConfig
 from .optim import OptimConfig
 from .training import TrainConfig
@@ -48,16 +47,6 @@ class DatasetConfig:
 
 
 @dataclass
-class EvalConfig:
-    tail_q: float = TAIL_Q
-
-    def validate(self) -> "EvalConfig":
-        if not 0.0 < self.tail_q <= 0.5:
-            raise ConfigError("eval.tail_q must be in (0, 0.5]")
-        return self
-
-
-@dataclass
 class RunConfig:
     seed: int = 0
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
@@ -65,13 +54,11 @@ class RunConfig:
     augment: AugmentConfig = field(default_factory=AugmentConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     training: TrainConfig = field(default_factory=TrainConfig)
-    eval: EvalConfig = field(default_factory=EvalConfig)
 
     def validate(self) -> "RunConfig":
         self.dataset.validate()
         self.model.validate()
         self.training.validate()
-        self.eval.validate()
         return self
 
 
@@ -104,15 +91,8 @@ def run_config_from_dict(doc: dict) -> RunConfig:
 
     seed = int(doc.get("seed", 0))
     dataset = DatasetConfig(**doc.get("dataset", {}))
-
-    feats = dict(doc.get("features", {}))
-    for key in ("enabled_groups", "rolling_windows"):
-        if key in feats:
-            feats[key] = tuple(feats[key])
-    features = FeatureSpec(**feats)
-
+    features = FeatureSpec(**doc.get("features", {}))
     augment = AugmentConfig(**doc.get("augment", {}))
-
     model = ModelConfig(**doc.get("model", {}))
 
     training_doc = dict(doc.get("training", {}))
@@ -122,8 +102,7 @@ def run_config_from_dict(doc: dict) -> RunConfig:
                            augment=augment, **training_doc)
 
     cfg = RunConfig(seed=seed, dataset=dataset, features=features,
-                    augment=augment, model=model, training=training,
-                    eval=EvalConfig(**doc.get("eval", {})))
+                    augment=augment, model=model, training=training)
     return cfg.validate()
 
 

@@ -6,10 +6,12 @@ method description says "key variables" are declared here once:
 * rolling stats, smoothing: tempmax, tempmin, temp, feelslike
 * first differences: the four above plus sealevelpressure
 
-Derived groups (FeatureSpec.enabled_groups): calendar, rolling, smoothing,
-anomaly, interaction, diff.  Raw numeric columns always stay in the candidate
-pool.  Feature modes: "full" keeps every group, "minimal" keeps only the four
-cyclical calendar encodings, "raw_only" keeps no derived features.
+Derived groups: calendar, rolling (trailing windows of ROLLING_WINDOWS
+days), smoothing (causal Savitzky-Golay, window 7, order 3), anomaly
+(climatology z-scores, flagged beyond |z| > ZSCORE_FLAG), interaction, diff.
+Raw numeric columns always stay in the candidate pool.  Feature modes:
+"full" builds every group, "minimal" only the four cyclical calendar
+encodings, "raw_only" no derived features.
 
 Selection ranks candidates by |Pearson r| between feature(t) and target(t+1)
 over train-partition rows, keeps the top k, breaks ties lexicographically,
@@ -27,19 +29,14 @@ from .errors import DataError
 
 KEY_SERIES = ("tempmax", "tempmin", "temp", "feelslike")
 DIFF_SERIES = KEY_SERIES + ("sealevelpressure",)
-ALL_GROUPS = ("calendar", "rolling", "smoothing", "anomaly", "interaction", "diff")
 CYCLICAL_CALENDAR = ("month_sin", "month_cos", "doy_sin", "doy_cos")
+ROLLING_WINDOWS = (7, 30)
+ZSCORE_FLAG = 2.0
 
 
 @dataclass
 class FeatureSpec:
-    enabled_groups: tuple = ALL_GROUPS
     mode: str = "full"               # full | minimal | raw_only
-    rolling_windows: tuple = (7, 30)
-    sg_window: int = 7
-    sg_poly: int = 3
-    zscore_flag_threshold: float = 2.0
-    climatology_std_floor: float = 1e-8
     top_k: int = 30
 
 
@@ -172,73 +169,58 @@ def build_features(table: TimeSeriesTable, split: SplitSpec,
     if spec.mode == "raw_only":
         return feats, groups
 
-    enabled = set(spec.enabled_groups)
-    if spec.mode == "minimal":
-        enabled = {"calendar"}
-
-    doy = day_of_year(table.dates)
-
-    if "calendar" in enabled:
-        dates = table.dates
-        month = np.array([d.month for d in dates], dtype=np.float64)
-        put("month_sin", np.sin(2 * np.pi * month / 12.0), "calendar")
-        put("month_cos", np.cos(2 * np.pi * month / 12.0), "calendar")
-        put("doy_sin", np.sin(2 * np.pi * doy / 365.25), "calendar")
-        put("doy_cos", np.cos(2 * np.pi * doy / 365.25), "calendar")
-        if spec.mode != "minimal":
-            put("year", [d.year for d in dates], "calendar")
-            put("month", month, "calendar")
-            put("day_of_year", doy, "calendar")
-            put("day_of_week", [d.weekday() for d in dates], "calendar")
-            put("quarter", [(d.month - 1) // 3 + 1 for d in dates], "calendar")
-            put("week_of_year", [d.isocalendar()[1] for d in dates], "calendar")
+    dates = table.dates
+    doy = day_of_year(dates)
+    month = np.array([d.month for d in dates], dtype=np.float64)
+    put("month_sin", np.sin(2 * np.pi * month / 12.0), "calendar")
+    put("month_cos", np.cos(2 * np.pi * month / 12.0), "calendar")
+    put("doy_sin", np.sin(2 * np.pi * doy / 365.25), "calendar")
+    put("doy_cos", np.cos(2 * np.pi * doy / 365.25), "calendar")
     if spec.mode == "minimal":
         return feats, groups
+    put("year", [d.year for d in dates], "calendar")
+    put("month", month, "calendar")
+    put("day_of_year", doy, "calendar")
+    put("day_of_week", [d.weekday() for d in dates], "calendar")
+    put("quarter", [(d.month - 1) // 3 + 1 for d in dates], "calendar")
+    put("week_of_year", [d.isocalendar()[1] for d in dates], "calendar")
 
-    if "rolling" in enabled:
-        for name in KEY_SERIES:
-            if name not in table.columns:
-                continue
-            for w in spec.rolling_windows:
-                for stat in ("mean", "min", "max", "std"):
-                    put(f"{name}_{w}d_{stat}",
-                        rolling_stat(table.columns[name], w, stat), "rolling")
-        if "tempmax" in table.columns and "tempmin" in table.columns:
-            rng_ = table.columns["tempmax"] - table.columns["tempmin"]
-            put("temp_range", rng_, "rolling")
-            for w in spec.rolling_windows:
-                put(f"temp_range_vol_{w}", rolling_stat(rng_, w, "std"), "rolling")
+    cols = table.columns
+    for name in KEY_SERIES:
+        if name not in cols:
+            continue
+        for w in ROLLING_WINDOWS:
+            for stat in ("mean", "min", "max", "std"):
+                put(f"{name}_{w}d_{stat}", rolling_stat(cols[name], w, stat),
+                    "rolling")
+    if "tempmax" in cols and "tempmin" in cols:
+        rng_ = cols["tempmax"] - cols["tempmin"]
+        put("temp_range", rng_, "rolling")
+        for w in ROLLING_WINDOWS:
+            put(f"temp_range_vol_{w}", rolling_stat(rng_, w, "std"), "rolling")
 
-    if "smoothing" in enabled:
-        for name in KEY_SERIES:
-            if name in table.columns:
-                put(f"{name}_smooth",
-                    savgol_causal(table.columns[name], spec.sg_window, spec.sg_poly),
-                    "smoothing")
+    for name in KEY_SERIES:
+        if name in cols:
+            put(f"{name}_smooth", savgol_causal(cols[name]), "smoothing")
 
-    if "anomaly" in enabled:
-        clim = fit_climatology(table, sorted(table.columns), split.slice_("train"),
-                               spec.climatology_std_floor)
-        for name in sorted(table.columns):
-            anom, z, flag = climatology_anomaly(
-                table.columns[name], doy, clim, name, spec.zscore_flag_threshold)
-            put(f"{name}_anom", anom, "anomaly")
-            put(f"{name}_zscore", z, "anomaly")
-            put(f"{name}_extreme_flag", flag, "anomaly")
+    clim = fit_climatology(table, sorted(cols), split.slice_("train"))
+    for name in sorted(cols):
+        anom, z, flag = climatology_anomaly(cols[name], doy, clim, name,
+                                            ZSCORE_FLAG)
+        put(f"{name}_anom", anom, "anomaly")
+        put(f"{name}_zscore", z, "anomaly")
+        put(f"{name}_extreme_flag", flag, "anomaly")
 
-    if "interaction" in enabled:
-        cols = table.columns
-        if "temp" in cols and "humidity" in cols:
-            put("heat_index_proxy", cols["temp"] + 0.1 * cols["humidity"], "interaction")
-        if "tempmax" in cols and "precip" in cols:
-            drought = cols["tempmax"] - 2.0 * cols["precip"]
-            put("drought_index", drought, "interaction")
-            put("drought_index_30d", rolling_stat(drought, 30, "mean"), "interaction")
+    if "temp" in cols and "humidity" in cols:
+        put("heat_index_proxy", cols["temp"] + 0.1 * cols["humidity"], "interaction")
+    if "tempmax" in cols and "precip" in cols:
+        drought = cols["tempmax"] - 2.0 * cols["precip"]
+        put("drought_index", drought, "interaction")
+        put("drought_index_30d", rolling_stat(drought, 30, "mean"), "interaction")
 
-    if "diff" in enabled:
-        for name in DIFF_SERIES:
-            if name in table.columns:
-                put(f"{name}_diff", first_diff(table.columns[name]), "diff")
+    for name in DIFF_SERIES:
+        if name in cols:
+            put(f"{name}_diff", first_diff(cols[name]), "diff")
 
     assert all(v.shape == (n,) for v in feats.values())
     return feats, groups

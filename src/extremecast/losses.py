@@ -26,13 +26,11 @@ from .tensor import Var
 
 @dataclass
 class LossConfig:
-    kind: str = "extreme"  # "extreme" or "huber"
     alpha_high: float = 2.0
     alpha_low: float = 2.0
     beta: float = 0.5
     q_hi: float = 0.95
     q_lo: float = 0.05
-    delta: float = 1.0  # huber transition point
 
 
 def extreme_weights(target: np.ndarray, cfg: LossConfig) -> np.ndarray:
@@ -56,23 +54,7 @@ def extreme_weather_loss(pred: Var, target: np.ndarray, cfg: LossConfig) -> tupl
     return loss, w
 
 
-def huber_loss(pred: Var, target: np.ndarray, delta: float = 1.0) -> Var:
-    """Mean Huber loss; quadratic inside |e| <= delta, linear outside."""
-    if delta <= 0:
-        raise ValueError("huber delta must be positive")
-    err = pred - Var(np.asarray(target, dtype=np.float64))
-    ae = T.absolute(err)
-    quad_mask = (ae.value <= delta).astype(np.float64)
-    quad = err * err * 0.5
-    lin = (ae - 0.5 * delta) * delta
-    return T.mean(Var(quad_mask) * quad + Var(1.0 - quad_mask) * lin)
-
-
 def compute_loss(pred: Var, target: np.ndarray, cfg: LossConfig) -> Var:
-    """Dispatch on cfg.kind; the per-sample weights are discarded."""
-    if cfg.kind == "extreme":
-        loss, _ = extreme_weather_loss(pred, target, cfg)
-        return loss
-    if cfg.kind == "huber":
-        return huber_loss(pred, target, cfg.delta)
-    raise ValueError(f"unknown loss kind {cfg.kind!r}")
+    """The extreme-weighted loss alone; the per-sample weights are discarded."""
+    loss, _ = extreme_weather_loss(pred, target, cfg)
+    return loss

@@ -75,20 +75,21 @@ def regression_metrics(y: np.ndarray, yhat: np.ndarray) -> MetricSet:
     return MetricSet(mse, rmse, mae, r2, ev, pr, mape, y.size, nulls)
 
 
-def tail_rmse(y: np.ndarray, yhat: np.ndarray, tail: str,
-              q: float = TAIL_Q) -> tuple[float | None, int, str | None]:
+def tail_rmse(y: np.ndarray, yhat: np.ndarray,
+              tail: str) -> tuple[float | None, int, str | None]:
     """(rmse, n, reason) over the strict 5% tail of the observations.
 
-    ``tail``: "high" keeps y > quantile(y, 1-q); "low" keeps y < quantile(y, q).
+    ``tail``: "high" keeps y > quantile(y, 1 - TAIL_Q); "low" keeps
+    y < quantile(y, TAIL_Q).
     An empty subset yields (None, 0, reason).
     """
     y = np.asarray(y, dtype=np.float64)
     yhat = np.asarray(yhat, dtype=np.float64)
     if tail == "high":
-        thr = float(np.quantile(y, 1.0 - q))
+        thr = float(np.quantile(y, 1.0 - TAIL_Q))
         mask = y > thr
     elif tail == "low":
-        thr = float(np.quantile(y, q))
+        thr = float(np.quantile(y, TAIL_Q))
         mask = y < thr
     else:
         raise ValueError(f"tail must be 'high' or 'low', got {tail!r}")
@@ -99,13 +100,12 @@ def tail_rmse(y: np.ndarray, yhat: np.ndarray, tail: str,
     return float(np.sqrt(np.mean(e * e))), n, None
 
 
-def evaluation_report(y: np.ndarray, yhat: np.ndarray, dates=None,
-                      tail_q: float = TAIL_Q) -> dict:
+def evaluation_report(y: np.ndarray, yhat: np.ndarray, dates=None) -> dict:
     """Full report dict (JSON-ready): overall metrics, both tails, residual
     rows (date, y, yhat, e)."""
     m = regression_metrics(y, yhat)
-    hi, n_hi, hi_reason = tail_rmse(y, yhat, "high", tail_q)
-    lo, n_lo, lo_reason = tail_rmse(y, yhat, "low", tail_q)
+    hi, n_hi, hi_reason = tail_rmse(y, yhat, "high")
+    lo, n_lo, lo_reason = tail_rmse(y, yhat, "low")
     if dates is None:
         date_strs = [""] * y.shape[0]
     else:
@@ -122,7 +122,7 @@ def evaluation_report(y: np.ndarray, yhat: np.ndarray, dates=None,
         "n_test": int(y.shape[0]),
         "n_high": n_hi,
         "n_low": n_lo,
-        "tail_q": tail_q,
+        "tail_q": TAIL_Q,
         "residuals": residuals,
     }
     reasons = {}

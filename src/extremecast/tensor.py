@@ -260,12 +260,6 @@ def sqrt(a) -> Var:
     return _record(sv, (a,), lambda g: (g * 0.5 / sv,))
 
 
-def absolute(a) -> Var:
-    a = as_var(a)
-    av = a.value
-    return _record(np.abs(av), (a,), lambda g: (g * np.sign(av),))
-
-
 def tanh(a) -> Var:
     a = as_var(a)
     tv = np.tanh(a.value)

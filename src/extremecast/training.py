@@ -9,7 +9,8 @@ Training stops after ``patience`` epochs without strict validation
 improvement (or at ``max_epochs``) and returns the best epoch's parameters.
 
 ``learning_curve`` retrains on the chronologically latest fraction of the
-training partition — the windows nearest the evaluation boundary — and
+training windows — those nearest the evaluation boundary — by handing
+``train`` a dataset whose training partition holds only them, and
 ``feature_ablation`` rebuilds the dataset per feature mode with identical
 seeds.
 """
@@ -28,7 +29,7 @@ from .baselines import (NBeatsConfig, NBeatsModel, PersistenceModel,
 from .checkpoint import Checkpoint, check_feature_compatibility
 from .errors import CompatibilityError, ConfigError, DataError, NumericError
 from .losses import LossConfig, compute_loss
-from .metrics import TAIL_Q, evaluation_report
+from .metrics import evaluation_report
 from .model import DualStreamModel, ModelConfig, predict, wrap_params
 from .optim import (AdamWState, OptimConfig, adamw_step, clip_global_norm,
                     cosine_warm_restart_lr)
@@ -68,7 +69,6 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
     optim: OptimConfig = field(default_factory=OptimConfig)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
-    train_fraction: float = 1.0
 
     def validate(self) -> "TrainConfig":
         if self.batch_size < 2:
@@ -77,8 +77,6 @@ class TrainConfig:
             raise ConfigError("training.patience must be >= 1")
         if self.max_epochs < 1:
             raise ConfigError("training.max_epochs must be >= 1")
-        if not 0.0 < self.train_fraction <= 1.0:
-            raise ConfigError("training.train_fraction must be in (0, 1]")
         if self.augment.scale_low > self.augment.scale_high:
             raise ConfigError(
                 f"augment.scale_low ({self.augment.scale_low}) must not "
@@ -161,9 +159,6 @@ def _batch_spans(n: int, batch_size: int) -> list:
 def _training_arrays(dataset: PreparedDataset, cfg: TrainConfig):
     part = dataset.part("train")
     X, y = part.X, part.y
-    if cfg.train_fraction < 1.0:
-        n_keep = int(round(part.n_samples * cfg.train_fraction))
-        X, y = X[part.n_samples - n_keep:], y[part.n_samples - n_keep:]
     if cfg.augment.enabled:
         X, y = augment_windows(X, y, cfg.seed, cfg.augment)
     return X, y
@@ -268,23 +263,22 @@ def train(dataset: PreparedDataset, model_cfg, train_cfg: TrainConfig):
 
 
 def evaluate_model(model, params, dataset: PreparedDataset,
-                   partition: str = "test", tail_q: float = TAIL_Q) -> dict:
+                   partition: str = "test") -> dict:
     """Raw-unit evaluation report for one partition."""
     part = dataset.part(partition)
     yhat = dataset.invert_target(predict(model, params, part.X))
     y = dataset.target_raw[part.target_rows]
     dates = [dataset.dates[r] for r in part.target_rows]
-    return evaluation_report(y, yhat, dates=dates, tail_q=tail_q)
+    return evaluation_report(y, yhat, dates=dates)
 
 
 def evaluate_checkpoint(ckpt: Checkpoint, dataset: PreparedDataset,
-                        partition: str = "test", tail_q: float = TAIL_Q) -> dict:
+                        partition: str = "test") -> dict:
     return evaluate_model(rebuild_model(ckpt, dataset), ckpt.params, dataset,
-                          partition, tail_q)
+                          partition)
 
 
-def _effective_batches(n_train: int, cfg: TrainConfig, fraction: float) -> int:
-    n = int(round(n_train * fraction))
+def _effective_batches(n: int, cfg: TrainConfig) -> int:
     if cfg.augment.enabled:
         n *= 4
     return len(_batch_spans(n, cfg.batch_size))
@@ -301,21 +295,26 @@ def learning_curve(dataset: PreparedDataset, model_cfg, train_cfg: TrainConfig,
     """Retrain on trailing fractions of the training windows; rows of
     (fraction, n_train, test metrics)."""
     cfg = train_cfg.validate()
-    n_train = dataset.part("train").n_samples
+    part = dataset.part("train")
     rows = []
     for fraction in fractions:
         if not 0.0 < fraction <= 1.0:
             raise ConfigError("learning-curve fractions must be in (0, 1]")
-        if _effective_batches(n_train, cfg, fraction) < 2:
+        n_keep = int(round(part.n_samples * fraction))
+        if _effective_batches(n_keep, cfg) < 2:
             warnings.warn(
                 f"fraction {fraction} yields fewer than 2 batches; skipped",
                 stacklevel=2)
             continue
-        run_cfg = replace(cfg, train_fraction=fraction)
-        ckpt, state = train(dataset, model_cfg, run_cfg)
+        keep = slice(part.n_samples - n_keep, None)
+        trailing = replace(part, X=part.X[keep], y=part.y[keep],
+                           target_rows=part.target_rows[keep])
+        ckpt, state = train(replace(dataset,
+                                    parts={**dataset.parts, "train": trailing}),
+                            model_cfg, cfg)
         report = evaluate_checkpoint(ckpt, dataset)
         row = {"fraction": fraction,
-               "n_train": int(round(n_train * fraction)),
+               "n_train": n_keep,
                "best_epoch": state.best_epoch,
                "best_val_loss": state.best_val_loss}
         row.update(report["metrics"])

@@ -48,7 +48,7 @@ from extremecast.training import (PersistenceConfig, TrainConfig, build_model,
 SKILL_SEEDS = (0, 1, 2, 3, 4)
 SKILL_LOOKBACK = 7
 
-MSE_ABLATION = LossConfig(kind="extreme", alpha_high=1.0, alpha_low=1.0,
+MSE_ABLATION = LossConfig(alpha_high=1.0, alpha_low=1.0,
                           beta=1.0)  # equal weights reduce to plain MSE
 
 
@@ -83,7 +83,7 @@ def synthetic_runs():
         pers, _ = build_model(PersistenceConfig(), ds)
         pers_rmse = evaluate_model(pers, {}, ds)["metrics"]["rmse"]
         entry = {"pers_rmse": pers_rmse}
-        for arm, loss in (("extreme", LossConfig(kind="extreme")),
+        for arm, loss in (("extreme", LossConfig()),
                           ("mse", MSE_ABLATION)):
             t0 = time.time()
             ckpt, _ = train(ds, skill_model_cfg(ds.n_features),
@@ -108,7 +108,7 @@ def tiny_dual_cfg() -> ModelConfig:
 def _grad_check_model(model, params, X, targets, budget_s=60.0):
     def f(wrapped):
         pred, _ = model.forward(wrapped, X, train=False)
-        return compute_loss(pred, targets, LossConfig(kind="extreme"))
+        return compute_loss(pred, targets, LossConfig())
 
     t0 = time.time()
     # floor=1e-6: with a loss of magnitude O(1) the central difference at
@@ -346,7 +346,6 @@ def _full_cli_run(root: Path, tag: str) -> dict:
                   "n_states": 3, "n_heads": 2, "stream_dim": 8,
                   "dropout": 0.2, "n_layers": 1},
         "training": {"batch_size": 32, "max_epochs": 4, "patience": 5},
-        "eval": {"tail_q": 0.05},
     }
     cfg_path = out / "config.json"
     cfg_path.write_text(json.dumps(config))
@@ -437,7 +436,7 @@ def test_criterion_11_diagnostics_sanity():
                       lstm_hidden=8, gru_hidden=8, n_states=4, n_heads=2,
                       stream_dim=16, dropout=0.0, n_layers=1)
     tcfg = TrainConfig(batch_size=32, max_epochs=25, patience=25, seed=3,
-                       loss=LossConfig(kind="huber"),
+                       loss=LossConfig(),
                        augment=AugmentConfig(enabled=False))
     ckpt, _ = train(ds, cfg, tcfg)
     model, _ = build_model(cfg, ds)

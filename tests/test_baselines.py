@@ -24,7 +24,7 @@ from extremecast.baselines import (
 )
 from extremecast.errors import ConfigError, DataError
 from extremecast.gradcheck import grad_check
-from extremecast.losses import huber_loss
+from extremecast.losses import LossConfig, compute_loss
 from extremecast.rng import Rng
 from extremecast.tensor import Var
 
@@ -202,7 +202,7 @@ def test_tcn_gradients_fd():
 
     def loss_fn(work):
         pred, _ = model.forward(work, X)
-        return huber_loss(pred, target)
+        return compute_loss(pred, target, LossConfig())
 
     report = grad_check(loss_fn, raw)
     assert report.passed(1e-4), report.worst_param
@@ -289,7 +289,7 @@ def test_nbeats_gradients_fd():
 
     def loss_fn(work):
         pred, _ = model.forward(work, X)
-        return huber_loss(pred, target)
+        return compute_loss(pred, target, LossConfig())
 
     report = grad_check(loss_fn, raw)
     assert report.passed(1e-4), report.worst_param

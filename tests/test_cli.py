@@ -23,7 +23,6 @@ CONFIG = {
               "n_states": 3, "n_heads": 2, "stream_dim": 8,
               "dropout": 0.0, "n_layers": 1},
     "training": {"batch_size": 32, "max_epochs": 3, "patience": 5},
-    "eval": {"tail_q": 0.05},
 }
 
 
@@ -105,21 +104,6 @@ def test_evaluate_report_schema_and_residuals(work):
                  "--data", str(work / "data.json"),
                  "--report", str(again)]) == 0
     assert again.read_bytes() == report_path.read_bytes()
-
-
-def test_evaluate_config_sets_tail_q(work, tmp_path):
-    doc = json.loads((work / "config.json").read_text())
-    doc["eval"]["tail_q"] = 0.1
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(doc))
-    n_high = []
-    for extra in ([], ["--config", str(config)]):
-        report = tmp_path / "report.json"
-        assert main(["evaluate", "--checkpoint", str(work / "ckpt.json"),
-                     "--data", str(work / "data.json"),
-                     "--report", str(report), *extra]) == 0
-        n_high.append(json.loads(report.read_text())["n_high"])
-    assert n_high[1] > n_high[0]
 
 
 @pytest.mark.parametrize("kind", MODELS)
@@ -361,6 +345,15 @@ TAMPERINGS = {
     "fractional_seed": lambda doc: doc.update(seed=7.9),
     "null_param_cell": lambda doc: doc["params"]["head.W"]["data"].__setitem__(
         0, None),
+    "string_param_cell":
+        lambda doc: doc["params"]["head.W"]["data"].__setitem__(0, "0.5"),
+    "bool_param_cell":
+        lambda doc: doc["params"]["head.W"]["data"].__setitem__(0, True),
+    "zero_target_scale":
+        lambda doc: doc["scaler"].__setitem__(doc["target"], [1.0, 0.0]),
+    "string_epoch": lambda doc: doc["train_state"].update(epoch="x"),
+    "string_best_val_loss":
+        lambda doc: doc["train_state"].update(best_val_loss="abc"),
 }
 
 
@@ -439,6 +432,13 @@ DATASET_TAMPERINGS = {
         lambda doc: doc["target_scaled"].__setitem__(-1, None),
     "null_test_target_raw": lambda doc: doc["target_raw"].__setitem__(-1, None),
     "scaler_lacks_target": lambda doc: doc["scaler"].pop(doc["target"]),
+    "string_test_feature_cell":
+        lambda doc: doc["feature_matrix"].__setitem__(-1, "0.123"),
+    "bool_test_target_raw": lambda doc: doc["target_raw"].__setitem__(-1, True),
+    "zero_target_scale":
+        lambda doc: doc["scaler"].__setitem__(doc["target"], [1.0, 0.0]),
+    "negative_target_scale":
+        lambda doc: doc["scaler"].__setitem__(doc["target"], [1.0, -2.0]),
 }
 
 

@@ -3,14 +3,15 @@ rejection, seed/augment threading, and README's example document."""
 
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
 
 from extremecast.augment import AugmentConfig
 from extremecast.config import (DatasetConfig, RunConfig, load_run_config,
-                                run_config_from_dict, validate_report_dict)
+                                load_schema, run_config_from_dict,
+                                validate_report_dict)
 from extremecast.errors import ConfigError
 from extremecast.features import FeatureSpec
 from extremecast.metrics import evaluation_report
@@ -24,7 +25,6 @@ def test_empty_document_yields_defaults():
     assert cfg == RunConfig().validate()
     assert cfg.training.batch_size == 64
     assert cfg.model.n_states == 9
-    assert cfg.eval.tail_q == 0.05
 
 
 def test_negative_lookback_names_dotted_path():
@@ -39,12 +39,60 @@ def test_unknown_keys_rejected_with_location():
         run_config_from_dict({"dataset": {"extra_knob": 1}})
     with pytest.raises(ConfigError, match="training.*momentum"):
         run_config_from_dict({"training": {"optim": {"momentum": 0.9}}})
-    # the dataset alone sets these
+    # the dataset alone sets the first three; the rest are fixed by the recipe
     for section, key, value in (("model", "lookback", 21),
                                 ("model", "n_features", 99),
-                                ("training", "feature_mode", "raw_only")):
+                                ("training", "feature_mode", "raw_only"),
+                                ("features", "enabled_groups", ["calendar"]),
+                                ("features", "rolling_windows", [7, 30]),
+                                ("features", "sg_window", 7),
+                                ("features", "sg_poly", 3),
+                                ("features", "zscore_flag_threshold", 2.0),
+                                ("features", "climatology_std_floor", 1e-8),
+                                ("augment", "max_warp_retries", 10),
+                                ("training", "train_fraction", 1.0)):
         with pytest.raises(ConfigError, match=f"{section}.*{key}"):
             run_config_from_dict({section: {key: value}})
+    with pytest.raises(ConfigError, match="<root>.*'eval'"):
+        run_config_from_dict({"eval": {"tail_q": 0.05}})
+    for key, value in (("kind", "extreme"), ("delta", 1.0)):
+        with pytest.raises(ConfigError, match=f"training.loss.*{key}"):
+            run_config_from_dict({"training": {"loss": {key: value}}})
+
+
+def _schema_leaves(node, path=()):
+    props = node.get("properties")
+    if props is None:
+        return {".".join(path)}
+    return set().union(*(_schema_leaves(v, path + (k,)) for k, v in props.items()))
+
+
+def _settable_fields(obj, path=()):
+    out = set()
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            out |= _settable_fields(value, path + (f.name,))
+        else:
+            out.add(".".join(path + (f.name,)))
+    return out
+
+
+def test_schema_leaves_are_the_dataclass_fields():
+    # a key in the schema but not in its dataclass would pass validation and
+    # then fail in the constructor; one in the dataclass alone is unreachable
+    leaves = _schema_leaves(load_schema("run_config.schema.json"))
+    cfg = RunConfig()
+    settable = {"seed"} | {
+        f"{section}.{name}"
+        for section in ("dataset", "features", "augment", "model")
+        for name in _settable_fields(getattr(cfg, section))}
+    # the training section threads the top-level seed and augment in
+    settable |= {f"training.{name}" for name in _settable_fields(cfg.training)
+                 if name != "seed" and not name.startswith("augment.")}
+    settable -= {"model.n_features", "model.lookback"}
+    assert leaves == settable
+    assert len(leaves) == 40
 
 
 def test_enum_and_range_violations_name_paths():
@@ -52,8 +100,8 @@ def test_enum_and_range_violations_name_paths():
         run_config_from_dict({"features": {"mode": "everything"}})
     with pytest.raises(ConfigError, match=r"model\.dropout"):
         run_config_from_dict({"model": {"dropout": 1.5}})
-    with pytest.raises(ConfigError, match=r"eval\.tail_q"):
-        run_config_from_dict({"eval": {"tail_q": 0.9}})
+    with pytest.raises(ConfigError, match=r"training\.loss\.q_hi"):
+        run_config_from_dict({"training": {"loss": {"q_hi": 1.5}}})
     with pytest.raises(ConfigError, match=r"training\.batch_size"):
         run_config_from_dict({"training": {"batch_size": 1}})
 
@@ -86,10 +134,10 @@ def test_seed_and_augment_are_threaded_into_training():
 
 def test_nested_loss_and_optim_sections():
     cfg = run_config_from_dict({
-        "training": {"loss": {"kind": "huber", "delta": 2.0},
+        "training": {"loss": {"alpha_high": 3.0, "q_lo": 0.1},
                      "optim": {"lr_max": 0.01, "t0": 5}}})
-    assert cfg.training.loss.kind == "huber"
-    assert cfg.training.loss.delta == 2.0
+    assert cfg.training.loss.alpha_high == 3.0
+    assert cfg.training.loss.q_lo == 0.1
     assert cfg.training.optim.lr_max == 0.01
     assert cfg.training.optim.t0 == 5
 

@@ -8,8 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from extremecast.metrics import (evaluation_report, regression_metrics,
-                                 tail_rmse)
+from extremecast.metrics import (TAIL_Q, evaluation_report,
+                                 regression_metrics, tail_rmse)
 
 
 def brute_force_metrics(y, yhat):
@@ -133,15 +133,15 @@ def test_tail_rmse_strictness_and_empty():
 
 
 def test_tail_partition_reconstitutes_mse():
-    # q=0.5 tails plus the middle slice partition the samples; the
+    # the two strict tails plus the middle slice partition the samples; the
     # count-weighted average of their MSEs is the overall MSE
     rng = np.random.default_rng(11)
     y = rng.normal(size=101)
     yhat = y + rng.normal(0, 1, 101)
-    hi, n_hi, _ = tail_rmse(y, yhat, "high", q=0.5)
-    lo, n_lo, _ = tail_rmse(y, yhat, "low", q=0.5)
-    med = np.quantile(y, 0.5)
-    mid_mask = (y >= med) & (y <= med)  # strict tails leave only ties
+    hi, n_hi, _ = tail_rmse(y, yhat, "high")
+    lo, n_lo, _ = tail_rmse(y, yhat, "low")
+    mid_mask = ((y >= np.quantile(y, TAIL_Q))
+                & (y <= np.quantile(y, 1.0 - TAIL_Q)))
     mid = yhat[mid_mask] - y[mid_mask]
     total = hi ** 2 * n_hi + lo ** 2 * n_lo + float(np.sum(mid * mid))
     assert n_hi + n_lo + mid_mask.sum() == 101

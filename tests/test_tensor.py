@@ -71,7 +71,7 @@ def test_elementwise_gradients_fd():
     def f(p):
         v = p["x"]
         out = T.sqrt(v) + T.tanh(v) + T.sigmoid(v)
-        out = out + T.gelu(v) + T.absolute(v - 2.0)
+        out = out + T.gelu(v)
         return T.mean(out * out)
 
     fd_ok(f, {"x": x})

@@ -3,7 +3,6 @@ best-checkpoint restoration, and the sweep helpers."""
 
 import math
 from dataclasses import asdict, replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -57,10 +56,6 @@ def test_train_config_validation():
         TrainConfig(patience=0).validate()
     with pytest.raises(ConfigError):
         TrainConfig(max_epochs=0).validate()
-    with pytest.raises(ConfigError):
-        TrainConfig(train_fraction=0.0).validate()
-    with pytest.raises(ConfigError):
-        TrainConfig(train_fraction=1.5).validate()
 
 
 def test_batch_spans_drop_singleton_tail():
@@ -71,14 +66,28 @@ def test_batch_spans_drop_singleton_tail():
     assert _batch_spans(0, 64) == []
 
 
-def test_training_arrays_take_latest_fraction():
-    X = np.arange(10, dtype=np.float64)[:, None, None] * np.ones((10, 3, 2))
-    y = np.arange(10, dtype=np.float64)
-    part = SimpleNamespace(X=X, y=y, n_samples=10)
-    ds = SimpleNamespace(part=lambda name: part)
-    Xf, yf = _training_arrays(ds, quick_cfg(train_fraction=0.3))
-    np.testing.assert_array_equal(yf, [7.0, 8.0, 9.0])
-    assert Xf[0, 0, 0] == 7.0
+def test_training_arrays_take_latest_fraction(dataset, monkeypatch):
+    # each learning-curve run trains on the trailing windows of the partition
+    seen = []
+    real_train = training.train
+
+    def spy(ds, model_cfg, cfg):
+        seen.append(ds)
+        return real_train(ds, model_cfg, cfg)
+
+    monkeypatch.setattr(training, "train", spy)
+    rows = learning_curve(dataset, PersistenceConfig(), quick_cfg(),
+                          fractions=(0.3, 1.0))
+    full = dataset.part("train")
+    n_keep = int(round(full.n_samples * 0.3))
+    assert [r["n_train"] for r in rows] == [n_keep, full.n_samples]
+    for ds, n in zip(seen, (n_keep, full.n_samples)):
+        X, y = _training_arrays(ds, quick_cfg())
+        np.testing.assert_array_equal(X, full.X[-n:])
+        np.testing.assert_array_equal(y, full.y[-n:])
+        np.testing.assert_array_equal(ds.part("train").target_rows,
+                                      full.target_rows[-n:])
+        assert ds.part("test") is dataset.part("test")
 
 
 def test_training_arrays_augment_quadruples(dataset):

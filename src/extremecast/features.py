@@ -21,8 +21,10 @@ and forces zero-variance features to rank last (r treated as 0).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import SplitSpec, TimeSeriesTable
 from .errors import DataError
@@ -32,6 +34,9 @@ DIFF_SERIES = KEY_SERIES + ("sealevelpressure",)
 CYCLICAL_CALENDAR = ("month_sin", "month_cos", "doy_sin", "doy_cos")
 ROLLING_WINDOWS = (7, 30)
 ZSCORE_FLAG = 2.0
+CLIMATOLOGY_STD_FLOOR = 1e-8
+_ROLLING = {"mean": np.mean, "min": np.min, "max": np.max,
+            "std": partial(np.std, ddof=1)}
 
 
 @dataclass
@@ -43,22 +48,24 @@ class FeatureSpec:
 def rolling_stat(x: np.ndarray, window: int, stat: str) -> np.ndarray:
     """Trailing statistic over the last `window` days, partial at the start.
 
-    std uses ddof=1; a single-point window yields std 0.
+    std uses ddof=1; a single-point window yields std 0.  Each full window
+    is reduced as one row of a sliding-window view along its last axis,
+    which runs the same inner loop as the call on the 1-D slice, so the
+    bits equal a per-day loop's.
     """
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    if stat not in _ROLLING:
+        raise ValueError(f"unknown rolling stat {stat!r}")
+    reduce = _ROLLING[stat]
     n = x.shape[0]
-    out = np.empty(n)
-    for i in range(n):
-        seg = x[max(0, i - window + 1):i + 1]
-        if stat == "mean":
-            out[i] = seg.mean()
-        elif stat == "min":
-            out[i] = seg.min()
-        elif stat == "max":
-            out[i] = seg.max()
-        elif stat == "std":
-            out[i] = seg.std(ddof=1) if seg.size > 1 else 0.0
-        else:
-            raise ValueError(f"unknown rolling stat {stat!r}")
+    out = np.zeros(n)
+    # a one-point std is left at 0 rather than computed with ddof=1
+    lo = 1 if stat == "std" else 0
+    for i in range(lo, min(window - 1, n)):
+        out[i] = reduce(x[:i + 1])
+    if n >= window > lo:
+        out[window - 1:] = reduce(sliding_window_view(x, window), axis=-1)
     return out
 
 
@@ -84,6 +91,8 @@ def savgol_causal(x: np.ndarray, window: int = 7, poly: int = 3) -> np.ndarray:
     if window < 1 or poly < 0:
         raise ValueError("window must be >= 1 and poly >= 0")
     n = x.shape[0]
+    # sliding_window_view(x, window) @ coeffs, contiguous or not, moved bits
+    # on nearly all of 500 random series, so the per-day dot products stay
     coeffs = {m: _sg_coeffs(m, min(poly, m - 1)) for m in range(1, min(window, n) + 1)}
     out = np.empty(n)
     for i in range(n):
@@ -103,34 +112,38 @@ def day_of_year(dates) -> np.ndarray:
     return np.array([d.timetuple().tm_yday for d in dates], dtype=np.int64)
 
 
-def fit_climatology(table: TimeSeriesTable, columns, train_slice: slice,
-                    std_floor: float = 1e-8) -> Climatology:
+def fit_climatology(table: TimeSeriesTable, columns,
+                    train_slice: slice) -> Climatology:
+    """Statistics per column and day of year; std floored at
+    CLIMATOLOGY_STD_FLOOR.  Day 366 borrows day 365 when only 365 is
+    observed; any other unobserved day takes the global train statistics.
+
+    Train rows are stably sorted by day of year, and the days with c rows
+    are reduced together as one C-contiguous [columns, days, c] stack along
+    its last axis, which gives the bits of reducing each day's rows alone.
+    """
     doy = day_of_year(table.dates)[train_slice]
-    mean, std = {}, {}
-    for name in columns:
-        col = table.columns[name][train_slice]
-        m = np.zeros(367)
-        s = np.zeros(367)
-        obs = np.zeros(367, dtype=bool)
-        glob_m = float(col.mean())
-        glob_s = max(float(col.std()), std_floor)
-        for d in range(1, 367):
-            vals = col[doy == d]
-            if vals.size:
-                m[d] = vals.mean()
-                s[d] = max(float(vals.std()), std_floor)
-                obs[d] = True
-        # day 366 borrows day 365; any other unobserved day falls back to
-        # the global train statistics
-        for d in range(1, 367):
-            if obs[d]:
-                continue
-            if d == 366 and obs[365]:
-                m[d], s[d] = m[365], s[365]
-            else:
-                m[d], s[d] = glob_m, glob_s
-        mean[name], std[name] = m, s
-    return Climatology(mean, std)
+    cols = np.stack([table.columns[name][train_slice] for name in columns])
+    glob_m = cols.mean(axis=-1)
+    glob_s = np.maximum(cols.std(axis=-1), CLIMATOLOGY_STD_FLOOR)
+    order = np.argsort(doy, kind="stable")
+    days, starts, counts = np.unique(doy[order], return_index=True,
+                                     return_counts=True)
+    by_day = cols[:, order]
+    m = np.zeros((len(columns), 367))
+    s = np.zeros((len(columns), 367))
+    m[:, 1:] = glob_m[:, None]
+    s[:, 1:] = glob_s[:, None]
+    for c in np.unique(counts):
+        group = counts == c
+        stack = np.ascontiguousarray(
+            by_day[:, starts[group][:, None] + np.arange(c)])
+        m[:, days[group]] = stack.mean(axis=-1)
+        s[:, days[group]] = np.maximum(stack.std(axis=-1),
+                                       CLIMATOLOGY_STD_FLOOR)
+    if 365 in days and 366 not in days:
+        m[:, 366], s[:, 366] = m[:, 365], s[:, 365]
+    return Climatology(dict(zip(columns, m)), dict(zip(columns, s)))
 
 
 def climatology_anomaly(x: np.ndarray, doy: np.ndarray, clim: Climatology,

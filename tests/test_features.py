@@ -1,23 +1,32 @@
 """Feature engineering tests: frozen small fixtures, polynomial-exactness of
 the causal smoother, train-only climatology, causality under future edits,
-and selection ranking rules."""
+and selection ranking rules.  The vectorised rolling statistics and
+climatology are checked bit for bit against the per-day loops kept here as
+references."""
 
 import datetime as dt
+import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from extremecast import features
 from extremecast.data import TimeSeriesTable, chronological_split
 from extremecast.errors import DataError
-from extremecast.features import (CYCLICAL_CALENDAR, FeatureSpec,
-                                  build_features, climatology_anomaly,
-                                  day_of_year, first_diff, fit_climatology,
-                                  pearson, rolling_stat, savgol_causal,
+from extremecast.features import (CLIMATOLOGY_STD_FLOOR, CYCLICAL_CALENDAR,
+                                  Climatology, FeatureSpec, build_features,
+                                  climatology_anomaly, day_of_year,
+                                  first_diff, fit_climatology, pearson,
+                                  rolling_stat, savgol_causal,
                                   select_features)
 from extremecast.synthetic import sinusoid_ar_table
 
 SQ2 = np.sqrt(2.0)
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
+                    database=None)
 
 
 def mk_table(cols, start=dt.date(2019, 1, 1)):
@@ -25,6 +34,63 @@ def mk_table(cols, start=dt.date(2019, 1, 1)):
     dates = [start + dt.timedelta(days=i) for i in range(n)]
     np_cols = {k: np.asarray(v, dtype=np.float64) for k, v in cols.items()}
     return TimeSeriesTable(dates, np_cols)
+
+
+def gappy(table, seed, frac):
+    """The table with about `frac` of its days dropped at random."""
+    keep = np.random.default_rng(seed).random(table.n_days) >= frac
+    dates = [d for d, k in zip(table.dates, keep) if k]
+    return TimeSeriesTable(dates, {k: v[keep] for k, v in table.columns.items()})
+
+
+def rolling_loop(x, window, stat):
+    """Reference: one numpy call per day on the trailing slice."""
+    n = x.shape[0]
+    out = np.empty(n)
+    for i in range(n):
+        seg = x[max(0, i - window + 1):i + 1]
+        if stat == "mean":
+            out[i] = seg.mean()
+        elif stat == "min":
+            out[i] = seg.min()
+        elif stat == "max":
+            out[i] = seg.max()
+        else:
+            out[i] = seg.std(ddof=1) if seg.size > 1 else 0.0
+    return out
+
+
+def climatology_loop(table, columns, train_slice):
+    """Reference: one boolean mask and two reductions per column and day."""
+    doy = day_of_year(table.dates)[train_slice]
+    mean, std = {}, {}
+    for name in columns:
+        col = table.columns[name][train_slice]
+        m = np.zeros(367)
+        s = np.zeros(367)
+        obs = np.zeros(367, dtype=bool)
+        glob_m = float(col.mean())
+        glob_s = max(float(col.std()), CLIMATOLOGY_STD_FLOOR)
+        for d in range(1, 367):
+            vals = col[doy == d]
+            if vals.size:
+                m[d] = vals.mean()
+                s[d] = max(float(vals.std()), CLIMATOLOGY_STD_FLOOR)
+                obs[d] = True
+        for d in range(1, 367):
+            if obs[d]:
+                continue
+            if d == 366 and obs[365]:
+                m[d], s[d] = m[365], s[365]
+            else:
+                m[d], s[d] = glob_m, glob_s
+        mean[name], std[name] = m, s
+    return Climatology(mean, std)
+
+
+def assert_same_bits(got, want, msg=""):
+    assert got.dtype == want.dtype and got.shape == want.shape, msg
+    assert got.tobytes() == want.tobytes(), msg
 
 
 # ----------------------------------------------------------------- rolling
@@ -49,6 +115,49 @@ def test_rolling_is_trailing_only():
     x2 = x.copy()
     x2[10:] = -99.0
     npt.assert_array_equal(r1[:10], rolling_stat(x2, 5, "mean")[:10])
+
+
+# 8 and 9 straddle numpy's 8-wide unrolled sum, 128 and 129 its pairwise block
+ROLLING_WINDOWS_TESTED = (1, 2, 7, 8, 9, 30, 128, 129)
+
+
+@st.composite
+def rolling_cases(draw):
+    """A window, a length below, at or above it, and a series with a seeded
+    scale and offset and a few NaN cells."""
+    window = draw(st.sampled_from(ROLLING_WINDOWS_TESTED))
+    n = max(0, window + draw(st.integers(-window, 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = (rng.normal(size=n) * 10.0 ** draw(st.integers(-3, 4))
+         + draw(st.floats(-1e3, 1e3)))
+    if n:
+        x[draw(st.lists(st.integers(0, n - 1), max_size=3))] = np.nan
+    return x, window
+
+
+@SETTINGS
+@given(rolling_cases())
+def test_rolling_stat_matches_per_day_loop_bitwise(case):
+    x, window = case
+    for stat in ("mean", "min", "max", "std"):
+        assert_same_bits(rolling_stat(x, window, stat),
+                         rolling_loop(x, window, stat), stat)
+
+
+def test_rolling_std_of_one_point_is_zero_without_warning():
+    x = np.random.default_rng(5).normal(size=50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_same_bits(rolling_stat(x, 1, "std"), np.zeros(50))
+        assert_same_bits(rolling_stat(x[:1], 7, "std"), np.zeros(1))
+        assert rolling_stat(x, 7, "std")[0] == 0.0
+
+
+def test_rolling_window_below_one_is_rejected():
+    x = np.arange(5.0)
+    for window in (0, -3):
+        with pytest.raises(ValueError, match="window"):
+            rolling_stat(x, window, "mean")
 
 
 # -------------------------------------------------------------- smoothing
@@ -119,11 +228,40 @@ def test_climatology_leap_day_borrows_and_global_fallback():
 
 def test_climatology_std_floor():
     table = mk_table({"tempmax": np.full(30, 5.0)})
-    clim = fit_climatology(table, ["tempmax"], slice(0, 30), std_floor=1e-8)
+    clim = fit_climatology(table, ["tempmax"], slice(0, 30))
     doy = day_of_year(table.dates)
     _, z, _ = climatology_anomaly(table.columns["tempmax"], doy, clim,
                                   "tempmax", 2.0)
     assert np.all(np.isfinite(z))
+
+
+@pytest.mark.parametrize("n_days,train,frac", [
+    (1100, slice(30, 1000), 0.1),      # under 8 rows per day of year
+    (7400, slice(0, 7400), 0.2),       # 8 to 128 rows per day
+    (48000, slice(100, 48000), 0.0),   # 131 years: over 128 rows per day
+    (200, slice(20, 180), 0.1),        # under a year: global fallback
+])
+def test_climatology_matches_per_day_loop_bitwise(n_days, train, frac):
+    table = gappy(sinusoid_ar_table(seed=n_days, n_days=n_days), n_days, frac)
+    columns = sorted(table.columns)
+    got = fit_climatology(table, columns, train)
+    want = climatology_loop(table, columns, train)
+    for name in columns:
+        assert_same_bits(got.mean[name], want.mean[name], name)
+        assert_same_bits(got.std[name], want.std[name], name)
+    if n_days == 200:
+        assert got.mean["tempmax"][300] == table.columns["tempmax"][train].mean()
+
+
+def test_climatology_borrows_day_366_from_365_bitwise():
+    # 2018 and 2019 are not leap years: the train rows hold day 365, never 366
+    table = sinusoid_ar_table(seed=4, n_days=730, start=dt.date(2018, 1, 1))
+    got = fit_climatology(table, ["tempmax", "precip"], slice(0, 730))
+    want = climatology_loop(table, ["tempmax", "precip"], slice(0, 730))
+    for name in ("tempmax", "precip"):
+        assert got.mean[name][366] == got.mean[name][365]
+        assert_same_bits(got.mean[name], want.mean[name], name)
+        assert_same_bits(got.std[name], want.std[name], name)
 
 
 # ------------------------------------------------------------- differences
@@ -195,6 +333,18 @@ def test_all_derived_features_are_causal():
     for name in feats:
         npt.assert_array_equal(feats[name][: n - 50], feats2[name][: n - 50],
                                err_msg=name)
+
+
+def test_full_features_match_per_day_references_bitwise(monkeypatch):
+    table = gappy(sinusoid_ar_table(seed=8, n_days=1500), 8, 0.15)
+    split = chronological_split(table.n_days, 30)
+    got, _ = build_features(table, split, FeatureSpec())
+    monkeypatch.setattr(features, "rolling_stat", rolling_loop)
+    monkeypatch.setattr(features, "fit_climatology", climatology_loop)
+    want, _ = build_features(table, split, FeatureSpec())
+    assert list(got) == list(want)
+    for name in want:
+        assert_same_bits(got[name], want[name], name)
 
 
 # --------------------------------------------------------------- selection

@@ -1,15 +1,28 @@
 """Augmentation tests: exact 4x layout, per-sample stream independence,
-documented zero-strength identities, warp invariants."""
+documented zero-strength identities, warp invariants.  The block kernels are
+checked bit for bit against the per-window transforms kept here as
+references."""
+
+import json
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
-from extremecast.augment import (_JITTER_BLOCK, AugmentConfig, _warp_grid,
-                                 augment_windows, jitter, magnitude_warp, scale,
-                                 time_warp)
-from extremecast.errors import DataError
+from extremecast.augment import (_BLOCK, WARP_RETRIES, AugmentConfig,
+                                 _warp_grids, augment_windows, jitter,
+                                 magnitude_warp, scale, time_warp)
+from extremecast.checkpoint import load_dataset, write_csv
+from extremecast.cli import main
+from extremecast.errors import DataError, NumericError
 from extremecast.rng import Rng
+from extremecast.synthetic import sinusoid_ar_table, table_to_csv
+
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
+                    database=None)
 
 
 def sample_stack(n=6, L=24, F=4, seed=0):
@@ -17,6 +30,105 @@ def sample_stack(n=6, L=24, F=4, seed=0):
     X = rng.normal(size=(n, L, F))
     y = rng.normal(size=n)
     return X, y
+
+
+# ------------------------------------------- per-window references
+
+
+def jitter_ref(X, rng, sigma):
+    if sigma == 0.0:
+        return X.copy()
+    return X + rng.gaussian_array(X.shape, 0.0, sigma)
+
+
+def scale_ref(X, rng, low, high):
+    if low > high:
+        raise DataError(f"scale range inverted: ({low}, {high})")
+    if low == high == 1.0:
+        return X.copy()
+    return X * rng.uniform(low, high)
+
+
+def warp_grid_ref(L, rng, knots, sigma):
+    """(tau, draws): the time map and how many offset draws it took."""
+    grid = np.arange(1.0, L + 1.0)
+    anchors = 1.0 + (np.arange(1, knots + 1) / (knots + 1)) * (L - 1.0)
+    for draws in range(1, WARP_RETRIES + 2):
+        offsets = rng.gaussian_array(knots, 0.0, sigma * L / knots)
+        xs = np.concatenate([[1.0], anchors, [float(L)]])
+        ys = np.concatenate([[1.0], anchors + offsets, [float(L)]])
+        order = np.argsort(xs)
+        spline = CubicSpline(xs[order], ys[order], bc_type="natural")
+        tau = np.clip(spline(grid), 1.0, float(L))
+        tau.sort()
+        if np.all(np.diff(tau) > 0.0):
+            return tau, draws
+    raise NumericError(f"time warp failed to produce a strictly monotone map "
+                       f"after {WARP_RETRIES} retries")
+
+
+def time_warp_ref(X, rng, knots=4, sigma=0.2):
+    L = X.shape[0]
+    if L < 2:
+        raise DataError("time warp needs a window of at least 2 steps")
+    if sigma == 0.0:
+        return X.copy()
+    tau, _ = warp_grid_ref(L, rng, knots, sigma)
+    grid = np.arange(1.0, L + 1.0)
+    out = np.empty_like(X)
+    for f in range(X.shape[1]):
+        out[:, f] = np.interp(tau, grid, X[:, f])
+    return out
+
+
+def magnitude_warp_ref(X, rng, knots=4, sigma=0.2):
+    L = X.shape[0]
+    if L < 2:
+        raise DataError("magnitude warp needs a window of at least 2 steps")
+    if sigma == 0.0:
+        return X.copy()
+    anchors = np.linspace(1.0, float(L), knots + 2)
+    values = rng.gaussian_array(knots + 2, 1.0, sigma)
+    spline = CubicSpline(anchors, values, bc_type="natural")
+    m = np.clip(spline(np.arange(1.0, L + 1.0)), 0.5, 1.5)
+    return X * m[:, None]
+
+
+def augment_ref(X, y, seed, cfg):
+    """The 4x expansion, one window and one transform call at a time."""
+    if X.ndim != 3 or y.shape[0] != X.shape[0]:
+        raise DataError("augment_windows expects X [n, L, F] and matching y")
+    base = Rng(seed, "augment")
+    n = X.shape[0]
+    jittered = np.empty_like(X)
+    scaled = np.empty_like(X)
+    warped = np.empty_like(X)
+    for i in range(n):
+        jittered[i] = jitter_ref(X[i], base.substream(f"jitter/{i}"),
+                                 cfg.jitter_sigma)
+        scaled[i] = scale_ref(X[i], base.substream(f"scale/{i}"),
+                              cfg.scale_low, cfg.scale_high)
+        if i % 2 == 0:
+            warped[i] = time_warp_ref(X[i], base.substream(f"timewarp/{i}"),
+                                      cfg.warp_knots, cfg.warp_sigma)
+        else:
+            warped[i] = magnitude_warp_ref(X[i], base.substream(f"magwarp/{i}"),
+                                           cfg.warp_knots, cfg.warp_sigma)
+    X_out = np.concatenate([X, jittered, scaled, warped], axis=0)
+    y_out = np.concatenate([y, y, y, y], axis=0)
+    return X_out, y_out
+
+
+def outcome(fn, *args):
+    """The bytes a call returns, or the type and message of what it raises."""
+    try:
+        X_out, y_out = fn(*args)
+    except (DataError, NumericError) as exc:
+        return type(exc), str(exc)
+    return X_out.dtype, X_out.shape, X_out.tobytes(), y_out.tobytes()
+
+
+# --------------------------------------------------------- layout and streams
 
 
 def test_expansion_is_exactly_4x_in_documented_order():
@@ -54,24 +166,91 @@ def test_expansion_deterministic_and_per_sample_independent():
 
 
 def test_expansion_matches_window_by_window_reference():
-    # enough windows that the jitter noise is drawn in more than one block
-    n = 2 * _JITTER_BLOCK + 3
-    X, y = sample_stack(n=n, L=6, F=3, seed=4)
+    # enough windows that every kernel runs over more than one block
+    X, y = sample_stack(n=2 * _BLOCK + 3, L=6, F=3, seed=4)
     cfg = AugmentConfig()
-    base = Rng(13, "augment")
-    warped = [time_warp(X[i], base.substream(f"timewarp/{i}"), cfg.warp_knots,
-                        cfg.warp_sigma) if i % 2 == 0 else
-              magnitude_warp(X[i], base.substream(f"magwarp/{i}"), cfg.warp_knots,
-                             cfg.warp_sigma) for i in range(n)]
-    expect = np.concatenate([
-        X,
-        [jitter(X[i], base.substream(f"jitter/{i}"), cfg.jitter_sigma)
-         for i in range(n)],
-        [scale(X[i], base.substream(f"scale/{i}"), cfg.scale_low, cfg.scale_high)
-         for i in range(n)],
-        warped])
-    Xa, _ = augment_windows(X, y, seed=13, cfg=cfg)
-    assert Xa.tobytes() == expect.tobytes()
+    assert outcome(augment_windows, X, y, 13, cfg) == \
+        outcome(augment_ref, X, y, 13, cfg)
+
+
+# n = 1 leaves the magnitude-warp half empty; block + 1 leaves a last block
+# of one window
+STACK_SIZES = (1, 2, 3, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
+
+
+@st.composite
+def augment_cases(draw):
+    """A window stack, a seed and a config, with at most one transform at
+    zero strength."""
+    n = draw(st.sampled_from(STACK_SIZES))
+    L = draw(st.sampled_from((2, 3, 6, 30)))
+    F = draw(st.sampled_from((1, 3, 30)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, L, F)) * 10.0 ** draw(st.integers(-2, 2))
+    if draw(st.booleans()):
+        # signed zeros at step 1, which every time map hits exactly
+        X[:, 0, 0] *= 0.0
+    y = rng.normal(size=n)
+    low = draw(st.floats(0.5, 1.0))
+    cfg = AugmentConfig(jitter_sigma=draw(st.sampled_from((0.01, 0.03, 0.3))),
+                        scale_low=low, scale_high=low + draw(st.floats(0.0, 0.5)),
+                        warp_knots=draw(st.integers(1, 6)),
+                        warp_sigma=draw(st.sampled_from((0.0, 0.2, 0.6))))
+    calm = draw(st.sampled_from((None, "jitter", "scale", "warp")))
+    if calm == "jitter":
+        cfg.jitter_sigma = 0.0
+    elif calm == "scale":
+        cfg.scale_low = cfg.scale_high = 1.0
+    elif calm == "warp":
+        cfg.warp_sigma = 0.0
+    return X, y, draw(st.integers(0, 2**63 - 1)), cfg
+
+
+@SETTINGS
+@given(augment_cases())
+def test_block_kernels_match_per_window_reference_bitwise(case):
+    X, y, seed, cfg = case
+    assert outcome(augment_windows, X, y, seed, cfg) == \
+        outcome(augment_ref, X, y, seed, cfg)
+
+
+def test_time_warp_retries_match_reference():
+    X, y = sample_stack(n=2 * _BLOCK + 3, L=30, F=5, seed=8)
+    cfg = AugmentConfig(warp_sigma=0.3)
+    base = Rng(17, "augment")
+    draws = [warp_grid_ref(30, base.substream(f"timewarp/{i}"), cfg.warp_knots,
+                           cfg.warp_sigma)[1] for i in range(0, len(X), 2)]
+    # some windows redraw and some do not, so the retry loop runs on a
+    # subset of the block
+    assert max(draws) > 1 and min(draws) == 1
+    assert outcome(augment_windows, X, y, 17, cfg) == \
+        outcome(augment_ref, X, y, 17, cfg)
+
+
+def test_time_warp_out_of_retries_raises_reference_error():
+    X, y = sample_stack(n=3, L=30, F=2, seed=3)
+    # offsets of std 20 * 30 / 4 clip most of the map to its ends
+    cfg = AugmentConfig(warp_sigma=20.0)
+    want = outcome(augment_ref, X, y, 2, cfg)
+    assert want[0] is NumericError and "after 10 retries" in want[1]
+    assert outcome(augment_windows, X, y, 2, cfg) == want
+    with pytest.raises(NumericError, match="strictly monotone"):
+        time_warp(X[0], Rng(2, "augment"), sigma=20.0)
+
+
+def test_short_window_and_inverted_scale_raise_reference_errors():
+    X, y = sample_stack(n=3, L=1, F=2)
+    want = outcome(augment_ref, X, y, 0, AugmentConfig())
+    assert want == (DataError, "time warp needs a window of at least 2 steps")
+    assert outcome(augment_windows, X, y, 0, AugmentConfig()) == want
+    with pytest.raises(DataError, match="magnitude warp needs"):
+        magnitude_warp(X[0], Rng(0, "augment"))
+
+    X, y = sample_stack(n=3)
+    cfg = AugmentConfig(scale_low=1.2, scale_high=0.8)
+    want = outcome(augment_ref, X, y, 0, cfg)
+    assert want == (DataError, "scale range inverted: (1.2, 0.8)")
+    assert outcome(augment_windows, X, y, 0, cfg) == want
 
 
 def test_zero_strength_produces_exact_copies():
@@ -88,6 +267,37 @@ def test_augment_is_train_only():
     X, y = sample_stack(n=2)
     with pytest.raises(DataError, match="matching y"):
         augment_windows(X, y[:1], seed=0, cfg=AugmentConfig())
+
+
+def test_augment_preview_matches_per_window_reference(tmp_path):
+    table_to_csv(sinusoid_ar_table(seed=3, n_days=200), tmp_path / "raw.csv")
+    doc = {"seed": 4,
+           "dataset": {"target": "tempmax", "lookback": 8, "train_frac": 0.8,
+                       "val_frac": 0.2, "csv_path": str(tmp_path / "raw.csv")},
+           "features": {"mode": "minimal"},
+           "augment": {"enabled": False, "warp_sigma": 0.3}}
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    assert main(["prepare", "--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path / "data.json")]) == 0
+    ds = load_dataset(str(tmp_path / "data.json"))
+    part = ds.part("train")
+    cfg = AugmentConfig(warp_sigma=0.3)
+    for sample in (2, 5):   # time warp, magnitude warp
+        out = tmp_path / f"preview{sample}.csv"
+        assert main(["augment-preview", "--config", str(tmp_path / "config.json"),
+                     "--data", str(tmp_path / "data.json"),
+                     "--sample", str(sample), "--out", str(out)]) == 0
+        X4, y4 = augment_ref(part.X[sample:sample + 1],
+                             part.y[sample:sample + 1], 4, cfg)
+        rows = [[name, t, *X4[v, t, :], y4[v]]
+                for v, name in enumerate(("original", "jitter", "scale", "warp"))
+                for t in range(X4.shape[1])]
+        want = tmp_path / f"want{sample}.csv"
+        write_csv(want, ["variant", "t", *ds.feature_names, "y"], rows)
+        assert out.read_bytes() == want.read_bytes()
+
+
+# ------------------------------------------------------- transform contracts
 
 
 def test_jitter_moments_and_scale_range():
@@ -111,7 +321,7 @@ def test_time_warp_fixes_endpoints_and_monotone_grid():
     X = np.random.default_rng(1).normal(size=(L, 5))
     for k in range(10):
         rng = Rng(100 + k, "augment")
-        tau = _warp_grid(L, rng, knots=4, sigma=0.2)
+        tau = _warp_grids(L, [rng], knots=4, sigma=0.2)[0]
         assert tau[0] == pytest.approx(1.0, abs=1e-9)
         assert tau[-1] == pytest.approx(float(L), abs=1e-9)
         assert np.all(np.diff(tau) > 0)

@@ -16,8 +16,6 @@ Failures exit with the code carried by the raised error: 2 config,
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -45,29 +43,6 @@ SWEEP_KINDS = ("learning-curve", "feature-ablation")
 
 
 # ------------------------------------------------------------------ helpers
-
-
-def _resolve_seed(cli_seed, config_doc: dict | None = None,
-                  default: int = 0) -> int:
-    """--seed beats the config's seed, which beats EXTREMECAST_SEED."""
-    if cli_seed is not None:
-        return int(cli_seed)
-    if config_doc is not None and "seed" in config_doc:
-        return int(config_doc["seed"])
-    env = os.environ.get("EXTREMECAST_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(
-                f"EXTREMECAST_SEED must be an integer, got {env!r}")
-    return default
-
-
-def _load_config(path) -> tuple[RunConfig, dict]:
-    cfg = load_run_config(path)
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return cfg, doc
 
 
 def _sibling(path, suffix: str) -> Path:
@@ -124,7 +99,7 @@ def _print_metrics(report: dict) -> None:
 
 
 def cmd_prepare(args) -> int:
-    run_cfg, _ = _load_config(args.config)
+    run_cfg = load_run_config(args.config)
     csv_path = args.input or run_cfg.dataset.csv_path
     if not csv_path:
         raise ConfigError("no input CSV: pass --input or set dataset.csv_path")
@@ -147,8 +122,8 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_train(args) -> int:
-    run_cfg, doc = _load_config(args.config)
-    seed = _resolve_seed(args.seed, doc)
+    run_cfg = load_run_config(args.config)
+    seed = run_cfg.seed if args.seed is None else args.seed
     ds = load_dataset(args.data)
     ckpt, state, history_path = _train_and_save(
         run_cfg, seed, ds, args.model, args.out)
@@ -175,8 +150,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    run_cfg, doc = _load_config(args.config)
-    seed = _resolve_seed(args.seed, doc)
+    run_cfg = load_run_config(args.config)
+    seed = run_cfg.seed if args.seed is None else args.seed
     ds = load_dataset(args.data)
     ckpt, state, history_path = _train_and_save(
         run_cfg, seed, ds, args.model, args.out)
@@ -213,7 +188,7 @@ def cmd_explain(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.data)
     model = rebuild_model(ckpt, ds)
-    seed = _resolve_seed(args.seed, None, default=ckpt.seed)
+    seed = ckpt.seed if args.seed is None else args.seed
     out = Path(args.out)
 
     if args.method == "occlusion":
@@ -313,8 +288,8 @@ def cmd_explain(args) -> int:
 def cmd_augment_preview(args) -> int:
     from .augment import augment_windows
 
-    run_cfg, doc = _load_config(args.config)
-    seed = _resolve_seed(args.seed, doc)
+    run_cfg = load_run_config(args.config)
+    seed = run_cfg.seed if args.seed is None else args.seed
     ds = load_dataset(args.data)
     X1, y1 = _sample(ds, "train", args.sample)
     cfg = replace(run_cfg.augment, enabled=True)
@@ -333,8 +308,8 @@ def cmd_augment_preview(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    run_cfg, doc = _load_config(args.config)
-    seed = _resolve_seed(args.seed, doc)
+    run_cfg = load_run_config(args.config)
+    seed = run_cfg.seed if args.seed is None else args.seed
     train_cfg = replace(run_cfg.training, seed=seed)
     model_cfg = _base_model_config(run_cfg, args.model)
     if args.kind == "learning-curve":

@@ -19,6 +19,8 @@ Conventions fixed here:
   reproduces the published recipe verbatim and is intentional.
 * Windows never cross a partition boundary: a sample with target day d uses
   rows d-L..d-1 and exists only when all of them lie in d's own partition.
+  The window stacks are read-only views of the scaled day matrix, so each
+  scaled day is held once, however many windows cover it.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import datetime as dt
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 
@@ -226,7 +229,7 @@ def chronological_split(n_days: int, lookback: int, train_frac: float = 0.8,
 
 @dataclass
 class WindowPartition:
-    X: np.ndarray            # [n, L, F]
+    X: np.ndarray            # [n, L, F], read-only view of the day matrix
     y: np.ndarray            # [n]
     target_rows: np.ndarray  # table row index of each sample's target day
 
@@ -241,16 +244,19 @@ def make_windows(features: np.ndarray, target: np.ndarray, split: SplitSpec,
 
     Sample with target day d: X = rows [d-L, d), y = target[d].  Samples
     whose window would cross the partition's lower boundary do not exist.
+    Each partition's X is a read-only view of ``features``, not a copy.
+    ``split`` must pass ``check_split``, so every partition has a window.
     """
     n, _ = features.shape
     if n != split.n_days or target.shape[0] != n:
         raise DataError("features/target length does not match the split")
+    # view[s] holds rows [s, s + L): the window of target day s + L
+    view = sliding_window_view(features, lookback, axis=0).swapaxes(1, 2)
     out = {}
     for part in ("train", "val", "test"):
         lo, hi = getattr(split, part)
         targets = np.arange(lo + lookback, hi)
-        X = np.stack([features[d - lookback:d] for d in targets], axis=0) \
-            if targets.size else np.zeros((0, lookback, features.shape[1]))
-        out[part] = WindowPartition(X=X, y=target[targets].copy(),
+        out[part] = WindowPartition(X=view[lo:hi - lookback],
+                                    y=target[targets].copy(),
                                     target_rows=targets)
     return out

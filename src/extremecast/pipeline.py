@@ -27,8 +27,8 @@ class PreparedDataset:
     target_raw: np.ndarray
     audit: list = field(default_factory=list)
     mode: str = "full"
-    # scaled per-day arrays the window stacks derive from; kept so the
-    # dataset artifact can store days rather than overlapping windows
+    # scaled per-day arrays; every window stack is a read-only view of
+    # feature_matrix, and the dataset artifact stores these days
     feature_matrix: np.ndarray | None = None
     target_scaled: np.ndarray | None = None
 

@@ -29,15 +29,15 @@ Substreams are ordinary streams whose label is slash-joined onto the parent
 label, e.g. ``Rng(seed, "augment").substream("jitter/17")`` reads the stream
 ``"augment/jitter/17"``.  Golden test vectors live in tests/test_rng.py.
 
-Requests of ``_LANE_CROSSOVER`` draws and more take a vectorised path that
-gives the same draws.  The xoshiro256** state transition A is linear over
+Every array fill takes one vectorised path that gives the same draws as the
+scalar ``next_u64`` loop.  The xoshiro256** state transition A is linear over
 GF(2), so jumping a state ahead by a fixed count is exact (Blackman & Vigna,
 *Scrambled Linear Pseudorandom Number Generators*, 2021).  The stream is cut
 into lanes of ``_LANE_LEN`` draws; jump tables, holding the images of the 256
 one-bit basis states under A^(_LANE_LEN * 2**k) and built once per process,
 move each lane to its start, and one numpy kernel steps every lane in
-lockstep.  ``gaussian_rows`` runs the same kernel over many streams at once.
-Tests in tests/test_rng.py pin both against the scalar ``next_u64`` loop.
+lockstep, for one stream or for many at once (``gaussian_rows``).  Tests in
+tests/test_rng.py pin it against the scalar loop.
 """
 
 from __future__ import annotations
@@ -51,10 +51,6 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 
-# raw requests of fewer draws use the scalar loop.  The lane path costs at
-# least one lane length of lockstep steps, and it broke even with the loop at
-# about 210 draws (2-vCPU Xeon, numpy 2.4).
-_LANE_CROSSOVER = 256
 # draws per lane when a stream is split; the jump tables step by multiples of
 # it.  Shorter lanes mean fewer lockstep steps but more jumps: a 61,440-draw
 # request took 2.1 / 1.5 / 1.65 ms at 16 / 32 / 64 on the same machine.
@@ -174,7 +170,8 @@ def _draw(states: np.ndarray, n: int) -> np.ndarray:
     out = np.empty((_LANE_LEN, lanes * m), dtype=np.uint64)
     _step_lanes(lane_state, out[:tail])
     states[:] = lane_state[:, -m:].T
-    _step_lanes(lane_state[:, :-m], out[tail:, :-m])
+    if lanes > 1:  # the earlier lanes finish their _LANE_LEN draws
+        _step_lanes(lane_state[:, :-m], out[tail:, :-m])
     return out.reshape(_LANE_LEN, lanes, m).transpose(2, 1, 0).reshape(m, -1)[:, :n]
 
 
@@ -235,31 +232,18 @@ class Rng:
         self._s = [s0, s1, s2, s3]
         return out
 
-    def _raw(self, n: int) -> np.ndarray:
-        """n raw 64-bit draws as a uint64 array, advancing the stream by n."""
-        if n < _LANE_CROSSOVER:
-            out = np.empty(n, dtype=np.uint64)
-            for i in range(n):
-                out[i] = self.next_u64()
-            return out
-        state = np.array([self._s], dtype=np.uint64)
-        out = _draw(state, n)[0]
-        self._s = state[0].tolist()
-        return out
-
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         u = (self.next_u64() >> 11) * 2.0**-53
         return lo + u * (hi - lo)
 
     def uniform_array(self, shape, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         n = int(np.prod(shape)) if not isinstance(shape, int) else shape
-        out = lo + _unit(self._raw(n)) * (hi - lo)
+        out = lo + _unit(_fill([self], n)[0]) * (hi - lo)
         return out.reshape(shape)
 
     def gaussian_array(self, shape, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
         n = int(np.prod(shape)) if not isinstance(shape, int) else shape
-        out = mu + sigma * _box_muller(self.uniform_array(2 * n))
-        return out.reshape(shape)
+        return gaussian_rows([self], n, mu, sigma)[0].reshape(shape)
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n) via rejection sampling (no modulo bias)."""
@@ -285,15 +269,20 @@ class Rng:
         return tuple(self._s)
 
 
-def gaussian_rows(rngs: list[Rng], n: int, mu: float = 0.0,
-                  sigma: float = 1.0) -> np.ndarray:
-    """[len(rngs), n]: row i is ``rngs[i].gaussian_array(n, mu, sigma)``, bit for bit.
-
-    All streams are drawn together by the lane kernel, and each ``Rng``
-    advances by its 2 n draws.
-    """
+def _fill(rngs: list[Rng], n: int) -> np.ndarray:
+    """uint64 [len(rngs), n]: the next n raw draws of each stream, which
+    advances by n, as n ``next_u64`` calls would move it."""
     states = np.array([r._s for r in rngs], dtype=np.uint64)
-    raw = _draw(states, 2 * n)
+    raw = _draw(states, n)
     for r, words in zip(rngs, states.tolist()):
         r._s = words
-    return mu + sigma * _box_muller(_unit(raw))
+    return raw
+
+
+def gaussian_rows(rngs: list[Rng], n: int, mu: float = 0.0,
+                  sigma: float = 1.0) -> np.ndarray:
+    """[len(rngs), n] Box-Muller values, row i from stream i's next 2 n draws.
+
+    All streams are drawn together by the lane kernel.
+    """
+    return mu + sigma * _box_muller(_unit(_fill(rngs, 2 * n)))

@@ -112,7 +112,7 @@ def model_config_from_dict(kind: str, doc: dict):
     try:
         return MODELS[kind][0](**{k: tuple(v) if isinstance(v, list) else v
                                   for k, v in doc.items()}).validate()
-    except (AttributeError, TypeError) as exc:
+    except (AttributeError, ConfigError, TypeError) as exc:
         raise CompatibilityError(
             f"model_config does not fit model kind {kind!r}: {exc}") from exc
 

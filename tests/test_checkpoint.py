@@ -147,6 +147,17 @@ def test_dataset_round_trip_is_bitwise(tmp_path):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
+def test_windows_are_read_only_views_of_the_day_matrix(tmp_path):
+    ds = prepare(persistence_task_table(seed=5, n_days=200), lookback=6,
+                 feature_spec=FeatureSpec(mode="minimal"))
+    save_dataset(ds, tmp_path / "data.json")
+    for dataset in (ds, load_dataset(tmp_path / "data.json")):
+        for part in dataset.parts.values():
+            assert np.shares_memory(part.X, dataset.feature_matrix)
+            with pytest.raises(ValueError, match="read-only"):
+                part.X[0, 0, 0] = 1.0
+
+
 def test_dataset_kind_and_version_guards(tmp_path):
     table = persistence_task_table(seed=5, n_days=120)
     ds = prepare(table, lookback=6,

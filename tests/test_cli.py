@@ -142,7 +142,7 @@ def test_baseline_persistence_trivial_checkpoint(work):
     assert report["metrics"]["rmse"] > 0.0
 
 
-def test_seed_resolution_order(work, monkeypatch):
+def test_seed_resolution_order(work):
     cfg_noseed = work / "config_noseed.json"
     doc = json.loads((work / "config.json").read_text())
     doc.pop("seed")
@@ -155,22 +155,14 @@ def test_seed_resolution_order(work, monkeypatch):
                      "--out", str(out), "--model", "persistence"]) == 0
         return json.loads(out.read_text())["seed"]
 
-    monkeypatch.delenv("EXTREMECAST_SEED", raising=False)
     assert seed_of(work / "config.json") == 7     # config seed
     assert seed_of(cfg_noseed) == 0               # default
-    monkeypatch.setenv("EXTREMECAST_SEED", "99")
-    assert seed_of(cfg_noseed) == 99              # env fallback
-    assert seed_of(work / "config.json") == 7     # config beats env
     out = work / "seed_probe.json"
     assert main(["train", "--config", str(work / "config.json"),
                  "--data", str(work / "data.json"),
                  "--out", str(out), "--model", "persistence",
                  "--seed", "123"]) == 0
     assert json.loads(out.read_text())["seed"] == 123   # flag beats all
-    monkeypatch.setenv("EXTREMECAST_SEED", "not-a-number")
-    assert main(["train", "--config", str(cfg_noseed),
-                 "--data", str(work / "data.json"),
-                 "--out", str(out), "--model", "persistence"]) == 2
 
 
 # ------------------------------------------------------------------ explain
@@ -354,6 +346,7 @@ TAMPERINGS = {
     "string_epoch": lambda doc: doc["train_state"].update(epoch="x"),
     "string_best_val_loss":
         lambda doc: doc["train_state"].update(best_val_loss="abc"),
+    "zero_kernel": lambda doc: doc["model_config"].update(kernel=0),
 }
 
 
@@ -373,6 +366,20 @@ def test_malformed_checkpoint_exit_5(work, tmp_path, capsys, tampering):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_dual_stream_model_config_out_of_range_exit_5(work, tmp_path, capsys):
+    doc = json.loads((work / "ckpt.json").read_text())
+    doc["model_config"]["n_heads"] = 3   # does not divide embed_dim 8
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["evaluate", "--checkpoint", str(ckpt),
+                 "--data", str(work / "data.json"),
+                 "--report", str(tmp_path / "r.json")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: model_config does not fit model kind "
+                          "'dual_stream'") and len(err.splitlines()) == 1
 
 
 @pytest.fixture(scope="module")

@@ -185,6 +185,17 @@ def test_split_covers_all_days_exactly_once():
 # ----------------------------------------------------------------- windows
 
 
+def windows_loop(features, target, split, lookback):
+    """Reference: each partition's windows copied one target day at a time."""
+    out = {}
+    for part in ("train", "val", "test"):
+        lo, hi = getattr(split, part)
+        targets = np.arange(lo + lookback, hi)
+        X = np.stack([features[d - lookback:d] for d in targets], axis=0)
+        out[part] = (X, target[targets].copy(), targets)
+    return out
+
+
 def test_make_windows_contents_and_boundaries():
     n, L = 100, 10
     split = chronological_split(n, L)

@@ -6,8 +6,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from extremecast.rng import (_LANE_CROSSOVER, _LANE_LEN, Rng, _jump, _jump_table,
-                             fnv1a64, gaussian_rows, splitmix64)
+from extremecast.rng import (_LANE_LEN, Rng, _box_muller, _draw, _jump,
+                             _jump_table, fnv1a64, gaussian_rows, splitmix64)
 
 
 def test_fnv1a64_known_vectors():
@@ -53,7 +53,6 @@ def test_streams_differ_by_label_and_seed():
 
 
 def test_bulk_fill_matches_scalar_path():
-    # 5000 > the lane crossover, so this exercises the lane kernel
     bulk = Rng(7, "dropout").uniform_array(5000)
     scalar = np.array([Rng(7, "dropout").uniform() for _ in range(1)])
     ref = Rng(7, "dropout")
@@ -62,23 +61,25 @@ def test_bulk_fill_matches_scalar_path():
     assert bulk[0] == scalar[0]
 
 
-# a lane count that is not a power of two, so the last doubling round is partial
-_LANE_MULTIPLE = _LANE_LEN * (_LANE_CROSSOVER // _LANE_LEN + 5)
-
-
-@pytest.mark.parametrize("n", [0, 1, _LANE_CROSSOVER - 1, _LANE_CROSSOVER,
-                               _LANE_CROSSOVER + 1, _LANE_MULTIPLE,
-                               _LANE_MULTIPLE + 1, 61440])
+# inside one lane, at and just past the lane and 8-lane boundaries, and lane
+# counts that are not a power of two, so the last doubling round is partial
+# (416 = 13 lanes)
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 31, 32, 33, 255, 256, 257,
+                               13 * _LANE_LEN, 13 * _LANE_LEN + 1, 1000, 61440])
 def test_bulk_draws_match_scalar_stream_and_continue_it(n):
     ref = Rng(21, "dropout")
     expect = [ref.next_u64() for _ in range(n + 1)]
     raw = Rng(21, "dropout")
-    npt.assert_array_equal(raw._raw(n), np.array(expect[:n], dtype=np.uint64))
-    assert raw.next_u64() == expect[n]
+    state = np.array([raw.state_words()], dtype=np.uint64)
+    npt.assert_array_equal(_draw(state, n)[0], np.array(expect[:n], dtype=np.uint64))
+    # the state ends exactly where n scalar calls leave it
+    for _ in range(n):
+        raw.next_u64()
+    assert state[0].tolist() == list(raw.state_words())
     r = Rng(21, "dropout")
     u = r.uniform_array(n)
     npt.assert_array_equal(u, np.array([(x >> 11) * 2.0**-53 for x in expect[:n]]))
-    # the stream resumes at draw n + 1, exactly where n scalar calls leave it
+    # the stream resumes at draw n + 1
     assert r.next_u64() == expect[n]
 
 
@@ -98,9 +99,13 @@ def test_gaussian_rows_match_each_stream(n):
     assert rows.shape == (5, n)
     for i, r in enumerate(rngs):
         own = Rng(3, "augment").substream(f"jitter/{i}")
-        assert rows[i].tobytes() == own.gaussian_array(n, 0.0, 0.03).tobytes()
+        # Box-Muller on the stream's next 2 n scalar uniforms
+        u = np.array([own.uniform() for _ in range(2 * n)])
+        assert rows[i].tobytes() == (0.0 + 0.03 * _box_muller(u)).tobytes()
         # each stream advanced by its own 2 n draws
         assert r.state_words() == own.state_words()
+    one = Rng(3, "augment").substream("jitter/0").gaussian_array(n, 0.0, 0.03)
+    assert one.tobytes() == rows[0].tobytes()
 
 
 def test_uniform_range_and_mantissa_rule():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from extremecast.data import (SplitSpec, check_split, chronological_split,
                               make_windows)
 from extremecast.errors import DataError
+from test_data import windows_loop
 
 PARTS = ("val", "train", "test")
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
@@ -58,14 +59,19 @@ def test_accepted_split_windows_every_partition_inside_itself(case):
     if not _accepts(split, lookback):
         return
     rows = np.arange(split.n_days, dtype=np.float64)
-    parts = make_windows(rows[:, None], rows * 10.0, split, lookback)
+    features = np.column_stack([rows, -rows])
+    parts = make_windows(features, rows * 10.0, split, lookback)
+    reference = windows_loop(features, rows * 10.0, split, lookback)
     targets = np.concatenate([parts[p].target_rows for p in PARTS])
     assert np.unique(targets).size == targets.size
     for name in PARTS:
         part, (lo, hi) = parts[name], getattr(split, name)
         assert part.n_samples >= 1
-        assert part.X.min() >= lo and part.target_rows.max() < hi
+        assert part.X[:, :, 0].min() >= lo and part.target_rows.max() < hi
         np.testing.assert_array_equal(part.X[:, -1, 0], part.target_rows - 1)
+        for got, want in zip((part.X, part.y, part.target_rows), reference[name]):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
 
 
 @SETTINGS

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -271,15 +272,11 @@ def load_dataset(path):
 
 
 def check_feature_compatibility(ckpt: Checkpoint, feature_names: list) -> None:
-    """Exact ordered match between checkpoint and dataset feature lists."""
-    a, b = list(ckpt.feature_names), list(feature_names)
-    if a == b:
-        return
-    for i in range(max(len(a), len(b))):
-        left = a[i] if i < len(a) else "<missing>"
-        right = b[i] if i < len(b) else "<missing>"
+    """Exact ordered match between checkpoint and dataset feature lists; a
+    list that ends first has None at the mismatched position."""
+    for i, (left, right) in enumerate(zip_longest(ckpt.feature_names,
+                                                  feature_names)):
         if left != right:
             raise CompatibilityError(
                 f"feature mismatch at position {i}: checkpoint has {left!r}, "
                 f"dataset has {right!r}")
-    raise CompatibilityError("feature lists differ")  # pragma: no cover

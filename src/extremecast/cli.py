@@ -25,12 +25,12 @@ import numpy as np
 from .checkpoint import (load_checkpoint, load_dataset, save_checkpoint,
                          save_dataset, write_csv, write_json)
 from .config import RunConfig, load_run_config, validate_report_dict
-from .data import TimeSeriesTable, load_csv
+from .data import load_csv
 from .diagnostics import (kmeans_regimes, occlusion_sensitivity,
                           partial_dependence, permutation_importance,
                           ranking_agreement, residual_diagnostics)
 from .errors import CompatibilityError, ConfigError, DataError, ExtremecastError
-from .model import wrap_params
+from .model import raw_predictions, wrap_params
 from .pipeline import PreparedDataset, prepare
 from .training import (HISTORY_COLUMNS, MODELS, evaluate_checkpoint,
                        feature_ablation, fit_model_config, learning_curve,
@@ -174,11 +174,17 @@ def _sample(ds: PreparedDataset, partition: str, index: int):
     return part.X[index:index + 1], part.y[index:index + 1]
 
 
-def _require_dual_stream(ckpt, method: str) -> None:
+def _sample_internals(model, ckpt, ds: PreparedDataset, args) -> dict:
+    """The dual-stream model's introspection dict for window ``args.sample``
+    of ``args.partition``, from one eval-mode forward."""
     if ckpt.model_kind != "dual_stream":
         raise CompatibilityError(
-            f"method {method!r} reads dual-stream internals; "
+            f"method {args.method!r} reads dual-stream internals; "
             f"checkpoint is {ckpt.model_kind!r}")
+    X, _ = _sample(ds, args.partition, args.sample)
+    _, intro = model.forward(wrap_params(ckpt.params, requires_grad=False),
+                             X, train=False)
+    return intro
 
 
 def cmd_explain(args) -> int:
@@ -228,10 +234,8 @@ def cmd_explain(args) -> int:
         print(f"top feature: {top['feature']} (mean_drop {top['mean_drop']})")
         print(f"occlusion/permutation ranking agreement (spearman): {rho}")
     elif args.method == "residuals":
-        report = evaluate_checkpoint(ckpt, ds, partition=args.partition)
-        e = np.array([r["e"] for r in report["residuals"]])
-        yhat = np.array([r["yhat"] for r in report["residuals"]])
-        diag = residual_diagnostics(e, predictions=yhat)
+        y, yhat = raw_predictions(model, ckpt.params, ds, args.partition)
+        diag = residual_diagnostics(yhat - y, predictions=yhat)
         write_json(diag, out)
         inside = sum(abs(row["r"]) <= diag["band"] for row in diag["acf"])
         print(f"residuals: n={diag['n']}, mean {diag['mean']:.4f}, "
@@ -239,15 +243,11 @@ def cmd_explain(args) -> int:
         print(f"acf: {inside}/{len(diag['acf'])} lags inside the "
               f"+/-{diag['band']:.4f} band")
     elif args.method == "kmeans":
-        table = TimeSeriesTable(dates=list(ds.dates),
-                                columns={ds.target: ds.target_raw.copy()},
-                                target=ds.target)
-        result = kmeans_regimes(table, k=args.k,
-                                feature_names=("year", "month", ds.target),
+        result = kmeans_regimes(ds.dates, ds.target_raw, ds.target, k=args.k,
                                 seed=seed)
         write_csv(out, ["date", "cluster"],
                   [[d.isoformat(), int(c)]
-                   for d, c in zip(result["dates"], result["assignments"])])
+                   for d, c in zip(ds.dates, result["assignments"])])
         centroid_path = _sibling(out, "_centroids.csv")
         write_csv(centroid_path, ["cluster", *result["feature_names"]],
                   [[i, *centroid]
@@ -257,20 +257,14 @@ def cmd_explain(args) -> int:
               f"final wcss {result['wcss_history'][-1]}")
         print(f"centroids -> {centroid_path}")
     elif args.method == "attention":
-        _require_dual_stream(ckpt, args.method)
-        X, _ = _sample(ds, args.partition, args.sample)
-        _, intro = model.forward(wrap_params(ckpt.params, requires_grad=False),
-                                 X, train=False)
+        intro = _sample_internals(model, ckpt, ds, args)
         attn = intro["attention"][0].mean(axis=0)       # heads -> [L, L]
         write_csv(out, [f"t{j}" for j in range(attn.shape[1])],
                   [list(row) for row in attn])
         print(f"attention map for sample {args.sample}: "
               f"{attn.shape[0]}x{attn.shape[1]} (head-averaged)")
     else:  # states
-        _require_dual_stream(ckpt, args.method)
-        X, _ = _sample(ds, args.partition, args.sample)
-        _, intro = model.forward(wrap_params(ckpt.params, requires_grad=False),
-                                 X, train=False)
+        intro = _sample_internals(model, ckpt, ds, args)
         P = intro["p"][0]                               # [L, N]
         write_csv(out, [f"state{j}" for j in range(P.shape[1])],
                   [list(row) for row in P])

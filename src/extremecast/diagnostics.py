@@ -30,20 +30,10 @@ from scipy.stats import spearmanr
 
 from .errors import ConfigError, DataError
 from .metrics import regression_metrics
-from .model import predict
+from .model import predict, raw_predictions
 from .rng import Rng
 
 ACF_MAX_LAG = 30
-
-
-# ----------------------------------------------------------- shared pieces
-
-
-def _part_rmse(model, params, dataset, X, partition):
-    part = dataset.part(partition)
-    yhat = dataset.invert_target(predict(model, params, X))
-    y = dataset.target_raw[part.target_rows]
-    return regression_metrics(y, yhat).rmse
 
 
 # -------------------------------------------------------------- occlusion
@@ -52,12 +42,14 @@ def _part_rmse(model, params, dataset, X, partition):
 def occlusion_sensitivity(model, params, dataset, partition: str = "test") -> dict:
     """RMSE increase when each feature is replaced by its partition median."""
     part = dataset.part(partition)
-    baseline = _part_rmse(model, params, dataset, part.X, partition)
+    baseline = regression_metrics(
+        *raw_predictions(model, params, dataset, partition)).rmse
     rows = []
     for f, name in enumerate(dataset.feature_names):
         occluded = part.X.copy()
         occluded[:, :, f] = np.median(part.X[:, :, f])
-        rmse = _part_rmse(model, params, dataset, occluded, partition)
+        rmse = regression_metrics(
+            *raw_predictions(model, params, dataset, partition, occluded)).rmse
         rows.append({"feature": name, "delta_rmse": rmse - baseline,
                      "occluded_rmse": rmse})
     return {"baseline_rmse": baseline, "rows": rows}
@@ -104,7 +96,8 @@ def permutation_importance(model, params, dataset, partition: str = "test",
     if repeats < 1:
         raise ConfigError("permutation_importance repeats must be >= 1")
     part = dataset.part(partition)
-    baseline = _part_rmse(model, params, dataset, part.X, partition)
+    baseline = regression_metrics(
+        *raw_predictions(model, params, dataset, partition)).rmse
     base = Rng(seed, "permutation")
     rows = []
     for f, name in enumerate(dataset.feature_names):
@@ -113,8 +106,9 @@ def permutation_importance(model, params, dataset, partition: str = "test",
         for _ in range(repeats):
             perm = stream.permutation(part.n_samples)
             shuffled = part.X.copy()
-            shuffled[:, :, f] = part.X[perm][:, :, f]
-            rmse = _part_rmse(model, params, dataset, shuffled, partition)
+            shuffled[:, :, f] = part.X[perm, :, f]
+            rmse = regression_metrics(*raw_predictions(
+                model, params, dataset, partition, shuffled)).rmse
             drops.append(rmse - baseline)
         drops = np.array(drops)
         rows.append({"feature": name, "mean_drop": float(np.mean(drops)),
@@ -239,29 +233,13 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, max_iter: int = 300):
     return assignments, centroids, wcss_history
 
 
-def _regime_matrix(table, feature_names):
-    cols = []
-    for name in feature_names:
-        if name == "year":
-            cols.append(np.array([d.year for d in table.dates], dtype=np.float64))
-        elif name == "month":
-            cols.append(np.array([d.month for d in table.dates], dtype=np.float64))
-        elif name in table.columns:
-            cols.append(np.asarray(table.columns[name], dtype=np.float64))
-        else:
-            raise ConfigError(f"unknown clustering feature {name!r}")
-    return np.column_stack(cols)
-
-
-def kmeans_regimes(table, k: int = 4,
-                   feature_names=("year", "month", "tempmax"),
+def kmeans_regimes(dates, target: np.ndarray, target_name: str, k: int = 4,
                    seed: int = 0) -> dict:
-    """Cluster days into regimes on z-scored features; centroids come back
-    in original units."""
-    raw = _regime_matrix(table, feature_names)
-    if not np.all(np.isfinite(raw)):
-        raise DataError("clustering features contain missing values; "
-                        "impute the table first")
+    """Cluster days into regimes on z-scored (year, month, target) vectors;
+    centroids come back in original units."""
+    raw = np.column_stack([np.array([d.year for d in dates], dtype=np.float64),
+                           np.array([d.month for d in dates], dtype=np.float64),
+                           np.asarray(target, dtype=np.float64)])
     mean = raw.mean(axis=0)
     std = raw.std(axis=0)
     divisor = np.where(std == 0.0, 1.0, std)
@@ -269,10 +247,9 @@ def kmeans_regimes(table, k: int = 4,
     assignments, centroids_z, wcss = kmeans(z, k, Rng(seed, "kmeans"))
     centroids = centroids_z * divisor + mean
     return {
-        "feature_names": list(feature_names),
+        "feature_names": ["year", "month", target_name],
         "k": k,
         "assignments": assignments,
         "centroids": centroids,
         "wcss_history": wcss,
-        "dates": list(table.dates),
     }

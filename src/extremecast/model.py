@@ -278,3 +278,13 @@ def predict(model, params: dict[str, np.ndarray], X: np.ndarray,
             pred, _ = model.forward(wrapped, X[s:s + batch_size], train=False)
             out[s:s + batch_size] = pred.value
     return out
+
+
+def raw_predictions(model, params: dict[str, np.ndarray], dataset,
+                    partition: str, X: np.ndarray | None = None):
+    """(observed, predicted) raw-unit targets of a partition's windows, or of
+    ``X`` forecasting the same target days in their place."""
+    part = dataset.part(partition)
+    yhat = dataset.invert_target(predict(model, params,
+                                         part.X if X is None else X))
+    return dataset.target_raw[part.target_rows], yhat

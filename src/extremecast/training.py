@@ -4,7 +4,8 @@ Each epoch shuffles the training windows (stream "shuffle"), iterates
 mini-batches (final partial batch kept only with >= 2 samples, since the
 extreme loss takes in-batch quantiles), runs forward → loss → backward →
 global-norm clip → AdamW with a cosine warm-restart learning rate, then
-scores the full validation partition in eval mode with the same loss.
+scores the full validation partition with the same loss over ``predict``'s
+eval-mode batches, the predictions ``evaluate`` reports.
 Training stops after ``patience`` epochs without strict validation
 improvement (or at ``max_epochs``) and returns the best epoch's parameters.
 
@@ -30,11 +31,13 @@ from .checkpoint import Checkpoint, check_feature_compatibility
 from .errors import CompatibilityError, ConfigError, DataError, NumericError
 from .losses import LossConfig, compute_loss
 from .metrics import evaluation_report
-from .model import DualStreamModel, ModelConfig, predict, wrap_params
+from .model import (DualStreamModel, ModelConfig, predict, raw_predictions,
+                    wrap_params)
 from .optim import (AdamWState, OptimConfig, adamw_step, clip_global_norm,
                     cosine_warm_restart_lr)
 from .pipeline import PreparedDataset, prepare
 from .rng import Rng
+from .tensor import Var
 
 HISTORY_COLUMNS = ("epoch", "train_loss", "val_loss", "lr")
 LEARNING_CURVE_FRACTIONS = (0.2, 0.4, 0.6, 0.8, 1.0)
@@ -165,12 +168,31 @@ def _training_arrays(dataset: PreparedDataset, cfg: TrainConfig):
 
 
 def _validation_loss(model, params, part, loss_cfg: LossConfig) -> float:
-    with T.no_grad():
-        pred, _ = model.forward(params, part.X, train=False)
-        loss = float(compute_loss(pred, part.y, loss_cfg).value)
+    """The loss over a partition's windows, scored through ``predict``."""
+    loss = float(compute_loss(Var(predict(model, params, part.X)), part.y,
+                              loss_cfg).value)
     if not math.isfinite(loss):
         raise NumericError("non-finite validation loss")
     return loss
+
+
+def _train_step(model, params, X, y, cfg: TrainConfig, state: TrainState,
+                lr: float, dropout_rng: Rng, where: str) -> float:
+    """Forward, loss, backward, clip and AdamW on one batch; updates
+    ``params`` in place and returns the batch loss.  The step's tape and
+    gradients die with this frame, before validation runs."""
+    wrapped = wrap_params(params)
+    pred, _ = model.forward(wrapped, X, train=True, rng=dropout_rng)
+    loss = compute_loss(pred, y, cfg.loss)
+    loss_value = float(loss.value)
+    if not math.isfinite(loss_value):
+        raise NumericError(f"non-finite training loss at {where}")
+    T.backward(loss)
+    grads = {name: wrapped[name].grad for name in params
+             if wrapped[name].grad is not None}
+    clip_global_norm(grads, cfg.optim.clip_norm)
+    adamw_step(params, grads, state.optim_state, cfg.optim, lr, model.no_decay)
+    return loss_value
 
 
 def _make_checkpoint(dataset, kind, model_cfg, params, cfg, state) -> Checkpoint:
@@ -222,20 +244,8 @@ def train(dataset: PreparedDataset, model_cfg, train_cfg: TrainConfig):
         loss_sum, n_seen = 0.0, 0
         for b, (lo, hi) in enumerate(spans):
             idx = perm[lo:hi]
-            wrapped = wrap_params(params)
-            pred, _ = model.forward(wrapped, X[idx], train=True,
-                                    rng=dropout_rng)
-            loss = compute_loss(pred, y[idx], cfg.loss)
-            loss_value = float(loss.value)
-            if not math.isfinite(loss_value):
-                raise NumericError(
-                    f"non-finite training loss at epoch {epoch}, batch {b}")
-            T.backward(loss)
-            grads = {name: wrapped[name].grad for name in params
-                     if wrapped[name].grad is not None}
-            clip_global_norm(grads, cfg.optim.clip_norm)
-            adamw_step(params, grads, state.optim_state, cfg.optim, lr,
-                       model.no_decay)
+            loss_value = _train_step(model, params, X[idx], y[idx], cfg, state,
+                                     lr, dropout_rng, f"epoch {epoch}, batch {b}")
             loss_sum += loss_value * idx.size
             n_seen += idx.size
 
@@ -265,10 +275,8 @@ def train(dataset: PreparedDataset, model_cfg, train_cfg: TrainConfig):
 def evaluate_model(model, params, dataset: PreparedDataset,
                    partition: str = "test") -> dict:
     """Raw-unit evaluation report for one partition."""
-    part = dataset.part(partition)
-    yhat = dataset.invert_target(predict(model, params, part.X))
-    y = dataset.target_raw[part.target_rows]
-    dates = [dataset.dates[r] for r in part.target_rows]
+    y, yhat = raw_predictions(model, params, dataset, partition)
+    dates = [dataset.dates[r] for r in dataset.part(partition).target_rows]
     return evaluation_report(y, yhat, dates=dates)
 
 

@@ -88,6 +88,11 @@ def test_feature_compatibility_names_first_divergence():
         check_feature_compatibility(ckpt, ["a", "c"])
     with pytest.raises(CompatibilityError, match="position 2"):
         check_feature_compatibility(ckpt, ["a", "b", "c"])
+    # a feature may carry any name, so the shorter list's end is no name
+    ckpt.feature_names = ["a", "<missing>"]
+    with pytest.raises(CompatibilityError,
+                       match="position 1.*'<missing>'.*dataset has None"):
+        check_feature_compatibility(ckpt, ["a"])
 
 
 def test_wall_clock_not_persisted(tmp_path):

@@ -350,14 +350,22 @@ TAMPERINGS = {
 }
 
 
-@pytest.mark.parametrize("tampering", TAMPERINGS)
-def test_malformed_checkpoint_exit_5(work, tmp_path, capsys, tampering):
-    ckpt = tmp_path / "tcn.json"
+@pytest.fixture(scope="module")
+def tcn_ckpt(work):
+    """One trained TCN checkpoint; each tampering edits its own copy."""
+    out = work / "tcn.json"
     assert main(["train", "--config", str(work / "config.json"),
                  "--data", str(work / "data.json"),
-                 "--out", str(ckpt), "--model", "tcn"]) == 0
-    doc = json.loads(ckpt.read_text())
+                 "--out", str(out), "--model", "tcn"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("tampering", TAMPERINGS)
+def test_malformed_checkpoint_exit_5(work, tcn_ckpt, tmp_path, capsys,
+                                     tampering):
+    doc = json.loads(tcn_ckpt.read_text())
     TAMPERINGS[tampering](doc)
+    ckpt = tmp_path / "tcn.json"
     ckpt.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["evaluate", "--checkpoint", str(ckpt),

@@ -321,7 +321,9 @@ def test_kmeans_guards():
 
 def test_kmeans_regimes_on_table():
     table = sinusoid_ar_table(2, n_days=400)
-    out = kmeans_regimes(table, k=3, seed=4)
+    out = kmeans_regimes(table.dates, table.columns["tempmax"], "tempmax",
+                         k=3, seed=4)
+    assert out["feature_names"] == ["year", "month", "tempmax"]
     assert out["assignments"].shape == (400,)
     assert set(out["assignments"].tolist()) <= {0, 1, 2}
     assert out["centroids"].shape == (3, 3)
@@ -329,8 +331,7 @@ def test_kmeans_regimes_on_table():
     for c in out["centroids"]:
         assert min(years) - 1 <= c[0] <= max(years) + 1   # original units
         assert 0.0 <= c[1] <= 13.0
-    again = kmeans_regimes(table, k=3, seed=4)
+    again = kmeans_regimes(table.dates, table.columns["tempmax"], "tempmax",
+                           k=3, seed=4)
     np.testing.assert_array_equal(out["assignments"], again["assignments"])
     np.testing.assert_array_equal(out["centroids"], again["centroids"])
-    with pytest.raises(ConfigError, match="unknown clustering feature"):
-        kmeans_regimes(table, k=2, feature_names=("year", "bogus"))

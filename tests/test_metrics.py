@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from extremecast.config import validate_report_dict
 from extremecast.metrics import (TAIL_Q, evaluation_report,
                                  regression_metrics, tail_rmse)
 
@@ -161,3 +162,15 @@ def test_evaluation_report_structure():
     assert "training_time_s" not in rep
     first = rep["residuals"][0]
     assert first == {"date": "2021-01-01", "y": 0.0, "yhat": 0.5, "e": 0.5}
+
+
+def test_evaluation_report_constant_observations_null_tails_with_reasons():
+    y = np.full(40, 12.5)
+    rep = evaluation_report(y, y + np.linspace(-1.0, 1.0, 40))
+    assert rep["extreme_high_rmse"] is None and rep["extreme_low_rmse"] is None
+    assert rep["n_high"] == 0 and rep["n_low"] == 0
+    reasons = rep["tail_null_reasons"]
+    assert set(reasons) == {"extreme_high_rmse", "extreme_low_rmse"}
+    assert "high threshold" in reasons["extreme_high_rmse"]
+    assert "low threshold" in reasons["extreme_low_rmse"]
+    validate_report_dict(rep)

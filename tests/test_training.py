@@ -187,6 +187,20 @@ def test_best_checkpoint_reproduces_best_val_loss(dataset):
     assert abs(redo - state.best_val_loss) <= 1e-12
 
 
+def test_validation_scores_val_windows_through_predict(dataset, monkeypatch):
+    # val is scored on predict's batches, the predictions evaluate reports
+    seen = []
+    real_predict = training.predict
+
+    def spy(model, params, X, *args, **kwargs):
+        seen.append(X)
+        return real_predict(model, params, X, *args, **kwargs)
+
+    monkeypatch.setattr(training, "predict", spy)
+    train(dataset, tiny_nbeats(), quick_cfg(max_epochs=1))
+    assert len(seen) == 1 and seen[0] is dataset.part("val").X
+
+
 def test_history_invariants(dataset):
     cfg = quick_cfg(max_epochs=5)
     ckpt, state = train(dataset, tiny_nbeats(), cfg)
@@ -298,8 +312,16 @@ def test_learning_curve_rows(dataset):
 def test_learning_curve_skips_tiny_fraction(dataset):
     cfg = quick_cfg(max_epochs=2)
     with pytest.warns(UserWarning, match="fewer than 2 batches"):
-        rows = learning_curve(dataset, tiny_nbeats(), cfg, fractions=(0.01,))
+        rows = learning_curve(dataset, tiny_nbeats(), cfg,
+                              fractions=(0.01, 0.1))
     assert rows == []
+    # augmentation makes 4 windows of each, so 0.1 of the windows fills 2
+    # batches, while 0.01 still does not
+    augmented = replace(cfg, augment=AugmentConfig(enabled=True))
+    with pytest.warns(UserWarning, match="fraction 0.01 yields"):
+        rows = learning_curve(dataset, tiny_nbeats(), augmented,
+                              fractions=(0.01, 0.1))
+    assert [row["fraction"] for row in rows] == [0.1]
     with pytest.raises(ConfigError):
         learning_curve(dataset, tiny_nbeats(), cfg, fractions=(1.5,))
 

@@ -7,16 +7,20 @@ stream, so the expansion of sample i does not depend on batch layout or on
 how many samples precede it.  Zero-strength settings short-circuit to exact
 copies (documented identity, not a numerical accident).
 
-Each transform is a block kernel over a window stack [b, L, F] with one
-stream per window: ``gaussian_rows`` draws every window's noise or knots in
-one lockstep pass, and window i's output is what the one-window call with
-stream i gives, bit for bit.  ``jitter``, ``scale``, ``time_warp`` and
-``magnitude_warp`` are those one-window calls, and ``augment_windows`` runs
-the kernels over blocks of ``_BLOCK`` windows.
+``augment_windows`` draws the few numbers per window for the whole stack at
+once: one ``substreams`` call each seeds the scale, time-warp and
+magnitude-warp streams, one pass fills every window's scale factor, and one
+spline fit each gives every even window's time map and every odd window's
+magnitude curve.  The jitter (its
+streams, its fill and its noise sum) and the writes into the output (the
+scale multiply, the resampling gather and the magnitude multiply) run over
+blocks of ``_BLOCK`` windows.  Window i's output is what the one-window call
+with stream i gives, bit for bit; ``jitter``, ``scale``, ``time_warp`` and
+``magnitude_warp`` are those one-window calls.
 
 Warps build a curve through a handful of knots with a natural cubic spline.
 The knots sit at anchors fixed by L and the knot count, so one spline over a
-[knots+2, b] value matrix fits the whole block:
+[knots+2, m] value matrix fits all m windows of a stack:
 
 * time warp: knots at evenly spaced interior anchors get Gaussian offsets
   (std sigma * L / knots); the curve through (1,1), (a_j, a_j+offset_j),
@@ -24,7 +28,7 @@ The knots sit at anchors fixed by L and the knot count, so one spline over a
   repaired into a monotone time map tau.  A window whose map is not strictly
   monotone after repair redraws from its own stream, up to WARP_RETRIES
   times.  tau(1) = 1 and tau(L) = L always.  Each column is then linearly
-  resampled at tau by one gather over the block that repeats ``np.interp``'s
+  resampled at tau by one gather per block that repeats ``np.interp``'s
   arithmetic: (X[j+1] - X[j]) * (tau - grid[j]) + X[j] with grid[j] = j + 1,
   and X[j] itself where tau falls on grid[j].
 * magnitude warp: knot values ~ N(1, sigma^2) at knots+2 anchors spanning
@@ -39,12 +43,14 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import DataError, NumericError
-from .rng import Rng, gaussian_rows
+from .rng import Rng, gaussian_rows, uniform_rows
 
-# windows that each kernel handles at once.  It bounds the temporaries: 64
-# windows of 30 x 30 draw 1.8 MB of raw jitter words and gather 0.46 MB per
-# resampled copy.  Jittering 1,250 such windows took 129 / 109 / 103 / 104 /
-# 118 ms at blocks of 16 / 32 / 64 / 128 / 256 (2-vCPU Xeon, numpy 2.4).
+# windows per jitter fill and per write into the output.  It bounds the
+# temporaries: 64 windows of 30 x 30 draw 1.8 MB of raw jitter words and
+# gather 0.46 MB per resampled copy.  Scale factors, time maps and magnitude
+# curves are at most L numbers per window and are drawn for the whole stack.
+# Jittering 1,250 such windows took 129 / 109 / 103 / 104 / 118 ms at blocks
+# of 16 / 32 / 64 / 128 / 256 (2-vCPU Xeon, numpy 2.4).
 _BLOCK = 64
 
 WARP_RETRIES = 10
@@ -67,26 +73,28 @@ def _jitter_block(X: np.ndarray, rngs: list[Rng], sigma: float) -> np.ndarray:
     return X + noise.reshape(X.shape)
 
 
-def _scale_block(X: np.ndarray, rngs: list[Rng], low: float,
-                 high: float) -> np.ndarray:
+def _scale_factors(rngs: list[Rng], low: float,
+                   high: float) -> np.ndarray | None:
+    """[len(rngs)]: one factor per stream, or None for the identity."""
     if low > high:
         raise DataError(f"scale range inverted: ({low}, {high})")
     if low == high == 1.0:
-        return X.copy()
-    factors = np.array([r.uniform(low, high) for r in rngs])
-    return X * factors[:, None, None]
+        return None
+    return uniform_rows(rngs, 1, low, high)[:, 0]
 
 
-def _need_two_steps(X: np.ndarray, name: str) -> int:
-    L = X.shape[1]
+def _need_two_steps(L: int, name: str) -> None:
     if L < 2:
         raise DataError(f"{name} needs a window of at least 2 steps")
-    return L
 
 
 def _warp_grids(L: int, rngs: list[Rng], knots: int,
-                sigma: float) -> np.ndarray:
-    """[len(rngs), L]: the strictly monotone time map of each stream."""
+                sigma: float) -> np.ndarray | None:
+    """[len(rngs), L]: the strictly monotone time map of each stream, or
+    None for the identity."""
+    _need_two_steps(L, "time warp")
+    if sigma == 0.0:
+        return None
     grid = np.arange(1.0, L + 1.0)
     anchors = 1.0 + (np.arange(1, knots + 1) / (knots + 1)) * (L - 1.0)
     xs = np.concatenate([[1.0], anchors, [float(L)]])
@@ -111,12 +119,9 @@ def _warp_grids(L: int, rngs: list[Rng], knots: int,
                        f"after {WARP_RETRIES} retries")
 
 
-def _time_warp_block(X: np.ndarray, rngs: list[Rng], knots: int,
-                     sigma: float) -> np.ndarray:
-    L = _need_two_steps(X, "time warp")
-    if sigma == 0.0:
-        return X.copy()
-    tau = _warp_grids(L, rngs, knots, sigma)
+def _resample(X: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Window i of X [b, L, F] linearly resampled at tau[i]."""
+    L = X.shape[1]
     # np.interp on the grid 1..L: tau in [j + 1, j + 2) reads X[j] and
     # X[j + 1]; tau == L reads X[L - 1], where the offset below is 0
     j = tau.astype(np.intp) - 1
@@ -127,16 +132,17 @@ def _time_warp_block(X: np.ndarray, rngs: list[Rng], knots: int,
     return np.where(frac == 0.0, lo, (hi - lo) * frac + lo)
 
 
-def _magnitude_warp_block(X: np.ndarray, rngs: list[Rng], knots: int,
-                          sigma: float) -> np.ndarray:
-    L = _need_two_steps(X, "magnitude warp")
+def _magnitude_curves(L: int, rngs: list[Rng], knots: int,
+                      sigma: float) -> np.ndarray | None:
+    """[len(rngs), L]: each stream's multiplier curve, or None for the
+    identity."""
+    _need_two_steps(L, "magnitude warp")
     if sigma == 0.0 or not rngs:  # n = 1 has no odd window
-        return X.copy()
+        return None
     anchors = np.linspace(1.0, float(L), knots + 2)
     values = gaussian_rows(rngs, knots + 2, 1.0, sigma)
     spline = CubicSpline(anchors, values.T, bc_type="natural")
-    m = np.clip(spline(np.arange(1.0, L + 1.0)), 0.5, 1.5)
-    return X * m.T[:, :, None]
+    return np.clip(spline(np.arange(1.0, L + 1.0)), 0.5, 1.5).T
 
 
 def jitter(X: np.ndarray, rng: Rng, sigma: float) -> np.ndarray:
@@ -146,19 +152,54 @@ def jitter(X: np.ndarray, rng: Rng, sigma: float) -> np.ndarray:
 
 def scale(X: np.ndarray, rng: Rng, low: float, high: float) -> np.ndarray:
     """One multiplicative factor ~ Uniform(low, high) for the whole window."""
-    return _scale_block(X[None], [rng], low, high)[0]
+    factor = _scale_factors([rng], low, high)
+    return X.copy() if factor is None else X * factor[0]
 
 
 def time_warp(X: np.ndarray, rng: Rng, knots: int = 4,
               sigma: float = 0.2) -> np.ndarray:
     """Resample each column at a smooth monotone warp of the time axis."""
-    return _time_warp_block(X[None], [rng], knots, sigma)[0]
+    tau = _warp_grids(X.shape[0], [rng], knots, sigma)
+    return X.copy() if tau is None else _resample(X[None], tau)[0]
 
 
 def magnitude_warp(X: np.ndarray, rng: Rng, knots: int = 4,
                    sigma: float = 0.2) -> np.ndarray:
     """Multiply all columns by a smooth positive curve around 1."""
-    return _magnitude_warp_block(X[None], [rng], knots, sigma)[0]
+    curve = _magnitude_curves(X.shape[0], [rng], knots, sigma)
+    return X.copy() if curve is None else X * curve[0][:, None]
+
+
+def _scale_and_warp(X: np.ndarray, out: np.ndarray, base: Rng,
+                    cfg: AugmentConfig) -> None:
+    """Write X's scaled copies into out[:n] and its warped ones into out[n:].
+
+    Factors, time maps and curves are drawn for the whole stack; the writes
+    go by blocks of ``_BLOCK`` windows.
+    """
+    n, L = X.shape[:2]
+    factors = _scale_factors(base.substreams([f"scale/{i}" for i in range(n)]),
+                             cfg.scale_low, cfg.scale_high)
+    taus = _warp_grids(
+        L, base.substreams([f"timewarp/{i}" for i in range(0, n, 2)]),
+        cfg.warp_knots, cfg.warp_sigma)
+    curves = _magnitude_curves(
+        L, base.substreams([f"magwarp/{i}" for i in range(1, n, 2)]),
+        cfg.warp_knots, cfg.warp_sigma)
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        block = X[lo:hi]
+        out[lo:hi] = (
+            block if factors is None else block * factors[lo:hi, None, None])
+        # _BLOCK is even, so this block's even windows start at row lo // 2
+        # of taus and its odd ones at row lo // 2 of curves
+        k = lo // 2
+        even, odd = block[0::2], block[1::2]
+        warped = out[n + lo:n + hi]
+        warped[0::2] = (
+            even if taus is None else _resample(even, taus[k:k + len(even)]))
+        warped[1::2] = (
+            odd if curves is None else odd * curves[k:k + len(odd), :, None])
 
 
 def augment_windows(X: np.ndarray, y: np.ndarray, seed: int,
@@ -175,23 +216,17 @@ def augment_windows(X: np.ndarray, y: np.ndarray, seed: int,
     n = X.shape[0]
     X_out = np.empty((4 * n, *X.shape[1:]), dtype=X.dtype)
     X_out[:n] = X
+    y_out = np.concatenate([y, y, y, y], axis=0)
+    if not n:  # no window draws, so no setting is checked
+        return X_out, y_out
+    # scale and warp go first: their whole-stack draws check the settings in
+    # the reference's order, and are freed before the jitter's temporaries
+    _scale_and_warp(X, X_out[2 * n:], base, cfg)
+    # jitter streams are seeded per block: held for a whole stack of 1,250
+    # windows, they raised its traced peak by 0.4 MB
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
-        idx = range(lo, hi)
-        block = X[lo:hi]
         X_out[n + lo:n + hi] = _jitter_block(
-            block, [base.substream(f"jitter/{i}") for i in idx],
+            X[lo:hi], base.substreams([f"jitter/{i}" for i in range(lo, hi)]),
             cfg.jitter_sigma)
-        X_out[2 * n + lo:2 * n + hi] = _scale_block(
-            block, [base.substream(f"scale/{i}") for i in idx],
-            cfg.scale_low, cfg.scale_high)
-        warped = X_out[3 * n + lo:3 * n + hi]
-        even, odd = slice(0, None, 2), slice(1, None, 2)  # _BLOCK is even
-        warped[even] = _time_warp_block(
-            block[even], [base.substream(f"timewarp/{i}") for i in idx[even]],
-            cfg.warp_knots, cfg.warp_sigma)
-        warped[odd] = _magnitude_warp_block(
-            block[odd], [base.substream(f"magwarp/{i}") for i in idx[odd]],
-            cfg.warp_knots, cfg.warp_sigma)
-    y_out = np.concatenate([y, y, y, y], axis=0)
     return X_out, y_out

@@ -98,10 +98,9 @@ def permutation_importance(model, params, dataset, partition: str = "test",
     part = dataset.part(partition)
     baseline = regression_metrics(
         *raw_predictions(model, params, dataset, partition)).rmse
-    base = Rng(seed, "permutation")
+    streams = Rng(seed, "permutation").substreams(dataset.feature_names)
     rows = []
-    for f, name in enumerate(dataset.feature_names):
-        stream = base.substream(name)
+    for f, (name, stream) in enumerate(zip(dataset.feature_names, streams)):
         drops = []
         for _ in range(repeats):
             perm = stream.permutation(part.n_samples)

@@ -9,7 +9,12 @@ bit for bit:
   state words are the first four outputs of a splitmix64 sequence started at
   ``material`` (state advances by 0x9e3779b97f4a7c15 per output).  The
   all-zero state is repaired to (1, 0, 0, 0); splitmix makes it unreachable
-  in practice.
+  in practice.  ``_seed_states`` is the one implementation and works on
+  arrays: labels of equal byte length hash together as one uint64 column,
+  byte column by byte column (XOR, then numpy's wrapping multiply by the
+  prime), and the four splitmix64 outputs of every label are one pass over
+  an [m, 4] array.  ``Rng.substreams`` seeds many children with one call; a
+  single ``Rng`` is a batch of one.
 * Generator: xoshiro256**.  Per draw, with 64-bit wrapping arithmetic::
 
       out = rotl64(s1 * 5, 7) * 9
@@ -27,7 +32,8 @@ bit for bit:
 
 Substreams are ordinary streams whose label is slash-joined onto the parent
 label, e.g. ``Rng(seed, "augment").substream("jitter/17")`` reads the stream
-``"augment/jitter/17"``.  Golden test vectors live in tests/test_rng.py.
+``"augment/jitter/17"``.  Golden test vectors, and the scalar FNV-1a and
+splitmix64 that pin the array seeding, live in tests/test_rng.py.
 
 Every array fill takes one vectorised path that gives the same draws as the
 scalar ``next_u64`` loop.  The xoshiro256** state transition A is linear over
@@ -57,22 +63,41 @@ _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _LANE_LEN = 32
 
 
-def fnv1a64(text: str) -> int:
-    """64-bit FNV-1a hash of the UTF-8 encoding of ``text``."""
-    h = _FNV_OFFSET
-    for byte in text.encode("utf-8"):
-        h = ((h ^ byte) * _FNV_PRIME) & _MASK
-    return h
+# splitmix64 state k (k = 1..4) is material + k * gamma, so the four outputs
+# are one pass over an [m, 4] array
+_SPLITMIX_STATES = np.array([k * _SPLITMIX_GAMMA & _MASK for k in range(1, 5)],
+                            dtype=np.uint64)
 
 
-def splitmix64(state: int) -> tuple[int, int]:
-    """Advance a splitmix64 state once.  Returns (output, new_state)."""
-    state = (state + _SPLITMIX_GAMMA) & _MASK
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    z = z ^ (z >> 31)
-    return z, state
+def _seed_states(seed: int, streams: list[str]) -> np.ndarray:
+    """uint64 [len(streams), 4]: the seeded state words of each stream.
+
+    Labels are grouped by UTF-8 byte length, and each group runs FNV-1a one
+    byte column at a time.  All arithmetic is on uint64 arrays, which wrap
+    modulo 2**64 without the overflow warnings of numpy scalars.
+    """
+    encoded = [s.encode("utf-8") for s in streams]
+    lengths = np.array([len(b) for b in encoded], dtype=np.intp)
+    material = np.empty(len(encoded), dtype=np.uint64)
+    prime = np.uint64(_FNV_PRIME)
+    for length in set(lengths.tolist()):
+        rows = lengths == length
+        group = [b for b in encoded if len(b) == length]
+        octets = np.frombuffer(b"".join(group), dtype=np.uint8)
+        h = np.full(len(group), _FNV_OFFSET, dtype=np.uint64)
+        for column in octets.reshape(len(group), length).T.astype(np.uint64):
+            h ^= column
+            h *= prime
+        material[rows] = h
+    material ^= np.uint64(seed & _MASK)
+    z = material[:, None] + _SPLITMIX_STATES
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    z[~z.any(axis=1), 0] = 1
+    return z
 
 
 def _rotl(x: int, k: int) -> int:
@@ -201,23 +226,25 @@ class Rng:
 
     __slots__ = ("seed", "stream", "_s")
 
-    def __init__(self, seed: int, stream: str = ""):
+    def __init__(self, seed: int, stream: str = "", *,
+                 _state: list[int] | None = None):
         if not isinstance(seed, int):
             raise TypeError("seed must be an int")
         self.seed = seed & _MASK
         self.stream = stream
-        material = self.seed ^ fnv1a64(stream)
-        words = []
-        for _ in range(4):
-            out, material = splitmix64(material)
-            words.append(out)
-        if not any(words):
-            words[0] = 1
-        self._s = words
+        if _state is None:  # substreams hands over the row it seeded
+            _state = _seed_states(self.seed, [stream])[0].tolist()
+        self._s = _state
 
     def substream(self, label: str | int) -> "Rng":
         """Derive an independent child stream from (seed, parent label, label)."""
         return Rng(self.seed, f"{self.stream}/{label}")
+
+    def substreams(self, labels) -> list["Rng"]:
+        """``[self.substream(l) for l in labels]``, seeded in one array pass."""
+        streams = [f"{self.stream}/{label}" for label in labels]
+        states = _seed_states(self.seed, streams).tolist()
+        return [Rng(self.seed, s, _state=w) for s, w in zip(streams, states)]
 
     def next_u64(self) -> int:
         s0, s1, s2, s3 = self._s
@@ -238,8 +265,7 @@ class Rng:
 
     def uniform_array(self, shape, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         n = int(np.prod(shape)) if not isinstance(shape, int) else shape
-        out = lo + _unit(_fill([self], n)[0]) * (hi - lo)
-        return out.reshape(shape)
+        return uniform_rows([self], n, lo, hi)[0].reshape(shape)
 
     def gaussian_array(self, shape, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
         n = int(np.prod(shape)) if not isinstance(shape, int) else shape
@@ -277,6 +303,13 @@ def _fill(rngs: list[Rng], n: int) -> np.ndarray:
     for r, words in zip(rngs, states.tolist()):
         r._s = words
     return raw
+
+
+def uniform_rows(rngs: list[Rng], n: int, lo: float = 0.0,
+                 hi: float = 1.0) -> np.ndarray:
+    """[len(rngs), n] uniforms in [lo, hi), row i from stream i's next n
+    draws, each what ``uniform(lo, hi)`` would return."""
+    return lo + _unit(_fill(rngs, n)) * (hi - lo)
 
 
 def gaussian_rows(rngs: list[Rng], n: int, mu: float = 0.0,

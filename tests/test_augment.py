@@ -253,6 +253,41 @@ def test_short_window_and_inverted_scale_raise_reference_errors():
     assert outcome(augment_windows, X, y, 0, cfg) == want
 
 
+def test_inverted_scale_on_short_window_raises_reference_error():
+    # both settings are wrong; window 0's scale is checked before its warp
+    X, y = sample_stack(n=3, L=1, F=2)
+    cfg = AugmentConfig(scale_low=1.2, scale_high=0.8)
+    want = outcome(augment_ref, X, y, 0, cfg)
+    assert want == (DataError, "scale range inverted: (1.2, 0.8)")
+    assert outcome(augment_windows, X, y, 0, cfg) == want
+
+
+def test_empty_stack_matches_reference():
+    # no window draws, so even an invalid config raises nothing
+    X, y = sample_stack(n=0, L=1, F=2)
+    cfg = AugmentConfig(scale_low=1.2, scale_high=0.8)
+    assert outcome(augment_windows, X, y, 0, cfg) == \
+        outcome(augment_ref, X, y, 0, cfg)
+
+
+@pytest.mark.parametrize("n", [1, 2, _BLOCK + 1])
+def test_expansion_constructs_one_stream_per_draw(n, monkeypatch):
+    # the benchmark's traced rng.streams count wraps Rng.__init__: the base
+    # stream plus jitter, scale and one warp stream per window
+    made = []
+    init = Rng.__init__
+
+    def spy(self, *args, **kwargs):
+        made.append(args[1])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Rng, "__init__", spy)
+    X, y = sample_stack(n=n, L=6, F=2)
+    augment_windows(X, y, seed=3, cfg=AugmentConfig())
+    assert len(made) == 1 + 3 * n
+    assert len(set(made)) == len(made)
+
+
 def test_zero_strength_produces_exact_copies():
     X, y = sample_stack(n=4)
     cfg = AugmentConfig(jitter_sigma=0.0, scale_low=1.0, scale_high=1.0,

@@ -1,13 +1,52 @@
 """Bit-level tests for the deterministic stream generator."""
 
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extremecast.rng import (_LANE_LEN, Rng, _box_muller, _draw, _jump,
-                             _jump_table, fnv1a64, gaussian_rows, splitmix64)
+                             _jump_table, _seed_states, gaussian_rows,
+                             uniform_rows)
+
+MASK = (1 << 64) - 1
+
+
+# ------------------------------------------ scalar seeding, the reference
+
+
+def fnv1a64(text: str) -> int:
+    """64-bit FNV-1a hash of the UTF-8 encoding of ``text``."""
+    h = 0xCBF29CE484222325
+    for byte in text.encode("utf-8"):
+        h = ((h ^ byte) * 0x100000001B3) & MASK
+    return h
+
+
+def splitmix64(state: int) -> tuple[int, int]:
+    """Advance a splitmix64 state once.  Returns (output, new_state)."""
+    state = (state + 0x9E3779B97F4A7C15) & MASK
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    z = z ^ (z >> 31)
+    return z, state
+
+
+def seed_words_ref(seed: int, stream: str) -> list[int]:
+    """The four state words of (seed, stream), one Python int at a time."""
+    material = (seed & MASK) ^ fnv1a64(stream)
+    words = []
+    for _ in range(4):
+        out, material = splitmix64(material)
+        words.append(out)
+    if not any(words):
+        words[0] = 1
+    return words
 
 
 def test_fnv1a64_known_vectors():
@@ -21,6 +60,39 @@ def test_splitmix64_reference_vector():
     out, state = splitmix64(0)
     assert out == 0xE220A8397B1DCDAF
     assert state == 0x9E3779B97F4A7C15
+
+
+LABELS = st.lists(st.one_of(
+    st.sampled_from(["", "é", "温度", "jitter/0", "tempmax", "a" * 40]),
+    st.text(max_size=12),
+    st.integers(0, 10**6)), max_size=30)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.sampled_from([0, 2**64 - 1, -1, 2**64 + 5, 12345]),
+       parent=st.sampled_from(["", "augment", "permutation"]),
+       labels=LABELS)
+def test_substreams_match_scalar_seeding_word_for_word(seed, parent, labels):
+    # mixed byte lengths, duplicates (the sampled labels repeat), and labels
+    # whose UTF-8 bytes outnumber their characters
+    labels = labels + labels[:3]
+    base = Rng(seed, parent)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        children = base.substreams(labels)
+        streams = [f"{parent}/{label}" for label in labels]
+        states = _seed_states(seed, streams)
+        bare = _seed_states(seed, [parent, ""])
+    assert states.dtype == np.uint64 and states.shape == (len(labels), 4)
+    assert bare.tolist() == [seed_words_ref(seed, parent),
+                             seed_words_ref(seed, "")]
+    for child, stream, words in zip(children, streams, states.tolist()):
+        want = seed_words_ref(seed, stream)
+        assert words == want
+        assert (child.seed, child.stream) == (seed & MASK, stream)
+        assert list(child.state_words()) == want
+    assert [c.state_words() for c in children] == \
+        [base.substream(label).state_words() for label in labels]
 
 
 def test_stream_golden_values():
@@ -54,11 +126,9 @@ def test_streams_differ_by_label_and_seed():
 
 def test_bulk_fill_matches_scalar_path():
     bulk = Rng(7, "dropout").uniform_array(5000)
-    scalar = np.array([Rng(7, "dropout").uniform() for _ in range(1)])
     ref = Rng(7, "dropout")
     expect = np.array([ref.uniform() for _ in range(5000)])
     npt.assert_array_equal(bulk, expect)
-    assert bulk[0] == scalar[0]
 
 
 # inside one lane, at and just past the lane and 8-lane boundaries, and lane
@@ -106,6 +176,15 @@ def test_gaussian_rows_match_each_stream(n):
         assert r.state_words() == own.state_words()
     one = Rng(3, "augment").substream("jitter/0").gaussian_array(n, 0.0, 0.03)
     assert one.tobytes() == rows[0].tobytes()
+
+
+def test_uniform_rows_match_each_stream():
+    rngs = Rng(3, "augment").substreams(range(4))
+    rows = uniform_rows(rngs, 3, 0.9, 1.1)
+    for i, r in enumerate(rngs):
+        own = Rng(3, "augment").substream(i)
+        assert rows[i].tolist() == [own.uniform(0.9, 1.1) for _ in range(3)]
+        assert r.state_words() == own.state_words()
 
 
 def test_uniform_range_and_mantissa_rule():

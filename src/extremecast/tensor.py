@@ -26,6 +26,12 @@ math lives once, in plain-numpy kernels that the single-step ``lstm_cell``
 and ``gru_cell`` ops share, and the BPTT adds gradients up in the order of
 the per-step composition of those ops, so its results equal that
 composition bit for bit.
+
+The logistic has one definition, ``_sigmoid_value``: ``0.5 * tanh(0.5 * x)
++ 0.5``, computed in place in one fresh array.  It serves the ``sigmoid`` op
+and the LSTM and GRU gate blocks alike.  It lies within 2.2e-16 of
+``1 / (1 + exp(-x))``; below about 1e-8 it loses relative precision, and it
+is exactly 0 for x below about -37.
 """
 
 from __future__ import annotations
@@ -267,13 +273,22 @@ def tanh(a) -> Var:
 
 
 def _sigmoid_value(v: np.ndarray) -> np.ndarray:
-    # exp is only ever taken of a non-positive number, so it cannot overflow
-    s = 1.0 / (1.0 + np.exp(-np.abs(v)))
-    return np.where(v >= 0, s, 1.0 - s)
+    # the out= keeps a 0-d input an array, so the in-place tanh accepts it
+    s = np.multiply(v, 0.5, out=np.empty_like(v))
+    np.tanh(s, out=s)
+    s *= 0.5
+    s += 0.5
+    return s
 
 
 def sigmoid(a) -> Var:
-    """Numerically stable logistic; finite for every finite input."""
+    """Logistic as ``0.5 * tanh(0.5 * x) + 0.5``, in one fresh array.
+
+    Within 2.2e-16 of ``1 / (1 + exp(-x))`` everywhere, monotone, inside
+    [0, 1] and finite for every finite input, with no overflow.  Below about
+    1e-8 the result loses relative precision (it is exactly 0 for x below
+    about -37); the vjp ``out * (1 - out)`` is then 0 as well.
+    """
     a = as_var(a)
     out = _sigmoid_value(a.value)
     return _record(out, (a,), lambda g: (g * out * (1.0 - out),))

@@ -11,6 +11,8 @@ improvement for every seed so the recorded outcome is self-contained.
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -19,6 +21,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import extremecast
 from extremecast.augment import AugmentConfig, augment_windows, time_warp
 from extremecast.baselines import NBeatsConfig, NBeatsModel, TcnConfig, TcnModel
 from extremecast.cli import main as cli_main
@@ -379,6 +382,65 @@ def test_criterion_09_bitwise_determinism(tmp_path):
     assert len(first) >= 8  # dataset, audit, ckpt, history, report, residuals…
     for name in first:
         assert first[name] == second[name], f"{name} differs between runs"
+
+
+# Runs prepare -> train -> evaluate in one process, then prints the number of
+# OS threads it holds, so the caller can see that the BLAS setting took.
+_THREADED_RUN = """
+import os, sys
+from extremecast.cli import main
+cfg, out = sys.argv[1], sys.argv[2]
+steps = [
+    ["prepare", "--config", cfg, "--out", out + "/data.json"],
+    ["train", "--config", cfg, "--data", out + "/data.json",
+     "--out", out + "/ckpt.json"],
+    ["evaluate", "--checkpoint", out + "/ckpt.json",
+     "--data", out + "/data.json", "--report", out + "/report.json"],
+]
+for step in steps:
+    if main(step) != 0:
+        sys.exit(f"step failed: {step[0]}")
+task = "/proc/self/task"
+print(len(os.listdir(task)) if os.path.isdir(task) else -1)
+"""
+
+
+def test_criterion_09_determinism_across_blas_threads(tmp_path):
+    """Default model dimensions at lookback 30, so the eval batches'
+    [256, 32] @ [32, 128] products are large enough for OpenBLAS to split
+    across threads; one and two threads must write the same bytes."""
+    table_to_csv(sinusoid_ar_table(seed=5, n_days=900), tmp_path / "raw.csv")
+    config = {
+        "seed": 3,
+        "dataset": {"csv_path": str(tmp_path / "raw.csv"), "target": "tempmax",
+                    "lookback": 30, "train_frac": 0.65, "val_frac": 0.55},
+        "augment": {"enabled": False},
+        "training": {"max_epochs": 1},
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    src = str(Path(list(extremecast.__path__)[0]).resolve().parent)
+    artifacts, task_counts = {}, {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _THREADED_RUN, str(cfg_path), str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        task_counts[threads] = int(done.stdout.strip().splitlines()[-1])
+        artifacts[threads] = {p.name: p.read_bytes()
+                              for p in sorted(out.iterdir())}
+    print(f"\n  [criterion 9] OS threads per run: {task_counts}")
+    if task_counts["1"] > 0:
+        assert task_counts["2"] > task_counts["1"], task_counts
+    one, two = artifacts["1"], artifacts["2"]
+    assert set(one) == set(two) and len(one) >= 4, sorted(one)
+    for name in one:
+        assert one[name] == two[name], f"{name} differs between 1 and 2 threads"
 
 
 # ------------------------------------------------------------ 10: metrics

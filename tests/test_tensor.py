@@ -44,6 +44,52 @@ def test_sigmoid_values_and_saturation():
     assert big.value[1] == pytest.approx(0.0, abs=1e-15)
 
 
+def _sigmoid_exp_form(v):
+    """Reference logistic: exp of a non-positive number only, then mirror."""
+    s = 1.0 / (1.0 + np.exp(-np.abs(v)))
+    return np.where(v >= 0, s, 1.0 - s)
+
+
+def test_sigmoid_zero_d_and_strided_view():
+    zero_d = T._sigmoid_value(np.array(0.7))
+    assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
+    assert abs(zero_d - _sigmoid_exp_form(np.array(0.7))) <= 2.3e-16
+    # the LSTM passes its gate block as a strided column slice z[:, :3H]
+    z = Rng(4, "sigmoid").gaussian_array((6, 8), 0.0, 4.0)
+    view = z[:, :6]
+    before = view.copy()
+    assert not view.flags.c_contiguous
+    out = T._sigmoid_value(view)
+    assert out.shape == (6, 6)
+    npt.assert_array_equal(view, before)  # the input is not written
+    npt.assert_array_equal(out, T._sigmoid_value(before))
+    assert np.max(np.abs(out - _sigmoid_exp_form(view))) <= 2.3e-16
+
+
+def test_sigmoid_exact_half_monotone_and_bounded():
+    assert T._sigmoid_value(np.array(0.0)) == 0.5
+    assert T._sigmoid_value(np.array(-0.0)) == 0.5
+    grid = np.linspace(-40.0, 40.0, 400_001)
+    s = T._sigmoid_value(grid)
+    assert np.all(np.diff(s) >= 0.0)
+    assert s.min() >= 0.0 and s.max() <= 1.0
+    assert np.max(np.abs(s - _sigmoid_exp_form(grid))) <= 2.3e-16
+
+
+def test_sigmoid_extremes_finite_without_warnings():
+    v = np.array([745.0, -745.0, 1e308, -1e308, -40.0, 40.0])
+    x = Var(v, requires_grad=True)
+    with np.errstate(all="raise"):
+        s = T._sigmoid_value(v)
+        out = T.sigmoid(x)
+        backward(T.sum_(out))
+    assert np.all(np.isfinite(s))
+    npt.assert_array_equal(s[:4], [1.0, 0.0, 1.0, 0.0])
+    npt.assert_array_equal(out.value, s)
+    # saturated outputs carry an exact zero gradient, never a NaN
+    npt.assert_array_equal(x.grad, 0.0)
+
+
 def test_softmax_frozen_and_simplex():
     y = T.softmax(Var([1.0, 2.0, 3.0]))
     npt.assert_allclose(y.value, [0.09003057317038046, 0.24472847105479767,

@@ -7,9 +7,10 @@ Conventions fixed here:
   before imputation.  Missing numeric cells are NaN.
 * A column is kept only when every non-empty cell parses as a float; a
   column holding any other text is dropped while loading.
-* Imputation is two-stage: linear interpolation between observed neighbours,
-  then backward-fill before the first observation and forward-fill after the
-  last one.
+* Imputation is two-stage and causal: each missing cell takes the last
+  observed value before it (a forward fill), so no filled day depends on a
+  later one; cells before the first observation take the first observed
+  value (a back-fill).
 * The robust scaler is (x - median) / IQR with quantiles by the linear
   interpolation rule (numpy default); an IQR of zero falls back to a divisor
   of 1.  Fitting uses train-partition rows only.
@@ -143,17 +144,19 @@ def load_csv(path: str, target: str = TARGET_COLUMN) -> TimeSeriesTable:
 
 
 def impute_two_stage(table: TimeSeriesTable) -> TimeSeriesTable:
-    """Linear interpolation of interior gaps, edge back/forward fill."""
+    """Forward fill from the last observed day, back-fill before the first."""
     out = table.copy()
-    n = out.n_days
-    idx = np.arange(n)
+    idx = np.arange(out.n_days)
     for name, col in out.columns.items():
         known = np.isfinite(col)
         if not known.any():
             raise DataError(f"cannot impute column {name!r}: no observed values")
         if known.all():
             continue
-        out.columns[name] = np.interp(idx, idx[known], col[known])
+        # row of the last observed day at or before each day; -1 before the first
+        source = np.maximum.accumulate(np.where(known, idx, -1))
+        source[source < 0] = np.argmax(known)
+        out.columns[name] = col[source]
     return out
 
 

@@ -1,17 +1,20 @@
 """Training losses.
 
 The extreme-weighted loss re-weights squared errors by where each target sits
-in the batch's own distribution: strictly above the high quantile or strictly
-below the low quantile earns the tail weight, everything else the bulk weight:
+in the batch's own distribution: strictly above the upper ``TAIL_Q`` quantile
+or strictly below the lower one earns the tail weight, everything else the
+bulk weight:
 
-    w_i = alpha_high  if t_i > quantile(t, q_hi)
-          alpha_low   if t_i < quantile(t, q_lo)
+    w_i = alpha_high  if t_i > quantile(t, 1 - TAIL_Q)
+          alpha_low   if t_i < quantile(t, TAIL_Q)
           beta        otherwise
     L = (1/B) * sum_i w_i * (y_i - t_i)^2
 
-Quantiles use the same linear-interpolation rule as the robust scaler (numpy
-default).  Weights depend on targets only, so no gradient flows through them.
-With alpha_high == alpha_low == beta the loss is exactly beta * MSE.
+``TAIL_Q`` (5%) is ``metrics.TAIL_Q``, the same tail share every report
+scores.  Quantiles use the same linear-interpolation rule as the robust
+scaler (numpy default).  Weights depend on targets only, so no gradient flows
+through them.  With alpha_high == alpha_low == beta the loss is exactly
+beta * MSE.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .metrics import TAIL_Q
 from .tensor import Var
 
 
@@ -29,8 +33,6 @@ class LossConfig:
     alpha_high: float = 2.0
     alpha_low: float = 2.0
     beta: float = 0.5
-    q_hi: float = 0.95
-    q_lo: float = 0.05
 
 
 def extreme_weights(target: np.ndarray, cfg: LossConfig) -> np.ndarray:
@@ -38,23 +40,15 @@ def extreme_weights(target: np.ndarray, cfg: LossConfig) -> np.ndarray:
     t = np.asarray(target, dtype=np.float64)
     if t.ndim != 1 or t.shape[0] < 2:
         raise ValueError("extreme loss needs a 1-D batch of at least 2 targets")
-    tau_hi = np.quantile(t, cfg.q_hi)
-    tau_lo = np.quantile(t, cfg.q_lo)
+    tau_hi = np.quantile(t, 1.0 - TAIL_Q)
+    tau_lo = np.quantile(t, TAIL_Q)
     w = np.full(t.shape, cfg.beta, dtype=np.float64)
     w[t > tau_hi] = cfg.alpha_high
     w[t < tau_lo] = cfg.alpha_low
     return w
 
 
-def extreme_weather_loss(pred: Var, target: np.ndarray, cfg: LossConfig) -> tuple[Var, np.ndarray]:
-    """Weighted MSE with batch-quantile tail emphasis.  Returns (loss, weights)."""
-    w = extreme_weights(target, cfg)
-    err = pred - Var(np.asarray(target, dtype=np.float64))
-    loss = T.mean(Var(w) * err * err)
-    return loss, w
-
-
 def compute_loss(pred: Var, target: np.ndarray, cfg: LossConfig) -> Var:
-    """The extreme-weighted loss alone; the per-sample weights are discarded."""
-    loss, _ = extreme_weather_loss(pred, target, cfg)
-    return loss
+    """Weighted MSE with batch-quantile tail emphasis."""
+    err = pred - Var(np.asarray(target, dtype=np.float64))
+    return T.mean(Var(extreme_weights(target, cfg)) * err * err)

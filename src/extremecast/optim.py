@@ -7,6 +7,11 @@ directly to the weights, not through the gradient):
     v <- b2*v + (1-b2)*g^2      vhat = v / (1 - b2^t)
     theta <- theta - lr * mhat / (sqrt(vhat) + eps) - lr * wd * theta
 
+with the published constants b1 = 0.9, b2 = 0.999 and eps = 1e-8 (Loshchilov
+& Hutter, arXiv:1711.05101).  The learning rate follows SGDR
+(arXiv:1608.03983): cycle i spans t0 * 2**i epochs, and each cycle restarts
+at lr_max and anneals to 0 along a half cosine.
+
 Parameters whose names are in ``no_decay`` (biases and the transition logits)
 skip the decay term.  Gradient clipping rescales the whole gradient set by
 max_norm / norm when the global L2 norm exceeds max_norm.
@@ -19,25 +24,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+T_MULT = 2        # cycle length multiplier after each restart
+
 
 @dataclass
 class OptimConfig:
     lr_max: float = 5e-3
-    lr_min: float = 0.0
     weight_decay: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     clip_norm: float = 5.0
     t0: int = 10      # epochs in the first cosine cycle
-    t_mult: int = 2   # cycle length multiplier after each restart
 
 
 def cosine_warm_restart_lr(epoch: int, cfg: OptimConfig) -> float:
     """Learning rate for an integer epoch index (0-based).
 
-    Cycle i spans t0 * t_mult**i epochs; each cycle restarts at lr_max and
-    anneals to lr_min along a half cosine.
+    Cycle i spans t0 * T_MULT**i epochs; each cycle restarts at lr_max and
+    anneals to 0 along a half cosine.
     """
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
@@ -45,9 +50,9 @@ def cosine_warm_restart_lr(epoch: int, cfg: OptimConfig) -> float:
     start = 0
     while epoch >= start + t_i:
         start += t_i
-        t_i *= cfg.t_mult
+        t_i *= T_MULT
     t_cur = epoch - start
-    return cfg.lr_min + 0.5 * (cfg.lr_max - cfg.lr_min) * (1.0 + math.cos(math.pi * t_cur / t_i))
+    return 0.5 * cfg.lr_max * (1.0 + math.cos(math.pi * t_cur / t_i))
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
@@ -79,8 +84,8 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     """One AdamW step, updating ``params`` in place."""
     state.t += 1
     t = state.t
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -90,13 +95,13 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             m = state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
         v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
         mhat = m / bc1
         vhat = v / bc2
         # decay first so it scales theta_t, independent of this step's gradient
         if cfg.weight_decay != 0.0 and name not in no_decay:
             p -= lr * cfg.weight_decay * p
-        p -= lr * mhat / (np.sqrt(vhat) + cfg.eps)
+        p -= lr * mhat / (np.sqrt(vhat) + EPS)

@@ -77,7 +77,6 @@ def prepare(table: TimeSeriesTable, lookback: int = 30, train_frac: float = 0.8,
     parts = make_windows(matrix, y, split, lookback)
     return PreparedDataset(
         feature_names=names, lookback=lookback, target=table.target,
-        scaler=ScalerParams({n: scaler.columns[n] for n in set(names) | {table.target}}),
-        split=split, parts=parts, dates=list(imputed.dates),
+        scaler=scaler, split=split, parts=parts, dates=list(imputed.dates),
         target_raw=target_raw.copy(), audit=selection.audit_rows(), mode=spec.mode,
         feature_matrix=matrix, target_scaled=y)

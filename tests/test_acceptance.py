@@ -25,14 +25,14 @@ import extremecast
 from extremecast.augment import AugmentConfig, augment_windows, time_warp
 from extremecast.baselines import NBeatsConfig, NBeatsModel, TcnConfig, TcnModel
 from extremecast.cli import main as cli_main
-from extremecast.data import SplitSpec, chronological_split
+from extremecast.data import SplitSpec, chronological_split, impute_two_stage
 from extremecast.diagnostics import (kmeans, occlusion_sensitivity,
                                      partial_dependence,
                                      permutation_importance)
 from extremecast.features import FeatureSpec, build_features, savgol_causal
 from extremecast.gradcheck import grad_check
-from extremecast.losses import LossConfig, compute_loss, extreme_weather_loss
-from extremecast.metrics import regression_metrics
+from extremecast.losses import LossConfig, compute_loss
+from extremecast.metrics import TAIL_Q, regression_metrics
 from extremecast.model import (DualStreamModel, ModelConfig, forward,
                                fuse_outputs, wrap_params)
 from extremecast.pipeline import PreparedDataset, prepare
@@ -157,8 +157,8 @@ def _quantile_linear(sorted_vals, q):
 
 def _brute_force_extreme(pred, target, cfg):
     s = sorted(float(v) for v in target)
-    tau_hi = _quantile_linear(s, cfg.q_hi)
-    tau_lo = _quantile_linear(s, cfg.q_lo)
+    tau_hi = _quantile_linear(s, 1.0 - TAIL_Q)
+    tau_lo = _quantile_linear(s, TAIL_Q)
     total = 0.0
     for p, t in zip(pred, target):
         if t > tau_hi:
@@ -180,10 +180,8 @@ def test_criterion_02_loss_oracle_equivalence():
         pred = Var(target + rng.gaussian_array(n, 0.0, 1.0))
         cfg = LossConfig(alpha_high=0.5 + 3.0 * rng.uniform(),
                          alpha_low=0.5 + 3.0 * rng.uniform(),
-                         beta=0.1 + rng.uniform(),
-                         q_hi=0.80 + 0.19 * rng.uniform(),
-                         q_lo=0.01 + 0.19 * rng.uniform())
-        loss, _ = extreme_weather_loss(pred, target, cfg)
+                         beta=0.1 + rng.uniform())
+        loss = compute_loss(pred, target, cfg)
         worst = max(worst, abs(loss.item()
                                - _brute_force_extreme(pred.value, target, cfg)))
     assert worst <= 1e-12, worst
@@ -192,7 +190,7 @@ def test_criterion_02_loss_oracle_equivalence():
     target = Rng(8, "acceptance").gaussian_array(64, 10.0, 4.0)
     pred = Var(target + Rng(9, "acceptance").gaussian_array(64, 0.0, 2.0))
     flat = LossConfig(alpha_high=0.5, alpha_low=0.5, beta=0.5)
-    loss, _ = extreme_weather_loss(pred, target, flat)
+    loss = compute_loss(pred, target, flat)
     assert loss.item() == 0.5 * np.mean((pred.value - target) ** 2)
 
 
@@ -256,6 +254,14 @@ def test_criterion_05_savitzky_golay_exactness():
 # --------------------------------------------------- 6: pipeline causality
 
 
+def _truncated(table, cut):
+    short = table.copy()
+    short.dates = short.dates[:cut]
+    for name in short.columns:
+        short.columns[name] = short.columns[name][:cut]
+    return short
+
+
 def test_criterion_06_pipeline_causality_audit():
     n = 500
     lookback = 10
@@ -269,17 +275,36 @@ def test_criterion_06_pipeline_causality_audit():
     cut_rng = Rng(60, "acceptance")
     for _ in range(20):
         cut = fit_end + 1 + cut_rng.randint(n - fit_end - 1)
-        short = table.copy()
-        short.dates = short.dates[:cut]
-        for name in short.columns:
-            short.columns[name] = short.columns[name][:cut]
         short_split = SplitSpec(cut, val=split.val, train=split.train,
                                 test=(fit_end, cut))
-        feats_short, _ = build_features(short, short_split, FeatureSpec())
+        feats_short, _ = build_features(_truncated(table, cut), short_split,
+                                        FeatureSpec())
         assert set(feats_short) == set(feats)
         for name in feats:
             npt.assert_array_equal(feats_short[name], feats[name][:cut],
                                    err_msg=f"cut={cut} feature={name}")
+
+    # The same audit through imputation on a gappy table: every missing day
+    # is filled from earlier days only, so a table that ends right after a
+    # missing day fills it, and derives every feature, as the full table does.
+    gappy = table.copy()
+    missing = np.sort(np.concatenate([
+        [3, 4, 5, 40],
+        fit_end + 2 + np.unique([cut_rng.randint(n - fit_end - 4)
+                                 for _ in range(12)])]))
+    for col in gappy.columns.values():
+        col[missing] = np.nan
+    gappy_feats, _ = build_features(impute_two_stage(gappy), split,
+                                    FeatureSpec())
+    for day in missing[missing > fit_end]:
+        cut = day + 1
+        short_split = SplitSpec(cut, val=split.val, train=split.train,
+                                test=(fit_end, cut))
+        feats_short, _ = build_features(
+            impute_two_stage(_truncated(gappy, cut)), short_split, FeatureSpec())
+        for name in gappy_feats:
+            npt.assert_array_equal(feats_short[name], gappy_feats[name][:cut],
+                                   err_msg=f"missing day {day} feature={name}")
 
     # No window crosses a partition boundary, and each window is exactly the
     # lookback rows preceding its target day.

@@ -142,6 +142,27 @@ def test_baseline_persistence_trivial_checkpoint(work):
     assert report["metrics"]["rmse"] > 0.0
 
 
+def test_checkpoint_with_removed_train_settings_evaluates_unchanged(work):
+    # checkpoints written while the loss tails and the AdamW/SGDR constants
+    # were settable still hold them in extra.train_config; only the record moves
+    doc = json.loads((work / "ckpt.json").read_text())
+    train_config = doc["extra"]["train_config"]
+    assert "q_hi" not in train_config["loss"]
+    assert "beta1" not in train_config["optim"]
+    train_config["loss"].update(q_hi=0.95, q_lo=0.05)
+    train_config["optim"].update(lr_min=0.0, beta1=0.9, beta2=0.999,
+                                 eps=1e-8, t_mult=2)
+    (work / "old_ckpt.json").write_text(json.dumps(doc))
+    reports = []
+    for stem in ("ckpt", "old_ckpt"):
+        out = work / f"{stem}_compat_report.json"
+        assert main(["evaluate", "--checkpoint", str(work / f"{stem}.json"),
+                     "--data", str(work / "data.json"),
+                     "--report", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_seed_resolution_order(work):
     cfg_noseed = work / "config_noseed.json"
     doc = json.loads((work / "config.json").read_text())

@@ -17,7 +17,7 @@ from extremecast.features import FeatureSpec
 from extremecast.metrics import evaluation_report
 from extremecast.pipeline import prepare
 from extremecast.synthetic import persistence_task_table
-from extremecast.training import TrainConfig, fit_model_config
+from extremecast.training import MODELS, TrainConfig, fit_model_config
 
 
 def test_empty_document_yields_defaults():
@@ -55,9 +55,15 @@ def test_unknown_keys_rejected_with_location():
             run_config_from_dict({section: {key: value}})
     with pytest.raises(ConfigError, match="<root>.*'eval'"):
         run_config_from_dict({"eval": {"tail_q": 0.05}})
-    for key, value in (("kind", "extreme"), ("delta", 1.0)):
-        with pytest.raises(ConfigError, match=f"training.loss.*{key}"):
-            run_config_from_dict({"training": {"loss": {key: value}}})
+    # removed settings: the loss's tails are metrics.TAIL_Q, and AdamW/SGDR
+    # keep their published constants
+    for section, key, value in (("loss", "kind", "extreme"), ("loss", "delta", 1.0),
+                                ("loss", "q_hi", 0.95), ("loss", "q_lo", 0.05),
+                                ("optim", "beta1", 0.9), ("optim", "beta2", 0.999),
+                                ("optim", "eps", 1e-8), ("optim", "lr_min", 0.0),
+                                ("optim", "t_mult", 2)):
+        with pytest.raises(ConfigError, match=f"training.{section}.*'{key}'"):
+            run_config_from_dict({"training": {section: {key: value}}})
 
 
 def _schema_leaves(node, path=()):
@@ -92,7 +98,7 @@ def test_schema_leaves_are_the_dataclass_fields():
                  if name != "seed" and not name.startswith("augment.")}
     settable -= {"model.n_features", "model.lookback"}
     assert leaves == settable
-    assert len(leaves) == 40
+    assert len(leaves) == 33
 
 
 def test_enum_and_range_violations_name_paths():
@@ -100,8 +106,8 @@ def test_enum_and_range_violations_name_paths():
         run_config_from_dict({"features": {"mode": "everything"}})
     with pytest.raises(ConfigError, match=r"model\.dropout"):
         run_config_from_dict({"model": {"dropout": 1.5}})
-    with pytest.raises(ConfigError, match=r"training\.loss\.q_hi"):
-        run_config_from_dict({"training": {"loss": {"q_hi": 1.5}}})
+    with pytest.raises(ConfigError, match=r"training\.loss\.beta"):
+        run_config_from_dict({"training": {"loss": {"beta": 0}}})
     with pytest.raises(ConfigError, match=r"training\.batch_size"):
         run_config_from_dict({"training": {"batch_size": 1}})
 
@@ -134,10 +140,10 @@ def test_seed_and_augment_are_threaded_into_training():
 
 def test_nested_loss_and_optim_sections():
     cfg = run_config_from_dict({
-        "training": {"loss": {"alpha_high": 3.0, "q_lo": 0.1},
+        "training": {"loss": {"alpha_high": 3.0, "beta": 0.25},
                      "optim": {"lr_max": 0.01, "t0": 5}}})
     assert cfg.training.loss.alpha_high == 3.0
-    assert cfg.training.loss.q_lo == 0.1
+    assert cfg.training.loss.beta == 0.25
     assert cfg.training.optim.lr_max == 0.01
     assert cfg.training.optim.t0 == 5
 
@@ -172,6 +178,12 @@ def test_load_run_config_file_errors(tmp_path):
     assert load_run_config(good).seed == 2
     with pytest.raises(ConfigError, match="JSON object"):
         run_config_from_dict([1, 2])
+
+
+def test_report_model_kinds_are_the_training_models():
+    # the report schema's enum is the one other list of model kinds
+    schema = load_schema("report.schema.json")
+    assert schema["properties"]["model_kind"]["enum"] == list(MODELS)
 
 
 def test_report_schema_accepts_real_reports():

@@ -6,6 +6,8 @@ import datetime as dt
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extremecast.data import (TimeSeriesTable, chronological_split, fit_scaler,
                               impute_two_stage, load_csv, make_windows)
@@ -104,13 +106,42 @@ def test_csv_round_trip_preserves_values(tmp_path):
 
 
 def test_impute_interior_linear():
+    # an interior gap carries the last observed day forward; it never looks
+    # at the next observed day (which a linear interpolation would)
     t = impute_two_stage(mk_table([10.0, np.nan, 12.0]))
-    npt.assert_array_equal(t.columns["tempmax"], [10.0, 11.0, 12.0])
+    npt.assert_array_equal(t.columns["tempmax"], [10.0, 10.0, 12.0])
 
 
 def test_impute_edges_fill_and_long_gap():
     t = impute_two_stage(mk_table([np.nan, np.nan, 5.0, np.nan, np.nan, 8.0, np.nan]))
-    npt.assert_array_equal(t.columns["tempmax"], [5, 5, 5, 6, 7, 8, 8])
+    npt.assert_array_equal(t.columns["tempmax"], [5, 5, 5, 5, 5, 8, 8])
+    # each column fills from its own observations
+    two = mk_table([1.0, np.nan, np.nan, 4.0])
+    two.columns["temp"] = np.array([np.nan, 2.0, np.nan, np.nan])
+    t = impute_two_stage(two)
+    npt.assert_array_equal(t.columns["tempmax"], [1, 1, 1, 4])
+    npt.assert_array_equal(t.columns["temp"], [2, 2, 2, 2])
+
+
+def ffill_loop(col):
+    """Reference: one day at a time, carry the last observed value forward;
+    days before the first observation take the first observed value."""
+    out = col.copy()
+    last = col[np.isfinite(col)][0]
+    for i, v in enumerate(col):
+        if np.isfinite(v):
+            last = v
+        out[i] = last
+    return out
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.none(), st.floats(-50.0, 50.0)), min_size=1,
+                max_size=60).filter(lambda cells: any(c is not None for c in cells)))
+def test_impute_matches_per_day_forward_fill(cells):
+    col = np.array([np.nan if c is None else c for c in cells])
+    out = impute_two_stage(mk_table(col)).columns["tempmax"]
+    npt.assert_array_equal(out, ffill_loop(col))
 
 
 def test_impute_noop_when_complete_and_error_when_empty():

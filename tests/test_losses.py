@@ -2,8 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from extremecast.losses import (LossConfig, compute_loss, extreme_weather_loss,
-                                extreme_weights)
+from extremecast.losses import LossConfig, compute_loss, extreme_weights
+from extremecast.metrics import TAIL_Q
 from extremecast.rng import Rng
 from extremecast.tensor import Var, backward
 from extremecast import tensor as T
@@ -21,7 +21,7 @@ def brute_force_extreme(pred, target, cfg):
         frac = pos - lo
         return t[lo] * (1 - frac) + t[hi] * frac
 
-    hi, lo = quant(cfg.q_hi), quant(cfg.q_lo)
+    hi, lo = quant(1.0 - TAIL_Q), quant(TAIL_Q)
     total = 0.0
     for p, y in zip(pred, target):
         if y > hi:
@@ -38,7 +38,8 @@ def test_frozen_example():
     target = np.arange(1.0, 21.0)
     pred = Var(target + 1.0)
     cfg = LossConfig()
-    loss, w = extreme_weather_loss(pred, target, cfg)
+    loss = compute_loss(pred, target, cfg)
+    w = extreme_weights(target, cfg)
     assert loss.item() == pytest.approx(0.65, abs=1e-12)
     assert w[-1] == 2.0 and w[0] == 2.0 and set(w[1:-1]) == {0.5}
 
@@ -48,7 +49,7 @@ def test_equal_weights_is_beta_times_mse():
     target = rng.gaussian_array(64, 10.0, 5.0)
     pred = rng.gaussian_array(64, 10.0, 5.0)
     cfg = LossConfig(alpha_high=0.5, alpha_low=0.5, beta=0.5)
-    loss, _ = extreme_weather_loss(Var(pred), target, cfg)
+    loss = compute_loss(Var(pred), target, cfg)
     assert loss.item() == pytest.approx(0.5 * np.mean((pred - target) ** 2), rel=1e-15)
 
 
@@ -59,7 +60,7 @@ def test_against_brute_force_oracle():
         target = rng.gaussian_array(b, 20.0, 8.0)
         pred = target + rng.gaussian_array(b, 0.0, 3.0)
         cfg = LossConfig()
-        loss, _ = extreme_weather_loss(Var(pred), target, cfg)
+        loss = compute_loss(Var(pred), target, cfg)
         assert loss.item() == pytest.approx(
             brute_force_extreme(pred, target, cfg), abs=1e-12), case
 
@@ -70,28 +71,24 @@ def test_closed_form_gradient():
     target = rng.gaussian_array(16)
     pred = Var(rng.gaussian_array(16), requires_grad=True)
     cfg = LossConfig()
-    loss, w = extreme_weather_loss(pred, target, cfg)
+    loss = compute_loss(pred, target, cfg)
+    w = extreme_weights(target, cfg)
     backward(loss)
     npt.assert_allclose(pred.grad, 2.0 * w * (pred.value - target) / 16.0, rtol=1e-14)
 
 
 def test_weights_ignore_predictions():
+    # predictions whose tails sit at the targets' opposite end leave the
+    # weights, and so the loss, to the targets alone
     target = np.linspace(0, 10, 30)
-    cfg = LossConfig()
+    pred = -100.0 * target
+    cfg = LossConfig(alpha_high=3.0, alpha_low=1.0)
     w = extreme_weights(target, cfg)
-    _, w2 = extreme_weather_loss(Var(target * 100.0), target, cfg)
-    npt.assert_array_equal(w, w2)
+    assert w[-1] == 3.0 and w[0] == 1.0
+    assert compute_loss(Var(pred), target, cfg).item() == pytest.approx(
+        np.mean(w * (pred - target) ** 2), rel=1e-15)
 
 
 def test_batch_too_small():
     with pytest.raises(ValueError):
         extreme_weights(np.array([1.0]), LossConfig())
-
-
-def test_compute_loss_dispatch():
-    # the training loss is the extreme-weighted loss, bit for bit
-    target = np.array([0.0, 1.0, 4.0, -2.0, 7.5])
-    pred = Var(target + np.array([1.0, -0.5, 0.25, 2.0, -1.0]))
-    cfg = LossConfig(alpha_high=3.0)
-    loss, _ = extreme_weather_loss(pred, target, cfg)
-    assert compute_loss(pred, target, cfg).item() == loss.item()

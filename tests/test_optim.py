@@ -4,8 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from extremecast.optim import (AdamWState, OptimConfig, adamw_step,
-                               clip_global_norm, cosine_warm_restart_lr)
+from extremecast.optim import (BETA1, BETA2, EPS, T_MULT, AdamWState,
+                               OptimConfig, adamw_step, clip_global_norm,
+                               cosine_warm_restart_lr)
 
 
 def test_single_step_scalar():
@@ -41,7 +42,7 @@ def test_no_decay_names_skip_decay():
 def test_moment_bias_correction_two_steps():
     # hand-rolled two-step trajectory oracle
     cfg = OptimConfig(weight_decay=0.0)
-    lr, b1, b2, eps = 0.1, cfg.beta1, cfg.beta2, cfg.eps
+    lr, b1, b2, eps = 0.1, BETA1, BETA2, EPS
     g1, g2 = 0.5, -0.25
     theta = 1.0
     m = v = 0.0
@@ -57,12 +58,15 @@ def test_moment_bias_correction_two_steps():
 
 
 def test_cosine_schedule_shape():
-    cfg = OptimConfig(lr_max=5e-3, lr_min=0.0, t0=10, t_mult=2)
+    assert T_MULT == 2
+    cfg = OptimConfig(lr_max=5e-3, t0=10)
     assert cosine_warm_restart_lr(0, cfg) == pytest.approx(5e-3)
     assert cosine_warm_restart_lr(5, cfg) == pytest.approx(2.5e-3, abs=1e-12)
     assert cosine_warm_restart_lr(10, cfg) == pytest.approx(5e-3)  # restart
     assert cosine_warm_restart_lr(20, cfg) == pytest.approx(2.5e-3, abs=1e-12)
     assert cosine_warm_restart_lr(30, cfg) == pytest.approx(5e-3)  # second restart
+    # each cycle anneals to 0: the last epoch of the first sits one step short
+    assert cosine_warm_restart_lr(9, cfg) == 0.5 * 5e-3 * (1.0 + math.cos(math.pi * 9 / 10))
     # monotone within a cycle
     lrs = [cosine_warm_restart_lr(e, cfg) for e in range(10)]
     assert all(a > b for a, b in zip(lrs, lrs[1:]))

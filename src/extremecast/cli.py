@@ -16,6 +16,7 @@ Failures exit with the code carried by the raised error: 2 config,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -416,7 +417,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameters (malloc.h) and the values main sets. Each eval
+# forward allocates and frees 25-35 MB in temporaries of up to about 8 MB; by
+# default glibc hands that memory back when the forward ends and faults it in
+# again on the next batch.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20  # above every temporary, so none is mmap'd
+_TRIM_THRESHOLD = 1 << 30  # the freed heap is kept, never trimmed
+
+
+def _keep_freed_heap() -> None:
+    """Make glibc keep the process's freed heap for the next allocation.
+
+    Any successful mallopt call freezes glibc's dynamic mmap threshold, so
+    the threshold is pinned first: the trim setting alone would freeze it
+    at 128 KiB and mmap every large temporary. A no-op where the C library
+    has no mallopt (macOS, Windows) or a stub that returns 0 (musl).
+    Allocation policy moves no value: every artifact byte stays the same.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1:
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -11,6 +11,7 @@ improvement for every seed so the recorded outcome is self-contained.
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -430,10 +431,9 @@ print(len(os.listdir(task)) if os.path.isdir(task) else -1)
 """
 
 
-def test_criterion_09_determinism_across_blas_threads(tmp_path):
-    """Default model dimensions at lookback 30, so the eval batches'
-    [256, 32] @ [32, 128] products are large enough for OpenBLAS to split
-    across threads; one and two threads must write the same bytes."""
+def _default_size_config(tmp_path: Path) -> Path:
+    """A run config at the default model dimensions and lookback 30, whose
+    285 test windows make one full 256-window eval batch."""
     table_to_csv(sinusoid_ar_table(seed=5, n_days=900), tmp_path / "raw.csv")
     config = {
         "seed": 3,
@@ -444,7 +444,19 @@ def test_criterion_09_determinism_across_blas_threads(tmp_path):
     }
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
-    src = str(Path(list(extremecast.__path__)[0]).resolve().parent)
+    return cfg_path
+
+
+def _src_dir() -> str:
+    return str(Path(list(extremecast.__path__)[0]).resolve().parent)
+
+
+def test_criterion_09_determinism_across_blas_threads(tmp_path):
+    """Default model dimensions at lookback 30, so the eval batches'
+    [256, 32] @ [32, 128] products are large enough for OpenBLAS to split
+    across threads; one and two threads must write the same bytes."""
+    cfg_path = _default_size_config(tmp_path)
+    src = _src_dir()
     artifacts, task_counts = {}, {}
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
@@ -466,6 +478,78 @@ def test_criterion_09_determinism_across_blas_threads(tmp_path):
     assert set(one) == set(two) and len(one) >= 4, sorted(one)
     for name in one:
         assert one[name] == two[name], f"{name} differs between 1 and 2 threads"
+
+
+# One phase of prepare -> train -> evaluate -> explain --method permutation.
+# The "train" phase prepares and trains. The "explain" phase runs in a process
+# that has not trained, as the CLI runs one subcommand per process: training
+# frees large mmap'd blocks, after which glibc's dynamic thresholds keep the
+# eval temporaries even without the policy. It evaluates and explains, then
+# runs one warm-up evaluate and three more, and prints the minor page faults
+# of those three (0 without the resource module). With a fourth argument,
+# cli's heap policy is patched out.
+_HEAP_RUN = """
+import sys
+from extremecast import cli
+try:
+    import resource
+except ImportError:
+    resource = None
+cfg, out, phase = sys.argv[1:4]
+if len(sys.argv) > 4:
+    cli._keep_freed_heap = lambda: None
+data = ["--data", out + "/data.json"]
+evaluate = ["evaluate", "--checkpoint", out + "/ckpt.json", *data, "--report"]
+steps = {
+    "train": [["prepare", "--config", cfg, "--out", out + "/data.json"],
+              ["train", "--config", cfg, *data, "--out", out + "/ckpt.json"]],
+    "explain": [evaluate + [out + "/report.json"],
+                ["explain", "--checkpoint", out + "/ckpt.json", *data,
+                 "--method", "permutation", "--repeats", "1",
+                 "--out", out + "/perm.csv"],
+                evaluate + [out + "/again.json"]],
+}[phase]
+for step in steps:
+    if cli.main(step) != 0:
+        sys.exit(f"step failed: {step[0]}")
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt if resource else 0
+if phase == "explain":
+    before = faults()
+    for _ in range(3):
+        if cli.main(evaluate + [out + "/again.json"]) != 0:
+            sys.exit("step failed: evaluate")
+    print(faults() - before)
+"""
+
+
+def test_criterion_09_heap_policy_keeps_bits_and_saves_faults(tmp_path):
+    """cli.main keeps glibc's freed heap. That must write the same bytes as
+    the default allocator, and on glibc the repeated eval forwards stop
+    faulting their temporaries in again (about 5,600 faults per pass over
+    the 285 test windows without it)."""
+    cfg_path = _default_size_config(tmp_path)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=_src_dir())
+    artifacts, faults = {}, {}
+    for side, extra in (("shipped", []), ("patched_out", ["noop"])):
+        out = tmp_path / side
+        out.mkdir()
+        for phase in ("train", "explain"):
+            done = subprocess.run(
+                [sys.executable, "-c", _HEAP_RUN, str(cfg_path), str(out),
+                 phase, *extra],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr[-2000:]
+        faults[side] = int(done.stdout.strip().splitlines()[-1])
+        artifacts[side] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    print(f"\n  [criterion 9] minor faults over three evaluates: {faults}")
+    shipped, bare = artifacts["shipped"], artifacts["patched_out"]
+    assert set(shipped) == set(bare) and len(shipped) >= 6, sorted(shipped)
+    for name in shipped:
+        assert shipped[name] == bare[name], f"{name} differs with the policy"
+    if sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc":
+        assert faults["shipped"] < 0.1 * faults["patched_out"], faults
 
 
 # ------------------------------------------------------------ 10: metrics

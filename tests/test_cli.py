@@ -3,11 +3,13 @@ exit codes, and the explain/augment/sweep outputs."""
 
 import csv
 import json
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from extremecast import cli
 from extremecast.cli import main
 from extremecast.config import validate_report_dict
 from extremecast.synthetic import sinusoid_ar_table, table_to_csv
@@ -558,3 +560,41 @@ def test_sweep_feature_ablation_csv(work, tmp_path):
     assert rows[0][:2] == ["mode", "n_features"]
     assert [r[0] for r in rows[1:]] == list(FEATURE_MODES)
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+# -------------------------------------------------------------- heap policy
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [_no_c_library,
+                                  lambda name: types.SimpleNamespace()],
+                         ids=["oserror", "no-mallopt"])
+def test_heap_policy_is_a_noop_without_mallopt(work, tmp_path, monkeypatch,
+                                               cdll):
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    out = tmp_path / "ckpt.json"
+    assert main(["train", "--config", str(work / "config.json"),
+                 "--data", str(work / "data.json"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (work / "ckpt.json").read_bytes()
+    assert (tmp_path / "ckpt_history.csv").read_bytes() == \
+        (work / "ckpt_history.csv").read_bytes()
+
+
+@pytest.mark.parametrize("pinned", [1, 0], ids=["glibc", "stub"])
+def test_heap_policy_pins_mmap_threshold_before_trim(monkeypatch, pinned):
+    # any successful mallopt call freezes glibc's dynamic mmap threshold, so
+    # the trim threshold is raised only once the mmap threshold is pinned
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return pinned
+
+    monkeypatch.setattr(cli.ctypes, "CDLL",
+                        lambda name: types.SimpleNamespace(mallopt=mallopt))
+    cli._keep_freed_heap()
+    expected = [(-3, 32 << 20), (-1, 1 << 30)]
+    assert calls == expected[:1 + pinned]

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DataError
-from .model import SpecModel
+from .model import SpecModel, window_stack
 from .tensor import Var, dropout
 
 
@@ -44,8 +44,7 @@ class PersistenceModel(SpecModel):
         super().__init__([])
 
     def forward(self, params, X, train: bool = False, rng=None):
-        Xv = X if isinstance(X, Var) else Var(X)
-        return Xv[:, -1, self.target_index], {}
+        return window_stack(params, X)[:, -1, self.target_index], {}
 
 
 # --------------------------------------------------------------------- TCN
@@ -87,7 +86,8 @@ def causal_conv(seq: Var, kernels: list, bias: Var, dilation: int) -> Var:
     B, L, Cin = seq.shape
     k = len(kernels)
     pad = (k - 1) * dilation
-    padded = T.concat([Var(np.zeros((B, pad, Cin))), seq], axis=1) if pad \
+    padded = T.concat([Var(np.zeros((B, pad, Cin), dtype=seq.value.dtype)), seq],
+                      axis=1) if pad \
         else seq
     out = None
     for j, Wj in enumerate(kernels):
@@ -122,7 +122,7 @@ class TcnModel(SpecModel):
         cfg = self.cfg
         if train and cfg.dropout > 0.0 and rng is None:
             raise ConfigError("train-mode forward with dropout needs a dropout stream")
-        h = X if isinstance(X, Var) else Var(X)
+        h = window_stack(params, X)
         if h.shape[2] != cfg.n_features:
             raise ConfigError(
                 f"forward expects {cfg.n_features} features, got {h.shape[2]}")
@@ -179,8 +179,7 @@ class NBeatsModel(SpecModel):
         return specs
 
     def forward(self, params, X, train: bool = False, rng=None):
-        Xv = X if isinstance(X, Var) else Var(X)
-        residual = Xv[:, :, self.target_index]       # [B, L]
+        residual = window_stack(params, X)[:, :, self.target_index]       # [B, L]
         forecasts = []
         for s in range(self.cfg.stacks):
             fc = {n: (params[f"stack.{s}.{n}.W"], params[f"stack.{s}.{n}.b"])

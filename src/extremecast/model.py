@@ -30,10 +30,22 @@ biases so the reset gate multiplies only the hidden half of the candidate.
 All weights init Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) drawn in
 parameter-name order from the "init" stream; biases and the transition
 logits start at zero (uniform transition rows).
+
+Precision: ``predict`` and the training step wrap the float64 parameters at
+``TAPE_DTYPE`` (float32), and every model kind's ``forward`` casts its window
+stack to its parameters' dtype (``window_stack``), so the forward and the
+backward run in float32: about twice as fast, on arrays half the size.  What
+accumulates across steps or is compared stays float64: the parameters, the
+AdamW state, the loss weights and the loss (float32 predictions meet float64
+targets there), the gradients handed to clipping and AdamW, metrics and
+checkpoints.  A window's float32 prediction depends on its batch at about
+1e-8.  ``wrap_params`` defaults to float64, which finite-difference checks
+and the single-window internals of ``explain attention|states`` use.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +54,9 @@ from . import tensor as T
 from .errors import ConfigError
 from .rng import Rng
 from .tensor import Var, check_finite, dropout
+
+# The dtype ``predict`` and the training step run the tape in.
+TAPE_DTYPE = np.float32
 
 
 @dataclass
@@ -169,7 +184,7 @@ def multi_head_attention(E: Var, params: dict, n_heads: int):
     q = split_heads(T.matmul(E, params["attn.Wq"]))
     k = split_heads(T.matmul(E, params["attn.Wk"]))
     v = split_heads(T.matmul(E, params["attn.Wv"]))
-    scores = T.matmul(q, T.swapaxes(k, 2, 3)) * (1.0 / np.sqrt(dh))
+    scores = T.matmul(q, T.swapaxes(k, 2, 3)) * (1.0 / math.sqrt(dh))
     attn = T.softmax(scores, axis=-1)
     ctx = T.matmul(attn, v)                       # [B, heads, L, dh]
     merged = T.reshape(T.swapaxes(ctx, 1, 2), (B, L, D))
@@ -185,7 +200,7 @@ def forward(params: dict[str, Var], X, cfg: ModelConfig, train: bool = False,
     arrays (regime probabilities p and q, transition matrix, attention,
     amplification, fusion gate).
     """
-    Xv = X if isinstance(X, Var) else Var(X)
+    Xv = window_stack(params, X)
     B, L, F = Xv.shape
     if F != cfg.n_features:
         raise ConfigError(f"forward expects {cfg.n_features} features, got {F}")
@@ -204,7 +219,7 @@ def forward(params: dict[str, Var], X, cfg: ModelConfig, train: bool = False,
     check_finite(H, "bilstm")                     # [B, L, 2HL]
     P = T.softmax(T.linear(H, params["em.W"], params["em.b"]), axis=-1)
     trans = T.softmax(params["trans.logits"], axis=-1)
-    p0 = np.full((B, N), 1.0 / N)
+    p0 = np.full((B, N), 1.0 / N, dtype=P.value.dtype)
     # q_t = T^T p_{t-1}; the readout takes only q_L, the rest feed the
     # introspection dict
     p_prev = [p0] + [P.value[:, t] for t in range(L - 1)]
@@ -264,14 +279,27 @@ class DualStreamModel(SpecModel):
         return forward(params, X, self.cfg, train, rng)
 
 
-def wrap_params(params: dict[str, np.ndarray], requires_grad: bool = True) -> dict[str, Var]:
-    return {k: Var(v, requires_grad=requires_grad) for k, v in params.items()}
+def wrap_params(params: dict[str, np.ndarray], requires_grad: bool = True,
+                dtype=np.float64) -> dict[str, Var]:
+    return {k: Var(np.asarray(v, dtype=dtype), requires_grad=requires_grad)
+            for k, v in params.items()}
+
+
+def window_stack(params: dict[str, Var], X) -> Var:
+    """The windows ``X`` [B, L, F] as a tape input at the parameters' dtype
+    (float64 for a model without parameters); a ``Var`` passes as it is."""
+    if isinstance(X, Var):
+        return X
+    first = next(iter(params.values()), None)
+    dtype = np.float64 if first is None else T.as_var(first).value.dtype
+    return Var(np.asarray(X, dtype=dtype))
 
 
 def predict(model, params: dict[str, np.ndarray], X: np.ndarray,
             batch_size: int = 256) -> np.ndarray:
-    """Eval-mode scaled predictions, batched, no graph recording."""
-    wrapped = wrap_params(params, requires_grad=False)
+    """Eval-mode scaled predictions at ``TAPE_DTYPE``, batched, no graph
+    recording, returned as float64."""
+    wrapped = wrap_params(params, requires_grad=False, dtype=TAPE_DTYPE)
     out = np.empty(X.shape[0])
     with T.no_grad():
         for s in range(0, X.shape[0], batch_size):

@@ -1,10 +1,19 @@
-"""Reverse-mode automatic differentiation over float64 numpy arrays.
+"""Reverse-mode automatic differentiation over float32 or float64 numpy
+arrays.
 
-A ``Var`` wraps a C-order float64 ndarray plus, when gradients are being
-recorded, the parent nodes and a vector-Jacobian-product closure.  Calling
+A ``Var`` wraps a C-order ndarray plus, when gradients are being recorded,
+the parent nodes and a vector-Jacobian-product closure.  Calling
 ``backward`` on a scalar ``Var`` walks the recorded graph once in reverse
 topological order and accumulates gradients into ``.grad`` of every node
 that requires them.
+
+The tape keeps its inputs' dtype: a float32 or float64 array stays as it
+is, anything else becomes float64.  Ops follow numpy 2's promotion (NEP 50),
+fresh buffers take their operands' dtype, and a plain Python number combined
+with a ``Var`` takes that ``Var``'s dtype, so module constants are Python
+floats.  An op that mixes float32 with float64 computes in float64; a node's
+gradient always has its value's dtype, cast in ``backward`` where a vjp
+gives a wider one.
 
 Every vjp here is hand-written; finite differences in the test suite check
 each op independently, so the model-level gradient check stays a genuine
@@ -36,6 +45,7 @@ is exactly 0 for x below about -37.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -43,8 +53,9 @@ from scipy.special import erf
 
 _grad_enabled = True
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, so that they do not promote a float32 operand
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 @contextmanager
@@ -59,8 +70,16 @@ def no_grad():
         _grad_enabled = prev
 
 
-def _f64(x) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
+def _is_tape_dtype(a: np.ndarray) -> bool:
+    return a.dtype.char in "fd"  # float32, float64
+
+
+def _tape_array(x) -> np.ndarray:
+    """``x`` as a C-order float32 or float64 array; other dtypes become
+    float64."""
+    a = np.asarray(x)
+    if not _is_tape_dtype(a):
+        a = a.astype(np.float64)
     # ascontiguousarray would promote 0-d scalars to 1-d; keep them 0-d
     if a.ndim and not a.flags.c_contiguous:
         a = np.ascontiguousarray(a)
@@ -71,7 +90,7 @@ class Var:
     __slots__ = ("value", "grad", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, value, requires_grad: bool = False):
-        self.value = _f64(value)
+        self.value = _tape_array(value)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
@@ -130,16 +149,26 @@ def as_var(x) -> Var:
     return x if isinstance(x, Var) else Var(x)
 
 
+def _pair(a, b) -> tuple[Var, Var]:
+    """Both operands of a binary op as ``Var``s; a Python number takes the
+    other operand's dtype (NEP 50's weak scalar)."""
+    if isinstance(a, Var) and isinstance(b, (int, float)):
+        return a, Var(np.asarray(b, dtype=a.value.dtype))
+    if isinstance(b, Var) and isinstance(a, (int, float)):
+        return Var(np.asarray(a, dtype=b.value.dtype)), b
+    return as_var(a), as_var(b)
+
+
 def _recording(parents) -> bool:
     """Whether an op over ``parents`` goes on the tape."""
     return _grad_enabled and any(p.requires_grad for p in parents)
 
 
 def _record(value: np.ndarray, parents: tuple, vjp) -> Var:
-    # fast construction: op outputs are always fresh float64 ndarrays
+    # fast construction: op outputs are fresh float32 or float64 ndarrays
     out = Var.__new__(Var)
-    out.value = value if isinstance(value, np.ndarray) and value.dtype == np.float64 \
-        else _f64(value)
+    out.value = value if isinstance(value, np.ndarray) and _is_tape_dtype(value) \
+        else _tape_array(value)
     out.grad = None
     out._parents = ()
     out._vjp = None
@@ -191,32 +220,34 @@ def backward(root: Var) -> None:
         for p, g in zip(node._parents, grads):
             if g is None or not p.requires_grad:
                 continue
+            if g.dtype != p.value.dtype:
+                g = g.astype(p.value.dtype)
             p.grad = g if p.grad is None else p.grad + g
 
 
 def add(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
+    a, b = _pair(a, b)
     av, bv = a.value, b.value
     return _record(av + bv, (a, b),
                    lambda g: (_unbroadcast(g, av.shape), _unbroadcast(g, bv.shape)))
 
 
 def sub(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
+    a, b = _pair(a, b)
     av, bv = a.value, b.value
     return _record(av - bv, (a, b),
                    lambda g: (_unbroadcast(g, av.shape), _unbroadcast(-g, bv.shape)))
 
 
 def mul(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
+    a, b = _pair(a, b)
     av, bv = a.value, b.value
     return _record(av * bv, (a, b),
                    lambda g: (_unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)))
 
 
 def div(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
+    a, b = _pair(a, b)
     av, bv = a.value, b.value
     return _record(av / bv, (a, b),
                    lambda g: (_unbroadcast(g / bv, av.shape),
@@ -382,7 +413,7 @@ def take(a, key) -> Var:
         z[key] += g
         return (z,)
 
-    return _record(np.array(out, dtype=np.float64, copy=True), (a,), vjp)
+    return _record(np.array(out, dtype=av.dtype, copy=True), (a,), vjp)
 
 
 def dropout(a: Var, rate: float, rng, training: bool) -> Var:
@@ -397,7 +428,7 @@ def dropout(a: Var, rate: float, rng, training: bool) -> Var:
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
     mask = (rng.uniform_array(a.value.shape) >= rate) / (1.0 - rate)
-    return mul(a, Var(mask))
+    return mul(a, Var(mask.astype(a.value.dtype, copy=False)))
 
 
 def _lstm_step(z: np.ndarray, c_prev: np.ndarray):
@@ -508,7 +539,7 @@ def _scan(xv: np.ndarray, W: np.ndarray, bh, reverse: bool, out: np.ndarray,
     LSTM.  Returns the (t, h_prev, residuals) of every step when ``keep``,
     else an empty list."""
     B, L, _ = xv.shape
-    h = c = np.zeros((B, W.shape[0]))
+    h = c = np.zeros((B, W.shape[0]), dtype=out.dtype)
     steps = []
     for t in (range(L - 1, -1, -1) if reverse else range(L)):
         h_prev = h
@@ -535,9 +566,9 @@ def _bptt(steps: list, G: np.ndarray, xshape: tuple, W: np.ndarray, lstm: bool) 
     the ``zx`` gradient adds each step onto zeros; a GRU state gradient is
     (output gradient + direct term) + term through ``Wh``.
     """
-    gzx = np.zeros(xshape)
+    gzx = np.zeros(xshape, dtype=G.dtype)
     gW = gb = ga = None
-    dc = np.zeros((xshape[0], W.shape[0]))
+    dc = np.zeros((xshape[0], W.shape[0]), dtype=G.dtype)
     for k in range(len(steps) - 1, -1, -1):
         t, h_prev, res = steps[k]
         if lstm:
@@ -581,7 +612,8 @@ def bidirectional(x, fwd, bwd) -> Var:
     lstm = len(dirs[0]) == 3
     keep = _recording([x] + dirs[0] + dirs[1])
     hsz = dirs[0][2].value.shape[0]
-    out = np.empty(x.shape[:2] + (2 * hsz,))
+    out = np.empty(x.shape[:2] + (2 * hsz,),
+                   dtype=np.result_type(*(p.value for p in [x, *dirs[0], *dirs[1]])))
     parents, scans = [], []
     for d, (Wx, b, Wh, *bh) in enumerate(dirs):
         zx = linear(x, Wx, b)

@@ -3,7 +3,9 @@
 Each epoch shuffles the training windows (stream "shuffle"), iterates
 mini-batches (final partial batch kept only with >= 2 samples, since the
 extreme loss takes in-batch quantiles), runs forward → loss → backward →
-global-norm clip → AdamW with a cosine warm-restart learning rate, then
+global-norm clip → AdamW with a cosine warm-restart learning rate (forward
+and backward run at ``model.TAPE_DTYPE``; the loss, the gradients handed to
+the clip and the parameters are float64), then
 scores the full validation partition with the same loss over ``predict``'s
 eval-mode batches, the predictions ``evaluate`` reports.
 Training stops after ``patience`` epochs without strict validation
@@ -23,6 +25,8 @@ import time
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 
+import numpy as np
+
 from . import tensor as T
 from .augment import AugmentConfig, augment_windows
 from .baselines import (NBeatsConfig, NBeatsModel, PersistenceModel,
@@ -31,8 +35,8 @@ from .checkpoint import Checkpoint, check_feature_compatibility
 from .errors import CompatibilityError, ConfigError, DataError, NumericError
 from .losses import LossConfig, compute_loss
 from .metrics import evaluation_report
-from .model import (DualStreamModel, ModelConfig, predict, raw_predictions,
-                    wrap_params)
+from .model import (TAPE_DTYPE, DualStreamModel, ModelConfig, predict,
+                    raw_predictions, wrap_params)
 from .optim import (AdamWState, OptimConfig, adamw_step, clip_global_norm,
                     cosine_warm_restart_lr)
 from .pipeline import PreparedDataset, prepare
@@ -181,14 +185,14 @@ def _train_step(model, params, X, y, cfg: TrainConfig, state: TrainState,
     """Forward, loss, backward, clip and AdamW on one batch; updates
     ``params`` in place and returns the batch loss.  The step's tape and
     gradients die with this frame, before validation runs."""
-    wrapped = wrap_params(params)
+    wrapped = wrap_params(params, dtype=TAPE_DTYPE)
     pred, _ = model.forward(wrapped, X, train=True, rng=dropout_rng)
     loss = compute_loss(pred, y, cfg.loss)
     loss_value = float(loss.value)
     if not math.isfinite(loss_value):
         raise NumericError(f"non-finite training loss at {where}")
     T.backward(loss)
-    grads = {name: wrapped[name].grad for name in params
+    grads = {name: wrapped[name].grad.astype(np.float64, copy=False) for name in params
              if wrapped[name].grad is not None}
     clip_global_norm(grads, cfg.optim.clip_norm)
     adamw_step(params, grads, state.optim_state, cfg.optim, lr, model.no_decay)

@@ -10,10 +10,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from extremecast import model as model_module
 from extremecast import tensor as T
 from extremecast.errors import ConfigError
-from extremecast.model import (DualStreamModel, ModelConfig, bigru_layer,
-                               bilstm_layer, fuse_outputs,
+from extremecast.baselines import NBeatsConfig, NBeatsModel, TcnConfig, TcnModel
+from extremecast.losses import LossConfig, compute_loss
+from extremecast.model import (TAPE_DTYPE, DualStreamModel, ModelConfig,
+                               bigru_layer, bilstm_layer, fuse_outputs,
                                multi_head_attention, predict, wrap_params)
 from extremecast.rng import Rng
 from extremecast.tensor import Var
@@ -246,14 +249,30 @@ def test_forward_rejects_feature_mismatch():
         model.forward(params, np.zeros((2, cfg.lookback, cfg.n_features + 1)))
 
 
-def test_predict_batching_stable():
+def test_predict_batching_stable(monkeypatch):
     cfg = tiny_cfg()
     model = DualStreamModel(cfg)
     raw = model.init_params(Rng(30, "init"))
     X = make_batch(cfg, B=10, seed=40)
     full = predict(model, raw, X, batch_size=256)
-    # same batching is bitwise reproducible; different batch sizes agree to
-    # BLAS rounding (GEMM blocking differs with the batch dimension)
+    # float32 tape: same batching is bitwise reproducible, and predict is a
+    # float32 forward widened to float64
+    assert full.dtype == np.float64
+    npt.assert_array_equal(full, predict(model, raw, X, batch_size=256))
+    direct32, _ = model.forward(wrap_params(raw, requires_grad=False,
+                                            dtype=np.float32), X)
+    assert full.tobytes() == direct32.value.astype(np.float64).tobytes()
+    # different batch sizes agree to float32 rounding: GEMM blocking differs
+    # with the batch dimension, which reorders sums in every layer.  These
+    # predictions are below 0.1 in size, so one float32 ulp of each is at
+    # most eps / 8; batch 1 and 3 against 256 moved them by at most 0.1 eps
+    # over five initialisations.  One eps leaves a tenfold margin and still
+    # fails any real mix-up of rows, which moves a prediction by its own size
+    npt.assert_allclose(predict(model, raw, X, batch_size=3), full,
+                        rtol=0, atol=np.finfo(np.float32).eps)
+    # the same checks in float64, to BLAS rounding
+    monkeypatch.setattr(model_module, "TAPE_DTYPE", np.float64)
+    full = predict(model, raw, X, batch_size=256)
     npt.assert_array_equal(full, predict(model, raw, X, batch_size=256))
     npt.assert_allclose(predict(model, raw, X, batch_size=3), full,
                         rtol=0, atol=1e-12)
@@ -317,7 +336,7 @@ def _recurrence_by_steps(zx, Wh, bh=None, reverse=False):
     one concat of the steps, every step on the tape."""
     B, L, _ = zx.shape
     H = Wh.shape[0]
-    h = c = Var(np.zeros((B, H)))
+    h = c = Var(np.zeros((B, H), dtype=zx.value.dtype))
     out = [None] * L
     for t in (range(L - 1, -1, -1) if reverse else range(L)):
         if bh is None:
@@ -375,17 +394,21 @@ def test_recurrence_matches_per_step_composition_bitwise(monkeypatch):
             assert g == r, (cfg.lookback, cfg.n_layers, part)
 
 
+def _tape_nodes(root):
+    """Every node ``backward`` visits from ``root``, root included."""
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return list(seen.values())
+
+
 def _take_nodes(root):
     """take nodes among those ``backward`` visits from ``root``."""
-    seen, stack, takes = {id(root)}, [root], 0
-    while stack:
-        node = stack.pop()
-        takes += node._vjp is not None and node._vjp.__qualname__.startswith("take.")
-        for parent in node._parents:
-            if parent.requires_grad and id(parent) not in seen:
-                seen.add(id(parent))
-                stack.append(parent)
-    return takes
+    return sum(node._vjp is not None and node._vjp.__qualname__.startswith("take.")
+               for node in _tape_nodes(root))
 
 
 def test_take_nodes_do_not_grow_with_lookback():
@@ -393,3 +416,37 @@ def test_take_nodes_do_not_grow_with_lookback():
     counts = [_take_nodes(_train_step_grads(tiny_cfg(lookback=L))[0])
               for L in (5, 12)]
     assert counts[0] == counts[1], counts
+
+
+_KINDS = {
+    "dual_stream": lambda: DualStreamModel(tiny_cfg(dropout=0.3)),
+    "dual_stream_lookback_1": lambda: DualStreamModel(tiny_cfg(lookback=1)),
+    "tcn": lambda: TcnModel(TcnConfig(n_features=5, lookback=7, channels=(3, 6),
+                                      kernel=2, dilations=(1, 2), dropout=0.3)),
+    "nbeats": lambda: NBeatsModel(NBeatsConfig(lookback=7, stacks=2, fc_units=6), 0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_tape_runs_in_float32_at_tape_dtype(kind):
+    assert TAPE_DTYPE == np.float32
+    model = _KINDS[kind]()
+    raw = model.init_params(Rng(42, "init"))
+    X = make_batch(tiny_cfg(lookback=model.cfg.lookback), B=5, seed=42)
+    params = wrap_params(raw, dtype=TAPE_DTYPE)
+    pred, _ = model.forward(params, X, train=True, rng=Rng(42, "dropout"))
+    loss = compute_loss(pred, np.linspace(-1.0, 1.0, 5), LossConfig())
+    assert loss.value.dtype == np.float64
+    T.backward(loss)
+    nodes = _tape_nodes(pred)
+    assert len(nodes) > len(params)
+    for node in nodes:
+        assert node.value.dtype == np.float32, node
+        assert node.grad is None or node.grad.dtype == np.float32, node
+    assert all(p.grad is None or p.grad.dtype == np.float32
+               for p in params.values())
+    # predict is a float32 eval forward of the same batch, bit for bit
+    direct, _ = model.forward(wrap_params(raw, requires_grad=False,
+                                          dtype=np.float32), X)
+    assert (predict(model, raw, X).tobytes()
+            == direct.value.astype(np.float64).tobytes())

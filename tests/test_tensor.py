@@ -2,6 +2,8 @@
 
 Gradients are checked against central differences op by op, plus a few
 closed-form oracles so the finite-difference harness itself is covered.
+Every op keeps a float32 or float64 input's dtype in its value and its
+gradients.
 """
 
 import tracemalloc
@@ -458,3 +460,81 @@ def test_bidirectional_under_no_grad_holds_one_projection():
         projection = x.value.nbytes * raw["f.Wx"].shape[1] // 8
         # the output, one direction's projection and small per-step arrays
         assert peak < out.value.nbytes + 1.5 * projection, (cell, peak)
+
+
+# ---------------------------------------------------------------- dtypes
+
+# Every op with the shapes of its operands; each operand requires a gradient.
+_DTYPE_OPS = {
+    "add": (lambda a, b: a + b, [(2, 3), (3,)]),
+    "sub": (lambda a, b: a - b, [(2, 3), (2, 1)]),
+    "mul": (lambda a, b: a * b, [(2, 3), (3,)]),
+    "div": (lambda a, b: a / (b * b + 1.0), [(2, 3), (2, 3)]),
+    "neg": (lambda a: -a, [(2, 3)]),
+    "matmul": (T.matmul, [(2, 2, 3), (3, 4)]),
+    "linear": (T.linear, [(2, 3), (3, 4), (4,)]),
+    "sqrt": (lambda a: T.sqrt(a * a + 1.0), [(2, 3)]),
+    "tanh": (T.tanh, [(2, 3)]),
+    "sigmoid": (T.sigmoid, [(2, 3)]),
+    "gelu": (T.gelu, [(2, 3)]),
+    "softmax": (T.softmax, [(2, 3)]),
+    "sum": (lambda a: T.sum_(a, axis=0), [(2, 3)]),
+    "mean": (lambda a: T.mean(a, axis=1, keepdims=True), [(2, 3)]),
+    "concat": (lambda a, b: T.concat([a, b], axis=1), [(2, 3), (2, 2)]),
+    "reshape": (lambda a: T.reshape(a, (3, 2)), [(2, 3)]),
+    "swapaxes": (lambda a: T.swapaxes(a, 0, 1), [(2, 3)]),
+    "take": (lambda a: a[1, ::2], [(2, 3)]),
+    "dropout": (lambda a: T.dropout(a, 0.5, Rng(3, "dropout"), True), [(4, 6)]),
+    "lstm_cell": (T.lstm_cell, [(2, 8), (2, 2)]),
+    "gru_cell": (T.gru_cell, [(2, 6), (2, 6), (2, 2)]),
+    "bidirectional_lstm": (lambda x, *p: T.bidirectional(x, p[:3], p[3:]),
+                           [(2, 3, 2), (2, 8), (8,), (2, 8)] + [(2, 8), (8,), (2, 8)]),
+    "bidirectional_gru": (lambda x, *p: T.bidirectional(x, p[:4], p[4:]),
+                          [(2, 3, 2)] + 2 * [(2, 6), (6,), (2, 6), (6,)]),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(_DTYPE_OPS))
+def test_op_keeps_its_inputs_dtype(name, dtype):
+    op, shapes = _DTYPE_OPS[name]
+    rng = Rng(20, "dtype")
+    args = [Var(rng.gaussian_array(s).astype(dtype), requires_grad=True)
+            for s in shapes]
+    out = op(*args)
+    assert out.value.dtype == dtype
+    # the vjp itself, before ``backward`` would cast a wider gradient down
+    for g in out._vjp(np.ones_like(out.value)):
+        assert g is None or g.dtype == dtype, name
+    backward(T.sum_(out * out))
+    for i, a in enumerate(args):
+        assert a.grad.dtype == dtype, (name, i)
+
+
+@pytest.mark.parametrize("value", [np.arange(3), np.array([True, False]),
+                                   np.ones(2, dtype=np.float16), 2, [1, 2]])
+def test_other_dtypes_enter_the_tape_as_float64(value):
+    assert Var(value).value.dtype == np.float64
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_python_number_takes_the_var_dtype(dtype):
+    x = Var(np.array([0.5, 2.0], dtype=dtype), requires_grad=True)
+    outs = [x + 1, 1.5 - x, x * 0.1, 3 / x, x / 7.0, 1.0 + 2.0 * x,
+            T.mean(x), T.gelu(x)]
+    assert [o.value.dtype for o in outs] == [dtype] * len(outs)
+    backward(T.sum_(T.concat([T.reshape(o, (-1,)) for o in outs], axis=0)))
+    assert x.grad.dtype == dtype
+
+
+def test_mixed_dtypes_compute_wide_and_keep_each_gradient_narrow():
+    # NEP 50 (numpy >= 2): a 0-d float64 array promotes a float32 operand;
+    # each operand's gradient comes back at its own dtype
+    x = Var(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
+    s = Var(np.array(3.0), requires_grad=True)
+    out = x * s
+    assert out.value.dtype == np.float64
+    backward(T.sum_(out))
+    assert x.grad.dtype == np.float32 and s.grad.dtype == np.float64
+    npt.assert_array_equal(x.grad, [3.0, 3.0])
+    assert s.grad == 3.0

@@ -16,11 +16,21 @@ Fusion: gamma = sigmoid(W [o_m, o_a] + b) mixes the regime and anomaly
 stream outputs o_m and o_a elementwise; a final linear head maps the fused
 vector to the scalar next-day prediction.
 
-Every affine map x W + b is one ``tensor.linear`` node.  A bidirectional
-recurrent layer is one ``tensor.bidirectional`` node, which projects all
-timesteps of each direction with one ``linear`` and writes both directions'
-hidden states into one [B, L, 2H] array.  Only q_L reaches the tape; the
-earlier q_t are computed in plain numpy for the introspection dict.
+Layouts: the input windows, the embedding, attention, amplification, the
+stream readouts, fusion and the prediction are batch-major ([B, L, F] and
+[B, F]).  Each recurrent stack runs batch-minor, [L, F, B], from end to end:
+``forward`` transposes the embedding once into the LSTM stack and the
+amplified attention output once into the GRU stack (views), takes the
+emission softmax over axis 1 of [L, N, B] and the readouts as [F, B] blocks
+(``H[L-1]``, ``G[L-1, :HG]``, ``G[0, HG:]``), and transposes each stream's
+readout vector back before its head.  The introspection dict is batch-major.
+
+Every affine map is one node: ``tensor.linear`` (x W + b) batch-major,
+``tensor.linear_t`` (Wᵀ x + b) batch-minor.  A bidirectional recurrent layer
+is one ``tensor.bidirectional`` node, which projects all timesteps of each
+direction with one ``linear_t`` and writes both directions' hidden states
+into one [L, 2H, B] array.  Only q_L reaches the tape; the earlier q_t are
+computed in plain numpy for the introspection dict.
 
 Dropout (train mode only) applies after the embedding activation and inside
 the anomaly MLP, in that order, consuming the dropout stream deterministically.
@@ -156,9 +166,9 @@ def _directions(p: dict, *names: str) -> tuple:
 
 
 def bilstm_layer(seq: Var, p: dict) -> Var:
-    """One bidirectional layer: [B, L, n_in] -> [B, L, 2H], forward half
-    first, as one ``tensor.bidirectional`` node.  Gate layout along the 4H
-    axis: i, f, o, g."""
+    """One bidirectional layer on a batch-minor stack: [L, n_in, B] ->
+    [L, 2H, B], forward half first, as one ``tensor.bidirectional`` node.
+    Gate layout along the 4H axis: i, f, o, g."""
     return T.bidirectional(seq, *_directions(p, "Wx", "b", "Wh"))
 
 
@@ -212,24 +222,26 @@ def forward(params: dict[str, Var], X, cfg: ModelConfig, train: bool = False,
     E = dropout(E, cfg.dropout, dropout_rng, train)
     check_finite(E, "embedding")
 
-    # regime stream
-    H = E
+    # regime stream, batch-minor: [L, features, B] from the embedding to
+    # the readout
+    H = _batch_minor(E)
     for layer in range(cfg.n_layers):
         H = bilstm_layer(H, _layer_view(params, f"lstm.{layer}."))
-    check_finite(H, "bilstm")                     # [B, L, 2HL]
-    P = T.softmax(T.linear(H, params["em.W"], params["em.b"]), axis=-1)
+    check_finite(H, "bilstm")                     # [L, 2HL, B]
+    P = T.softmax(T.linear_t(H, params["em.W"], params["em.b"]), axis=1)
     trans = T.softmax(params["trans.logits"], axis=-1)
-    p0 = np.full((B, N), 1.0 / N, dtype=P.value.dtype)
+    trans_t = T.swapaxes(trans, 0, 1)
+    p0 = np.full((N, B), 1.0 / N, dtype=P.value.dtype)
     # q_t = T^T p_{t-1}; the readout takes only q_L, the rest feed the
     # introspection dict
-    p_prev = [p0] + [P.value[:, t] for t in range(L - 1)]
-    Q = np.stack([p @ trans.value for p in p_prev], axis=1)     # [B, L, N]
-    check_finite(Q, "state_track")
-    q_last = T.matmul(Var(p0) if L == 1 else P[:, L - 2, :], trans)
-    o_m = T.linear(T.concat([H[:, L - 1, :], q_last], axis=1),
+    Q = trans_t.value @ np.concatenate([p0[None], P.value[:L - 1]])
+    check_finite(Q, "state_track")                # [L, N, B]
+    q_last = T.matmul(trans_t, Var(p0) if L == 1 else P[L - 2])
+    o_m = T.linear(T.swapaxes(T.concat([H[L - 1], q_last], axis=0), 0, 1),
                    params["head_m.W"], params["head_m.b"])
 
-    # anomaly stream
+    # anomaly stream: batch-major through attention and amplification, then
+    # batch-minor through the GRU stack
     Z, attn = multi_head_attention(E, params, cfg.n_heads)
     check_finite(Z, "attention")
     hidden = T.tanh(T.linear(Z, params["amp.W1"], params["amp.b1"]))
@@ -238,13 +250,13 @@ def forward(params: dict[str, Var], X, cfg: ModelConfig, train: bool = False,
     alpha = 1.0 + cfg.amp_gain * T.sigmoid(logit)
     Zt = Z * alpha
     check_finite(Zt, "amplification")
-    G = Zt
+    G = _batch_minor(Zt)
     for layer in range(cfg.n_layers):
         G = bigru_layer(G, _layer_view(params, f"gru.{layer}."))
-    check_finite(G, "bigru")                      # [B, L, 2HG]
-    h_fwd_last = G[:, L - 1, :HG]
-    h_bwd_first = G[:, 0, HG:]
-    o_a = T.linear(T.concat([h_fwd_last, h_bwd_first], axis=1),
+    check_finite(G, "bigru")                      # [L, 2HG, B]
+    h_fwd_last = G[L - 1, :HG]
+    h_bwd_first = G[0, HG:]
+    o_a = T.linear(T.swapaxes(T.concat([h_fwd_last, h_bwd_first], axis=0), 0, 1),
                    params["head_a.W"], params["head_a.b"])
 
     # fusion
@@ -253,11 +265,22 @@ def forward(params: dict[str, Var], X, cfg: ModelConfig, train: bool = False,
     check_finite(pred, "head")
 
     intro = {
-        "p": P.value.copy(), "q": Q, "transition": trans.value.copy(),
+        "p": _batch_major(P.value), "q": _batch_major(Q),
+        "transition": trans.value.copy(),
         "attention": attn.value.copy(), "alpha": alpha.value[:, :, 0].copy(),
         "gamma": gamma.value.copy(),
     }
     return pred, intro
+
+
+def _batch_minor(x: Var) -> Var:
+    """A [B, L, F] stack as a [L, F, B] view."""
+    return T.swapaxes(T.swapaxes(x, 0, 1), 1, 2)
+
+
+def _batch_major(a: np.ndarray) -> np.ndarray:
+    """A [L, N, B] array as a fresh [B, L, N] one."""
+    return np.ascontiguousarray(a.transpose(2, 0, 1))
 
 
 def fuse_outputs(o_m: Var, o_a: Var, W: Var, b: Var) -> tuple[Var, Var]:

@@ -24,17 +24,29 @@ Only basic indexing (ints and slices) is supported by ``__getitem__``.
 operands to have ndim >= 2.
 
 ``linear`` is ``x @ W + b`` as one node: the bias goes into the fresh
-product in place.  ``matmul`` and ``linear`` compute no gradient for an
-operand that does not require one (the raw input windows, constants).
+product in place.  ``matmul``, ``linear`` and ``linear_t`` compute no
+gradient for an operand that does not require one (the raw input windows,
+constants).
 
-``bidirectional`` runs a whole bidirectional LSTM or GRU layer as one tape
-node: the scan reads the steps of each direction's input projection as views
-and writes every hidden state straight into one output array, and the single
-vjp runs backpropagation through time in one loop per direction.  The step
-math lives once, in plain-numpy kernels that the single-step ``lstm_cell``
-and ``gru_cell`` ops share, and the BPTT adds gradients up in the order of
-the per-step composition of those ops, so its results equal that
-composition bit for bit.
+``softmax`` takes its row max by halving the axis with ``np.maximum``,
+which gives the same maximum as ``ndarray.max`` in about half the time on
+short rows.
+
+Recurrent layers run batch-minor: a sequence is a [L, F, B] (time, feature,
+batch) stack, so each step works on contiguous [F, B] blocks and every gate
+is a contiguous row block of one [G*H, B] array.  ``linear_t`` is the
+affine map of that layout, ``Wᵀ x + b`` as one node.  ``bidirectional``
+takes [L, n_in, B] and returns [L, 2H, B], running a whole bidirectional
+LSTM or GRU layer as one tape node: one ``linear_t`` projects each
+direction's steps, the scan computes ``Whᵀ h`` per step and writes every
+hidden state straight into the output, and the single vjp runs
+backpropagation through time in one loop per direction.  The step math
+lives once, in plain-numpy kernels on [G*H, B] blocks; the single-step
+``lstm_cell`` and ``gru_cell`` ops keep the batch-major [B, G*H] layout and
+call the kernels on transposed views.  The BPTT adds gradients up in the
+order of the per-step composition of those ops in the batch-minor
+orientation, so its results equal that composition bit for bit.  Callers
+convert layouts only at the ends of a stack.
 
 The logistic has one definition, ``_sigmoid_value``: ``0.5 * tanh(0.5 * x)
 + 0.5``, computed in place in one fresh array.  It serves the ``sigmoid`` op
@@ -291,6 +303,33 @@ def linear(x, W, b) -> Var:
                    lambda g: _matmul_grads(g, x, W) + (_unbroadcast(g, b.value.shape),))
 
 
+def linear_t(x, W, b) -> Var:
+    """``Wᵀ x + b`` on a batch-minor stack, [..., n_in, B] -> [..., n_out, B],
+    as one tape node.
+
+    ``W`` is [n_in, n_out] as for ``linear``; the bias is added to each
+    column in place.  Values and gradients equal those of
+    ``matmul(swapaxes(W, 0, 1), x) + reshape(b, (-1, 1))`` bit for bit; no
+    gradient is computed for ``x`` when it does not require one.
+    """
+    x, W, b = as_var(x), as_var(W), as_var(b)
+    if x.ndim < 2 or W.ndim != 2:
+        raise ValueError("linear_t takes x with ndim >= 2 and a 2-d W")
+    WT = W.value.T
+    out = WT @ x.value
+    out += b.value[:, None]
+
+    def vjp(g):
+        gx = W.value @ g if x.requires_grad else None
+        gW = None
+        if W.requires_grad:
+            gW = np.ascontiguousarray(
+                _unbroadcast(g @ np.swapaxes(x.value, -1, -2), WT.shape).T)
+        return gx, gW, _unbroadcast(g, (WT.shape[0], 1)).reshape(b.value.shape)
+
+    return _record(out, (x, W, b), vjp)
+
+
 def sqrt(a) -> Var:
     a = as_var(a)
     sv = np.sqrt(a.value)
@@ -303,9 +342,10 @@ def tanh(a) -> Var:
     return _record(tv, (a,), lambda g: (g * (1.0 - tv * tv),))
 
 
-def _sigmoid_value(v: np.ndarray) -> np.ndarray:
-    # the out= keeps a 0-d input an array, so the in-place tanh accepts it
-    s = np.multiply(v, 0.5, out=np.empty_like(v))
+def _sigmoid_value(v: np.ndarray, out=None) -> np.ndarray:
+    # the out= keeps a 0-d input an array, so the in-place tanh accepts it;
+    # ``out`` may be ``v`` itself
+    s = np.multiply(v, 0.5, out=np.empty_like(v) if out is None else out)
     np.tanh(s, out=s)
     s *= 0.5
     s += 0.5
@@ -335,13 +375,35 @@ def gelu(a) -> Var:
     return _record(out, (a,), lambda g: (g * (c + v * pdf),))
 
 
+def _max_keepdims(v: np.ndarray, axis: int) -> np.ndarray:
+    """``v.max(axis=axis, keepdims=True)`` by halving ``axis`` with
+    ``np.maximum``, about twice as fast on short rows.  A maximum is exact in
+    any order, so the result is the same, NaN included, up to the sign of a
+    zero maximum, which ``softmax``'s ``exp`` removes."""
+    axis = axis % v.ndim
+    n = v.shape[axis]
+
+    def part(lo, hi):
+        return (slice(None),) * axis + (slice(lo, hi),)
+
+    m = v
+    while n > 1:
+        half = n // 2
+        nxt = np.maximum(m[part(0, half)], m[part(half, 2 * half)])
+        if n % 2:
+            first = nxt[part(0, 1)]
+            np.maximum(first, m[part(n - 1, n)], out=first)
+        m, n = nxt, half
+    return m[part(0, 1)]
+
+
 def softmax(a, axis: int = -1) -> Var:
     """Row-stochastic softmax along ``axis`` with max-subtraction."""
     a = as_var(a)
     v = a.value
     if v.size == 0:
         raise ValueError("softmax of an empty array")
-    y = v - v.max(axis=axis, keepdims=True)
+    y = v - _max_keepdims(v, axis)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
 
@@ -431,33 +493,32 @@ def dropout(a: Var, rate: float, rng, training: bool) -> Var:
     return mul(a, Var(mask.astype(a.value.dtype, copy=False)))
 
 
-def _lstm_step(z: np.ndarray, c_prev: np.ndarray):
-    """LSTM step kernel: (h, c, residuals for ``_lstm_step_vjp``)."""
-    hsz = c_prev.shape[1]
-    gates = _sigmoid_value(z[:, : 3 * hsz])
-    i = gates[:, :hsz]
-    f = gates[:, hsz : 2 * hsz]
-    o = gates[:, 2 * hsz :]
-    g = np.tanh(z[:, 3 * hsz :])
-    c = f * c_prev + i * g
+def _lstm_step(z: np.ndarray, c_prev: np.ndarray, out=None):
+    """LSTM step kernel on [gates*H, B] blocks: (h, c, residuals for
+    ``_lstm_step_vjp``).  ``h`` is written into ``out`` when one is given."""
+    hsz = c_prev.shape[0]
+    gates = _sigmoid_value(z[: 3 * hsz])
+    i = gates[:hsz]
+    f = gates[hsz : 2 * hsz]
+    o = gates[2 * hsz :]
+    g = np.tanh(z[3 * hsz :])
+    c = f * c_prev
+    c += i * g
     tc = np.tanh(c)
-    return o * tc, c, (i, f, o, g, c_prev, tc)
+    return np.multiply(o, tc, out=out), c, (i, f, o, g, c_prev, tc)
 
 
 def _lstm_step_vjp(gh: np.ndarray, gc: np.ndarray, res):
     """Adjoint of ``_lstm_step`` for gradients (gh, gc) of (h, c):
-    (gradient of z, gradient of c_prev)."""
+    (gradient of z, gradient of c_prev), on [gates*H, B] blocks."""
     i, f, o, g, cb, tc = res
+    hsz = i.shape[0]
     gc = gc + gh * o * (1.0 - tc * tc)
-    gz = np.concatenate(
-        [
-            gc * g * i * (1.0 - i),
-            gc * cb * f * (1.0 - f),
-            gh * tc * o * (1.0 - o),
-            gc * i * (1.0 - g * g),
-        ],
-        axis=1,
-    )
+    gz = np.empty((4 * hsz,) + i.shape[1:], dtype=gc.dtype)
+    np.multiply(gc * g * i, 1.0 - i, out=gz[:hsz])
+    np.multiply(gc * cb * f, 1.0 - f, out=gz[hsz : 2 * hsz])
+    np.multiply(gh * tc * o, 1.0 - o, out=gz[2 * hsz : 3 * hsz])
+    np.multiply(gc * i, 1.0 - g * g, out=gz[3 * hsz :])
     return gz, gc * f
 
 
@@ -475,38 +536,48 @@ def lstm_cell(z: Var, c_prev: Var) -> Var:
     The adjoint is hand-derived: with incoming gradient split as
     (gh, gc_out), the cell-state gradient is gc = gc_out + gh*o*(1-tanh(c)^2)
     and the gate pre-activation gradients follow the usual sigmoid/tanh
-    chain rules.
+    chain rules.  The step kernels run on transposed views.
     """
     z = as_var(z)
     c_prev = as_var(c_prev)
     hsz = c_prev.value.shape[1]
-    h, c, res = _lstm_step(z.value, c_prev.value)
-    return _record(np.concatenate([h, c], axis=1), (z, c_prev),
-                   lambda grad: _lstm_step_vjp(grad[:, :hsz], grad[:, hsz:], res))
+    h, c, res = _lstm_step(z.value.T, c_prev.value.T)
+    return _record(np.concatenate([h, c]).T, (z, c_prev),
+                   lambda grad: tuple(g.T for g in _lstm_step_vjp(
+                       grad[:, :hsz].T, grad[:, hsz:].T, res)))
 
 
-def _gru_step(zx: np.ndarray, zh: np.ndarray, h_prev: np.ndarray):
-    """GRU step kernel: (h, residuals for ``_gru_step_vjp``)."""
-    hsz = h_prev.shape[1]
-    ru = _sigmoid_value(zx[:, : 2 * hsz] + zh[:, : 2 * hsz])
-    r = ru[:, :hsz]
-    u = ru[:, hsz:]
-    zh_n = zh[:, 2 * hsz :]
-    n = np.tanh(zx[:, 2 * hsz :] + r * zh_n)
-    return (1.0 - u) * n + u * h_prev, (r, u, n, zh_n, h_prev)
+def _gru_step(zx: np.ndarray, zh: np.ndarray, h_prev: np.ndarray, out=None):
+    """GRU step kernel on [gates*H, B] blocks: (h, residuals for
+    ``_gru_step_vjp``).  ``h`` is written into ``out`` when one is given."""
+    hsz = h_prev.shape[0]
+    ru = zx[: 2 * hsz] + zh[: 2 * hsz]
+    _sigmoid_value(ru, out=ru)
+    r = ru[:hsz]
+    u = ru[hsz:]
+    zh_n = zh[2 * hsz :]
+    n = r * zh_n
+    n += zx[2 * hsz :]
+    np.tanh(n, out=n)
+    h = np.multiply(u, h_prev, out=out)
+    h += (1.0 - u) * n
+    return h, (r, u, n, zh_n, h_prev)
 
 
 def _gru_step_vjp(grad: np.ndarray, res):
-    """Adjoint of ``_gru_step``: gradients of (zx, zh, h_prev)."""
+    """Adjoint of ``_gru_step``: gradients of (zx, zh, h_prev), on
+    [gates*H, B] blocks."""
     r, u, n, zh_n, pb = res
+    hsz = r.shape[0]
     gn = grad * (1.0 - u)
     gu = grad * (pb - n)
-    an = gn * (1.0 - n * n)
+    gzx = np.empty((3 * hsz,) + r.shape[1:], dtype=grad.dtype)
+    an = np.multiply(gn, 1.0 - n * n, out=gzx[2 * hsz :])
     gr = an * zh_n
-    ar = gr * r * (1.0 - r)
-    au = gu * u * (1.0 - u)
-    gzx = np.concatenate([ar, au, an], axis=1)
-    gzh = np.concatenate([ar, au, an * r], axis=1)
+    np.multiply(gr * r, 1.0 - r, out=gzx[:hsz])
+    np.multiply(gu * u, 1.0 - u, out=gzx[hsz : 2 * hsz])
+    gzh = gzx.copy()
+    np.multiply(an, r, out=gzh[2 * hsz :])
     return gzx, gzh, grad * u
 
 
@@ -522,35 +593,37 @@ def gru_cell(zx: Var, zh: Var, h_prev: Var) -> Var:
         h = (1 - u) * n + u * h_prev
 
     (reset gate applied to the hidden projection of the candidate, the
-    standard "v3" GRU variant).  The adjoint is hand-derived.
+    standard "v3" GRU variant).  The adjoint is hand-derived.  The step
+    kernels run on transposed views.
     """
     zx = as_var(zx)
     zh = as_var(zh)
     h_prev = as_var(h_prev)
-    h, res = _gru_step(zx.value, zh.value, h_prev.value)
-    return _record(h, (zx, zh, h_prev), lambda grad: _gru_step_vjp(grad, res))
+    h, res = _gru_step(zx.value.T, zh.value.T, h_prev.value.T)
+    return _record(h.T, (zx, zh, h_prev),
+                   lambda grad: tuple(g.T for g in _gru_step_vjp(grad.T, res)))
 
 
-def _scan(xv: np.ndarray, W: np.ndarray, bh, reverse: bool, out: np.ndarray,
+def _scan(zx: np.ndarray, W: np.ndarray, bh, reverse: bool, out: np.ndarray,
           keep: bool) -> list:
-    """Run one direction from zero states over the input projection ``xv``
-    [B, L, G*H], writing step t's hidden state into ``out[:, t]`` (``out``
-    may be a strided view).  ``bh`` is the GRU's hidden bias, None for the
-    LSTM.  Returns the (t, h_prev, residuals) of every step when ``keep``,
-    else an empty list."""
-    B, L, _ = xv.shape
-    h = c = np.zeros((B, W.shape[0]), dtype=out.dtype)
+    """Run one direction from zero states over the input projection ``zx``
+    [L, G*H, B], writing step t's hidden state straight into ``out[t]``
+    (``out`` is a [L, H, B] view whose [H, B] blocks are C-contiguous).
+    ``bh`` is the GRU's hidden bias as a [G*H, 1] column, None for the LSTM.
+    Returns the (t, h_prev, residuals) of every step when ``keep``, else an
+    empty list."""
+    WT = W.T
+    h = c = np.zeros(out.shape[1:], dtype=out.dtype)
     steps = []
-    for t in (range(L - 1, -1, -1) if reverse else range(L)):
+    for t in (range(len(zx) - 1, -1, -1) if reverse else range(len(zx))):
         h_prev = h
-        z = h_prev @ W
+        z = WT @ h_prev
         if bh is None:
-            z += xv[:, t]
-            h, c, res = _lstm_step(z, c)
+            z += zx[t]
+            h, c, res = _lstm_step(z, c, out[t])
         else:
             z += bh
-            h, res = _gru_step(xv[:, t], z, h_prev)
-        out[:, t] = h
+            h, res = _gru_step(zx[t], z, h_prev, out[t])
         if keep:
             steps.append((t, h_prev, res))
     return steps
@@ -558,51 +631,55 @@ def _scan(xv: np.ndarray, W: np.ndarray, bh, reverse: bool, out: np.ndarray,
 
 def _bptt(steps: list, G: np.ndarray, xshape: tuple, W: np.ndarray, lstm: bool) -> tuple:
     """Backpropagation through time over the steps ``_scan`` kept, for the
-    output gradient ``G`` [B, L, H]: gradients of (zx, Wh), plus bh for the GRU.
+    output gradient ``G`` [L, H, B]: gradients of (zx, Wh), plus bh for the
+    GRU.
 
     Sums run as the per-step composition of cell ops does on the tape, so
     results equal it bit for bit: ``Wh`` and ``bh`` terms fold left in
     backward step order from the first term, the zero-state step included;
     the ``zx`` gradient adds each step onto zeros; a GRU state gradient is
-    (output gradient + direct term) + term through ``Wh``.
+    (output gradient + term through ``Wh``) + direct term.
     """
     gzx = np.zeros(xshape, dtype=G.dtype)
-    gW = gb = ga = None
-    dc = np.zeros((xshape[0], W.shape[0]), dtype=G.dtype)
+    gWT = gb = ga = None
+    dc = np.zeros(G.shape[1:], dtype=G.dtype)
     for k in range(len(steps) - 1, -1, -1):
         t, h_prev, res = steps[k]
         if lstm:
-            gh = G[:, t] if ga is None else G[:, t] + ga
+            gh = G[t] if ga is None else G[t] + ga
             gz, dc = _lstm_step_vjp(gh, dc, res)
             gzh = gz
         else:
-            gh = G[:, t] if ga is None else (G[:, t] + du) + ga
+            gh = G[t] if ga is None else (G[t] + ga) + du
             gz, gzh, du = _gru_step_vjp(gh, res)
-            s = gzh.sum(axis=0)
+            s = gzh.sum(axis=1)
             gb = s if gb is None else gb + s
-        gzx[:, t] += gz
-        term = h_prev.T @ gzh
-        gW = term if gW is None else gW + term
+        gzx[t] += gz
+        term = gzh @ h_prev.T
+        gWT = term if gWT is None else gWT + term
         if k:
-            ga = gzh @ W.T
+            ga = W @ gzh
+    gW = np.ascontiguousarray(gWT.T)
     return (gzx, gW) if lstm else (gzx, gW, gb)
 
 
 def bidirectional(x, fwd, bwd) -> Var:
-    """A bidirectional LSTM or GRU layer, [B, L, n_in] -> [B, L, 2H], as one
-    recurrent tape node.
+    """A bidirectional LSTM or GRU layer on a batch-minor stack, [L, n_in, B]
+    -> [L, 2H, B], as one recurrent tape node.
 
     ``fwd`` and ``bwd`` hold each direction's parameters, and their count
     names the cell: (Wx, b, Wh) for the LSTM, (Wx, bx, Wh, bh) for the GRU.
-    With zx = ``linear(x, Wx, b)`` and zero initial states, step t (t =
-    0..L-1 forward, L-1..0 backward) is ``lstm_cell(zx_t + h Wh, c)`` or
-    ``gru_cell(zx_t, h Wh + bh, h)``.  The forward direction, then the
-    backward one, is projected and scanned, writing its hidden states
-    straight into its half of the output, forward half first.  Per-step
-    residuals are kept only when the node is recorded, and the vjp feeds
-    each direction's BPTT its half of the output gradient.  When nothing is
-    recorded, a direction's projection is freed before the next one is
-    made.
+    With zx = ``linear_t(x, Wx, b)`` and zero initial states h, c [H, B],
+    step t (t = 0..L-1 forward, L-1..0 backward) is the cell's step kernel
+    on ``zx[t] + Whᵀ h`` (LSTM) or on ``zx[t]`` and ``Whᵀ h + bh`` (GRU):
+    every gate block is a contiguous [H, B] row block, and ``lstm_cell`` /
+    ``gru_cell`` on the transposed blocks compute the same bits.  The
+    forward direction, then the backward one, is projected and scanned,
+    writing its hidden states straight into its half of the output, forward
+    half first.  Per-step residuals are kept only when the node is recorded,
+    and the vjp feeds each direction's BPTT its half of the output gradient.
+    When nothing is recorded, a direction's projection is freed before the
+    next one is made.
     """
     x = as_var(x)
     dirs = [[as_var(p) for p in ps] for ps in (fwd, bwd)]
@@ -612,13 +689,14 @@ def bidirectional(x, fwd, bwd) -> Var:
     lstm = len(dirs[0]) == 3
     keep = _recording([x] + dirs[0] + dirs[1])
     hsz = dirs[0][2].value.shape[0]
-    out = np.empty(x.shape[:2] + (2 * hsz,),
+    L, _, B = x.shape
+    out = np.empty((L, 2 * hsz, B),
                    dtype=np.result_type(*(p.value for p in [x, *dirs[0], *dirs[1]])))
     parents, scans = [], []
     for d, (Wx, b, Wh, *bh) in enumerate(dirs):
-        zx = linear(x, Wx, b)
-        steps = _scan(zx.value, Wh.value, bh[0].value if bh else None, d == 1,
-                      out[:, :, d * hsz:(d + 1) * hsz], keep)
+        zx = linear_t(x, Wx, b)
+        steps = _scan(zx.value, Wh.value, bh[0].value[:, None] if bh else None,
+                      d == 1, out[:, d * hsz:(d + 1) * hsz], keep)
         scans.append((steps, zx.shape, Wh.value))
         if keep:
             parents += [zx, Wh, *bh]
@@ -627,7 +705,7 @@ def bidirectional(x, fwd, bwd) -> Var:
     def vjp(G):
         grads = ()
         for d, (steps, shape, W) in enumerate(scans):
-            grads += _bptt(steps, G[:, :, d * hsz:(d + 1) * hsz], shape, W, lstm)
+            grads += _bptt(steps, G[:, d * hsz:(d + 1) * hsz], shape, W, lstm)
         return grads
 
     return _record(out, tuple(parents), vjp)

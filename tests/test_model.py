@@ -161,25 +161,30 @@ def _tied_bidi_params(rng, n_in, H, kind):
     return tied
 
 
+def _batch_minor(x):
+    """Windows [B, L, F] as the recurrent layers' [L, F, B] stack."""
+    return np.ascontiguousarray(x.transpose(1, 2, 0))
+
+
 def test_bilstm_time_reversal_with_tied_weights():
     # with forward/backward weights tied, reversing the input sequence must
     # reverse the output along time and swap the direction halves
     H, n_in = 3, 4
     p = _tied_bidi_params(Rng(8, "init"), n_in, H, "lstm")
-    x = Rng(9, "init").gaussian_array((2, 6, n_in))
+    x = _batch_minor(Rng(9, "init").gaussian_array((2, 6, n_in)))
     out = bilstm_layer(Var(x), p).value
-    out_rev = bilstm_layer(Var(x[:, ::-1, :].copy()), p).value
-    swapped = np.concatenate([out_rev[:, ::-1, H:], out_rev[:, ::-1, :H]], axis=2)
+    out_rev = bilstm_layer(Var(x[::-1].copy()), p).value
+    swapped = np.concatenate([out_rev[::-1, H:], out_rev[::-1, :H]], axis=1)
     npt.assert_allclose(out, swapped, atol=1e-12)
 
 
 def test_bigru_time_reversal_with_tied_weights():
     H, n_in = 3, 4
     p = _tied_bidi_params(Rng(10, "init"), n_in, H, "gru")
-    x = Rng(11, "init").gaussian_array((2, 5, n_in))
+    x = _batch_minor(Rng(11, "init").gaussian_array((2, 5, n_in)))
     out = bigru_layer(Var(x), p).value
-    out_rev = bigru_layer(Var(x[:, ::-1, :].copy()), p).value
-    swapped = np.concatenate([out_rev[:, ::-1, H:], out_rev[:, ::-1, :H]], axis=2)
+    out_rev = bigru_layer(Var(x[::-1].copy()), p).value
+    swapped = np.concatenate([out_rev[::-1, H:], out_rev[::-1, :H]], axis=1)
     npt.assert_allclose(out, swapped, atol=1e-12)
 
 
@@ -270,6 +275,14 @@ def test_predict_batching_stable(monkeypatch):
     # fails any real mix-up of rows, which moves a prediction by its own size
     npt.assert_allclose(predict(model, raw, X, batch_size=3), full,
                         rtol=0, atol=np.finfo(np.float32).eps)
+    # default batches ending in a trailing batch of one window (BLAS's
+    # matrix-vector path) and of 114 windows (explain's 370 test windows)
+    # against the same windows in one full batch
+    for n in (257, 370):
+        Xn = make_batch(cfg, B=n, seed=n)
+        npt.assert_allclose(predict(model, raw, Xn),
+                            predict(model, raw, Xn, batch_size=n),
+                            rtol=0, atol=np.finfo(np.float32).eps)
     # the same checks in float64, to BLAS rounding
     monkeypatch.setattr(model_module, "TAPE_DTYPE", np.float64)
     full = predict(model, raw, X, batch_size=256)
@@ -300,10 +313,10 @@ def test_gru_constant_input_converges_to_fixed_point():
         p = {"Wx": Var(rng.uniform_array((n_in, 3 * H), -bx, bx)),
              "Wh": Var(rng.uniform_array((H, 3 * H), -bh, bh)),
              "bx": Var(np.zeros(3 * H)), "bh": Var(np.zeros(3 * H))}
-        x = np.tile(rng.gaussian_array((1, 1, n_in)), (1, L, 1))
+        x = _batch_minor(np.tile(rng.gaussian_array((1, 1, n_in)), (1, L, 1)))
         # both directions share the weights; the forward half is checked
         out = bigru_layer(Var(x), {f"{d}.{k}": v for d in "fb" for k, v in p.items()})
-        states = out.value[0, :, :H]
+        states = out.value[:, :H, 0]
         steps = np.linalg.norm(np.diff(states, axis=0), axis=1)
         assert np.all(np.diff(steps[5:]) <= 1e-12), trial
 
@@ -319,7 +332,7 @@ def test_bilstm_layer_gradients_fd():
            "b.Wx": rng.gaussian_array((n_in, 4 * H), 0.0, 0.4),
            "b.Wh": rng.gaussian_array((H, 4 * H), 0.0, 0.4),
            "b.b": np.zeros(4 * H)}
-    x = rng.gaussian_array((2, 4, n_in))
+    x = _batch_minor(rng.gaussian_array((2, 4, n_in)))
     base = bilstm_layer(Var(x), {k: Var(v) for k, v in raw.items()}).value
 
     def f(p):
@@ -330,30 +343,43 @@ def test_bilstm_layer_gradients_fd():
     assert report.max_rel_error <= 1e-5, (report.worst_param, report.max_rel_error)
 
 
+def _t(v):
+    return T.swapaxes(v, 0, 1)
+
+
 def _recurrence_by_steps(zx, Wh, bh=None, reverse=False):
-    """One direction of the T.bidirectional reference: per-step take, the
-    single-step cell op (the LSTM's without ``bh``, the GRU's with it) and
-    one concat of the steps, every step on the tape."""
-    B, L, _ = zx.shape
+    """One direction of the T.bidirectional reference on a batch-minor
+    projection ``zx`` [L, G*H, B]: per-step take, ``Whᵀ h`` as a matmul, the
+    single-step cell op (the LSTM's without ``bh``, the GRU's with the
+    [G*H, 1] column ``bh``) on transposed blocks and one concat of the
+    steps, every step on the tape."""
+    L, _, B = zx.shape
     H = Wh.shape[0]
-    h = c = Var(np.zeros((B, H), dtype=zx.value.dtype))
+    WhT = _t(Wh)
+    h = c = Var(np.zeros((H, B), dtype=zx.value.dtype))
     out = [None] * L
     for t in (range(L - 1, -1, -1) if reverse else range(L)):
         if bh is None:
-            hc = T.lstm_cell(zx[:, t] + T.matmul(h, Wh), c)
-            h, c = hc[:, :H], hc[:, H:]
+            hc = _t(T.lstm_cell(_t(zx[t] + T.matmul(WhT, h)), _t(c)))
+            h, c = hc[:H], hc[H:]
         else:
-            h = T.gru_cell(zx[:, t], T.matmul(h, Wh) + bh, h)
+            h = _t(T.gru_cell(_t(zx[t]), _t(T.matmul(WhT, h) + bh), _t(h)))
         out[t] = h
-    return T.reshape(T.concat(out, axis=1), (B, L, H))
+    return T.reshape(T.concat(out, axis=0), (L, H, B))
+
+
+def _linear_t_by_ops(x, W, b):
+    return T.matmul(_t(W), x) + T.reshape(b, (-1, 1))
 
 
 def _bidirectional_by_steps(x, fwd, bwd):
-    """Reference for T.bidirectional: per direction, matmul + add and the
-    per-step reference, joined by one concat."""
-    return T.concat([_recurrence_by_steps(T.matmul(x, Wx) + b, Wh, *bh,
+    """Reference for T.bidirectional on x [L, n_in, B]: per direction,
+    ``Wxᵀ x`` as matmul + add and the per-step reference, joined by one
+    concat."""
+    return T.concat([_recurrence_by_steps(_linear_t_by_ops(x, Wx, b), Wh,
+                                          *(T.reshape(v, (-1, 1)) for v in bh),
                                           reverse=d == 1)
-                     for d, (Wx, b, Wh, *bh) in enumerate((fwd, bwd))], axis=2)
+                     for d, (Wx, b, Wh, *bh) in enumerate((fwd, bwd))], axis=1)
 
 
 def _train_step_grads(cfg, seed=41):
@@ -388,6 +414,7 @@ def test_recurrence_matches_per_step_composition_bitwise(monkeypatch):
     fast = [_step_and_eval_bytes(cfg) for cfg in cfgs]
     monkeypatch.setattr(T, "bidirectional", _bidirectional_by_steps)
     monkeypatch.setattr(T, "linear", lambda x, W, b: T.matmul(x, W) + b)
+    monkeypatch.setattr(T, "linear_t", _linear_t_by_ops)
     for cfg, got in zip(cfgs, fast):
         ref = _step_and_eval_bytes(cfg)
         for part, g, r in zip(("gradients", "predictions", "introspection"), got, ref):

@@ -11,13 +11,15 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from extremecast import tensor as T
 from extremecast.errors import NumericError
 from extremecast.gradcheck import grad_check
 from extremecast.rng import Rng
 from extremecast.tensor import Var, backward, no_grad
-from test_model import _bidirectional_by_steps
+from test_model import _bidirectional_by_steps, _linear_t_by_ops, _t
 
 
 def fd_ok(f, params, tol=1e-6):
@@ -103,6 +105,40 @@ def test_softmax_frozen_and_simplex():
     assert np.all(s >= 0)
     with pytest.raises(ValueError):
         T.softmax(Var(np.zeros((0, 3))))
+
+
+def _softmax_by_ndarray_max(v, axis, g):
+    """Softmax value and vjp with the row max taken by ``ndarray.max``."""
+    y = v - v.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
+    return y, y * (g - (g * y).sum(axis=axis, keepdims=True))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_max_by_halving_equals_ndarray_max_bytewise(dtype):
+    rng = Rng(18, "init")
+    cases = [(rng.gaussian_array((3, 4, n), 0.0, 4.0), -1) for n in (1, 2, 3, 9, 30)]
+    cases.append((rng.gaussian_array((4, 7, 5), 0.0, 4.0), 1))
+    cases.append((rng.gaussian_array((7, 3), 0.0, 4.0), 0))
+    special = rng.gaussian_array((7, 9))
+    special[0] = 0.0
+    special[1, ::2], special[1, 1::2] = -0.0, 0.0
+    special[2, 3] = -0.0
+    special[3, 4] = np.inf
+    special[4] = -np.inf
+    special[5, ::3] = -np.inf
+    special[6, 1], special[6, 7] = np.inf, -np.inf
+    cases += [(special, -1), (special, 0)]
+    for x, axis in cases:
+        x = x.astype(dtype)
+        g = rng.gaussian_array(x.shape).astype(dtype)
+        with np.errstate(invalid="ignore"):
+            out = T.softmax(Var(x, requires_grad=True), axis=axis)
+            (gx,) = out._vjp(g)
+            y, ref_gx = _softmax_by_ndarray_max(x, axis, g)
+        assert out.value.tobytes() == y.tobytes(), (x.shape, axis)
+        assert gx.tobytes() == ref_gx.tobytes(), (x.shape, axis)
 
 
 def test_softmax_translation_invariant_gradient():
@@ -305,36 +341,46 @@ def test_matmul_skips_gradient_of_constant_operand():
     assert ga.shape == (3, 4) and gb is None
 
 
+# (op, x shapes, output shape from x's shape) for x @ W + b and Wᵀ x + b
+# with W [4, n_out]: batch-major [..., 4] and batch-minor [..., 4, B]
+_LINEAR_OPS = [(T.linear, ((3, 4), (2, 3, 4)), lambda xs, n: xs[:-1] + (n,)),
+               (T.linear_t, ((4, 3), (2, 4, 3)), lambda xs, n: xs[:-2] + (n, xs[-1]))]
+
+
 def test_linear_gradients_fd():
     rng = Rng(12, "init")
-    for xshape in ((3, 4), (2, 3, 4)):
-        raw = {"x": rng.gaussian_array(xshape), "W": rng.gaussian_array((4, 5)),
-               "b": rng.gaussian_array((5,))}
-        w = Var(rng.gaussian_array(xshape[:-1] + (5,)))
+    for op, xshapes, out_shape in _LINEAR_OPS:
+        for xshape in xshapes:
+            raw = {"x": rng.gaussian_array(xshape), "W": rng.gaussian_array((4, 5)),
+                   "b": rng.gaussian_array((5,))}
+            w = Var(rng.gaussian_array(out_shape(xshape, 5)))
 
-        def f(p):
-            return T.sum_(T.tanh(T.linear(p["x"], p["W"], p["b"])) * w)
+            def f(p):
+                return T.sum_(T.tanh(op(p["x"], p["W"], p["b"])) * w)
 
-        fd_ok(f, raw)
+            fd_ok(f, raw)
 
 
 def test_linear_equals_matmul_then_add_bitwise():
     rng = Rng(13, "init")
-    for xshape in ((5, 4), (2, 6, 4)):
-        raw = {"x": rng.gaussian_array(xshape), "W": rng.gaussian_array((4, 3)),
-               "b": rng.gaussian_array((3,))}
-        w = rng.gaussian_array(xshape[:-1] + (3,))
-        for x_grad in (True, False):
-            def run(op):
-                p = {k: Var(v, requires_grad=k != "x" or x_grad) for k, v in raw.items()}
-                out = op(p["x"], p["W"], p["b"])
-                backward(T.sum_(out * w))
-                return [out.value.tobytes()] + [
-                    None if p[k].grad is None else p[k].grad.tobytes() for k in ("W", "b", "x")]
+    refs = {T.linear: lambda x, W, b: T.matmul(x, W) + b, T.linear_t: _linear_t_by_ops}
+    for op, xshapes, out_shape in _LINEAR_OPS:
+        for xshape in xshapes:
+            raw = {"x": rng.gaussian_array(xshape), "W": rng.gaussian_array((4, 3)),
+                   "b": rng.gaussian_array((3,))}
+            w = rng.gaussian_array(out_shape(xshape, 3))
+            for x_grad in (True, False):
+                def run(op):
+                    p = {k: Var(v, requires_grad=k != "x" or x_grad) for k, v in raw.items()}
+                    out = op(p["x"], p["W"], p["b"])
+                    backward(T.sum_(out * w))
+                    return [out.value.tobytes()] + [
+                        None if p[k].grad is None else p[k].grad.tobytes()
+                        for k in ("W", "b", "x")]
 
-            got = run(T.linear)
-            assert got == run(lambda x, W, b: T.matmul(x, W) + b), (xshape, x_grad)
-            assert (got[3] is None) != x_grad
+                got = run(op)
+                assert got == run(refs[op]), (op.__name__, xshape, x_grad)
+                assert (got[3] is None) != x_grad
 
 
 def _bidirectional_params(rng, cell, n_in, H):
@@ -356,8 +402,8 @@ def test_bidirectional_gradients_fd():
     for cell in ("lstm", "gru"):
         for L in (1, 4):
             raw, names = _bidirectional_params(rng, cell, 3, 2)
-            raw["x"] = rng.gaussian_array((2, L, 3))
-            w = Var(rng.gaussian_array((2, L, 4)))
+            raw["x"] = rng.gaussian_array((L, 3, 2))
+            w = Var(rng.gaussian_array((L, 4, 2)))
 
             def f(p):
                 return T.sum_(_bidirectional(p["x"], p, names) * w)
@@ -367,46 +413,69 @@ def test_bidirectional_gradients_fd():
             fd_ok(f, raw, tol=1e-5)
 
 
-def _run_bitwise(raw, names, w, layer):
-    """Output and every gradient of ``sum(layer(x, fwd, bwd) * w)``, as bytes."""
-    p = {k: Var(v, requires_grad=True) for k, v in raw.items()}
+def _run_bitwise(raw, names, w, layer, dtype=np.float64, x_grad=True):
+    """Output and every gradient of ``sum(layer(x, fwd, bwd) * w)`` at
+    ``dtype``, as bytes (None for an input without a gradient)."""
+    p = {k: Var(v.astype(dtype), requires_grad=k != "x" or x_grad)
+         for k, v in raw.items()}
     out = layer(p["x"], *([p[f"{d}.{n}"] for n in names] for d in "fb"))
-    backward(T.sum_(out * w))
-    return [out.value.tobytes()] + [p[k].grad.tobytes() for k in sorted(p)]
+    backward(T.sum_(out * Var(w.astype(dtype))))
+    return [out.value.tobytes()] + [None if p[k].grad is None else p[k].grad.tobytes()
+                                    for k in sorted(p)]
 
 
 def test_bidirectional_equals_two_recurrences_and_concat_bitwise():
     rng = Rng(15, "init")
     for cell in ("lstm", "gru"):
         raw, names = _bidirectional_params(rng, cell, 3, 4)
-        raw["x"] = rng.gaussian_array((3, 5, 3))
-        w = rng.gaussian_array((3, 5, 8))
+        raw["x"] = rng.gaussian_array((5, 3, 3))
+        w = rng.gaussian_array((5, 8, 3))
         assert (_run_bitwise(raw, names, w, T.bidirectional)
                 == _run_bitwise(raw, names, w, _bidirectional_by_steps)), cell
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@example(B=1, L=3, H=2, n_in=2, cell="lstm", dtype=np.float32, x_grad=True, seed=0)
+@example(B=1, L=3, H=2, n_in=2, cell="gru", dtype=np.float32, x_grad=True, seed=0)
+@given(B=st.integers(1, 5), L=st.integers(1, 6), H=st.integers(1, 4),
+       n_in=st.integers(1, 4), cell=st.sampled_from(["lstm", "gru"]),
+       dtype=st.sampled_from([np.float32, np.float64]), x_grad=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_bidirectional_equals_per_step_cells_on_any_shape(B, L, H, n_in, cell,
+                                                          dtype, x_grad, seed):
+    # B = 1 takes BLAS's matrix-vector path in every per-step product
+    rng = Rng(seed, "init")
+    raw, names = _bidirectional_params(rng, cell, n_in, H)
+    raw["x"] = rng.gaussian_array((L, n_in, B))
+    w = rng.gaussian_array((L, 2 * H, B))
+    got = _run_bitwise(raw, names, w, T.bidirectional, dtype, x_grad)
+    assert got == _run_bitwise(raw, names, w, _bidirectional_by_steps, dtype, x_grad)
+    assert (got[-1] is None) != x_grad
+
+
 def _one_step_by_cell(x, fwd, bwd):
-    """A one-step bidirectional layer: per direction, one single-step cell
-    op from zero states."""
+    """A one-step bidirectional layer on x [1, n_in, B]: per direction, one
+    single-step cell op from zero states, on transposed blocks."""
     halves = []
     for Wx, b, Wh, *bh in (fwd, bwd):
-        H = Wh.shape[0]
-        zx = (T.matmul(x, Wx) + b)[:, 0]
-        h0 = Var(np.zeros((x.shape[0], H)))
+        H, B = Wh.shape[0], x.shape[2]
+        zx = _t(_linear_t_by_ops(x, Wx, b)[0])
+        h0 = Var(np.zeros((H, B)))
+        zh = T.matmul(_t(Wh), h0)
         if bh:
-            h = T.gru_cell(zx, T.matmul(h0, Wh) + bh[0], h0)
+            h = T.gru_cell(zx, _t(zh + T.reshape(bh[0], (-1, 1))), _t(h0))
         else:
-            h = T.lstm_cell(zx + T.matmul(h0, Wh), h0)[:, :H]
-        halves.append(T.reshape(h, (x.shape[0], 1, H)))
-    return T.concat(halves, axis=2)
+            h = T.lstm_cell(zx + _t(zh), _t(h0))[:, :H]
+        halves.append(T.reshape(_t(h), (1, H, B)))
+    return T.concat(halves, axis=1)
 
 
 def test_recurrence_of_one_step_equals_cell_bitwise():
     rng = Rng(10, "init")
     for cell in ("lstm", "gru"):
         raw, names = _bidirectional_params(rng, cell, 3, 4)
-        raw["x"] = rng.gaussian_array((3, 1, 3))
-        w = rng.gaussian_array((3, 1, 8))
+        raw["x"] = rng.gaussian_array((1, 3, 3))
+        w = rng.gaussian_array((1, 8, 3))
         assert (_run_bitwise(raw, names, w, T.bidirectional)
                 == _run_bitwise(raw, names, w, _one_step_by_cell)), cell
 
@@ -437,7 +506,7 @@ def test_recurrence_under_no_grad_records_nothing():
     for cell in ("lstm", "gru"):
         raw, names = _bidirectional_params(rng, cell, 8, 8)
         p = {k: Var(v, requires_grad=True) for k, v in raw.items()}
-        x = Var(rng.gaussian_array((16, 40, 8)))
+        x = Var(rng.gaussian_array((40, 8, 16)))
         with no_grad():
             out, kept, _ = _traced_bidirectional(x, p, names)
         assert not out.requires_grad and out._parents == () and out._vjp is None
@@ -453,7 +522,7 @@ def test_bidirectional_under_no_grad_holds_one_projection():
     for cell in ("lstm", "gru"):
         raw, names = _bidirectional_params(rng, cell, 8, 8)
         p = {k: Var(v, requires_grad=True) for k, v in raw.items()}
-        x = Var(rng.gaussian_array((32, 60, 8)))
+        x = Var(rng.gaussian_array((60, 8, 32)))
         with no_grad():
             out, _, peak = _traced_bidirectional(x, p, names)
         assert not out.requires_grad and out._parents == () and out._vjp is None
@@ -473,6 +542,7 @@ _DTYPE_OPS = {
     "neg": (lambda a: -a, [(2, 3)]),
     "matmul": (T.matmul, [(2, 2, 3), (3, 4)]),
     "linear": (T.linear, [(2, 3), (3, 4), (4,)]),
+    "linear_t": (T.linear_t, [(2, 3, 5), (3, 4), (4,)]),
     "sqrt": (lambda a: T.sqrt(a * a + 1.0), [(2, 3)]),
     "tanh": (T.tanh, [(2, 3)]),
     "sigmoid": (T.sigmoid, [(2, 3)]),
@@ -488,9 +558,9 @@ _DTYPE_OPS = {
     "lstm_cell": (T.lstm_cell, [(2, 8), (2, 2)]),
     "gru_cell": (T.gru_cell, [(2, 6), (2, 6), (2, 2)]),
     "bidirectional_lstm": (lambda x, *p: T.bidirectional(x, p[:3], p[3:]),
-                           [(2, 3, 2), (2, 8), (8,), (2, 8)] + [(2, 8), (8,), (2, 8)]),
+                           [(3, 2, 2), (2, 8), (8,), (2, 8)] + [(2, 8), (8,), (2, 8)]),
     "bidirectional_gru": (lambda x, *p: T.bidirectional(x, p[:4], p[4:]),
-                          [(2, 3, 2)] + 2 * [(2, 6), (6,), (2, 6), (6,)]),
+                          [(3, 2, 2)] + 2 * [(2, 6), (6,), (2, 6), (6,)]),
 }
 
 

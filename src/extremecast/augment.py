@@ -18,9 +18,14 @@ blocks of ``_BLOCK`` windows.  Window i's output is what the one-window call
 with stream i gives, bit for bit; ``jitter``, ``scale``, ``time_warp`` and
 ``magnitude_warp`` are those one-window calls.
 
-Warps build a curve through a handful of knots with a natural cubic spline.
-The knots sit at anchors fixed by L and the knot count, so one spline over a
-[knots+2, m] value matrix fits all m windows of a stack:
+Warps build a curve through a handful of knots with a natural cubic spline,
+``_natural_spline``, which is numpy only: it repeats the arithmetic of
+scipy 1.17's ``CubicSpline(x, y, bc_type="natural")`` in the same order, so
+its values equal scipy's bit for bit, and a test pins them to scipy and to a
+golden digest.  It solves the knot-derivative system without row swaps and
+raises ``NumericError`` where LAPACK would swap, which evenly spaced anchors
+never need.  The knots sit at anchors fixed by L and the knot count, so one
+spline over a [knots+2, m] value matrix fits all m windows of a stack:
 
 * time warp: knots at evenly spaced interior anchors get Gaussian offsets
   (std sigma * L / knots); the curve through (1,1), (a_j, a_j+offset_j),
@@ -40,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DataError, NumericError
 from .rng import Rng, gaussian_rows, uniform_rows
@@ -88,6 +92,59 @@ def _need_two_steps(L: int, name: str) -> None:
         raise DataError(f"{name} needs a window of at least 2 steps")
 
 
+def _natural_spline(x: np.ndarray, y: np.ndarray,
+                    grid: np.ndarray) -> np.ndarray:
+    """[len(grid), m]: the natural cubic spline through (x, y[:, j]) for each
+    column of y [n, m], at grid; x [n >= 2] strictly increasing.
+
+    Bit for bit ``CubicSpline(x, y, bc_type="natural")(grid)`` of scipy
+    1.17: the same slopes and tridiagonal system for the knot derivatives,
+    solved by LAPACK ``dgtsv``'s elimination and back-substitution, then
+    ``CubicHermiteSpline``'s coefficients and ``PPoly``'s evaluation.
+    ``dgtsv`` swaps rows where a pivot is smaller than the entry below it;
+    that never happens on evenly spaced knots, and is refused here.
+    """
+    n = len(x)
+    dx = np.diff(x)
+    dxr = dx[:, None]
+    slope = np.diff(y, axis=0) / dxr
+    # CubicSpline's system for the knot derivatives: diagonals d, du, dl and
+    # right-hand side s, solved in place.  Its natural end rows add
+    # -0.5 * 0 * dx^2 (-0.0, a no-op) at the start and +0.5 * 0 * dx^2 at the
+    # end, where the + 0.0 turns a -0.0 into +0.0
+    d = np.empty(n)
+    d[0], d[-1] = 2 * dx[0], 2 * dx[-1]
+    d[1:-1] = 2 * (dx[:-1] + dx[1:])
+    du = np.concatenate([dx[:1], dx[:-1]])
+    dl = np.concatenate([dx[1:], dx[-1:]])
+    s = np.empty(y.shape)
+    s[0] = 3 * (y[1] - y[0])
+    s[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    s[-1] = 0.0 + 3 * (y[-1] - y[-2])
+    for i in range(n - 1):
+        if abs(d[i]) < abs(dl[i]):
+            raise NumericError("natural spline system needs pivoting")
+        fact = dl[i] / d[i]
+        d[i + 1] = d[i + 1] - fact * du[i]
+        s[i + 1] = s[i + 1] - fact * s[i]
+    s[-1] = s[-1] / d[-1]
+    s[-2] = (s[-2] - du[-1] * s[-1]) / d[-2]
+    for i in range(n - 3, -1, -1):
+        # dgtsv keeps the zeroed sub-diagonal entry in its update
+        s[i] = (s[i] - du[i] * s[i + 1] - 0.0 * s[i + 2]) / d[i]
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    c0 = t / dxr
+    c1 = (slope - s[:-1]) / dxr - t
+    # PPoly sums from 0.0, so a -0.0 knot value adds as +0.0
+    c3 = 0.0 + y[:-1]
+    # interval i holds x[i] <= g < x[i + 1]; the last knot, and anything
+    # past the ends, goes to the nearest end interval
+    k = np.clip(np.searchsorted(x, grid, side="right") - 1, 0, n - 2)
+    h = (grid - x[k])[:, None]
+    hh = h * h
+    return c3[k] + s[:-1][k] * h + c1[k] * hh + c0[k] * (hh * h)
+
+
 def _warp_grids(L: int, rngs: list[Rng], knots: int,
                 sigma: float) -> np.ndarray | None:
     """[len(rngs), L]: the strictly monotone time map of each stream, or
@@ -107,8 +164,7 @@ def _warp_grids(L: int, rngs: list[Rng], knots: int,
         ys[0] = 1.0
         ys[1:-1] = anchors[:, None] + offsets.T
         ys[-1] = float(L)
-        tau = np.clip(CubicSpline(xs, ys, bc_type="natural")(grid).T,
-                      1.0, float(L))
+        tau = np.clip(_natural_spline(xs, ys, grid).T, 1.0, float(L))
         tau.sort(axis=1)
         ok = np.all(np.diff(tau, axis=1) > 0.0, axis=1)
         taus[todo[ok]] = tau[ok]
@@ -141,8 +197,8 @@ def _magnitude_curves(L: int, rngs: list[Rng], knots: int,
         return None
     anchors = np.linspace(1.0, float(L), knots + 2)
     values = gaussian_rows(rngs, knots + 2, 1.0, sigma)
-    spline = CubicSpline(anchors, values.T, bc_type="natural")
-    return np.clip(spline(np.arange(1.0, L + 1.0)), 0.5, 1.5).T
+    curves = _natural_spline(anchors, values.T, np.arange(1.0, L + 1.0))
+    return np.clip(curves, 0.5, 1.5).T
 
 
 def jitter(X: np.ndarray, rng: Rng, sigma: float) -> np.ndarray:

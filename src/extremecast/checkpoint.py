@@ -119,7 +119,7 @@ def _encode_params(params: dict) -> dict:
     for name, arr in params.items():
         a = np.asarray(arr, dtype=np.float64)
         out[name] = {"shape": list(a.shape),
-                     "data": [float(v) for v in a.ravel(order="C")]}
+                     "data": a.ravel().tolist()}
     return out
 
 

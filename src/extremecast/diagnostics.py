@@ -25,8 +25,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import spearmanr
 
 from .errors import ConfigError, DataError
 from .metrics import regression_metrics
@@ -115,15 +113,40 @@ def permutation_importance(model, params, dataset, partition: str = "test",
     return {"baseline_rmse": baseline, "rows": rows}
 
 
+def _average_ranks(v: np.ndarray) -> np.ndarray:
+    """1-based ranks of v, ties sharing their mean rank (scipy's
+    ``rankdata(v, "average")``, same sort and same arithmetic)."""
+    order = np.argsort(v, kind="stable")
+    sv = v[order]
+    first = np.concatenate([[True], sv[:-1] != sv[1:]])
+    counts = np.diff(np.flatnonzero(first), append=v.size)
+    ranks = np.arange(1.0, v.size + 1.0)[first] + (counts - 1) / 2
+    out = np.empty(v.size)
+    out[order] = np.repeat(ranks, counts)
+    return out
+
+
 def ranking_agreement(occlusion: dict, permutation: dict) -> float:
-    """Spearman correlation between occlusion and permutation importances."""
+    """Spearman correlation between occlusion and permutation importances.
+
+    Equal to ``scipy.stats.spearmanr(...).statistic``, ties included; NaN,
+    without a warning, when a column is constant (a single feature, too) or
+    holds a NaN.
+    """
     occ = {r["feature"]: r["delta_rmse"] for r in occlusion["rows"]}
     per = {r["feature"]: r["mean_drop"] for r in permutation["rows"]}
     if set(occ) != set(per):
         raise DataError("importance tables cover different feature sets")
     names = sorted(occ)
-    rho = spearmanr([occ[n] for n in names], [per[n] for n in names]).statistic
-    return float(rho)
+    a = np.array([occ[n] for n in names], dtype=np.float64)
+    b = np.array([per[n] for n in names], dtype=np.float64)
+    if (np.all(a == a[0]) or np.all(b == b[0])
+            or np.isnan(a).any() or np.isnan(b).any()):
+        return float("nan")
+    # spearmanr's form: corrcoef of the stacked rank columns, which can
+    # differ from np.corrcoef(ra, rb) in the last bits
+    ranks = np.column_stack([_average_ranks(a), _average_ranks(b)])
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
 # ------------------------------------------------------ residual diagnostics
@@ -142,6 +165,9 @@ def autocorrelation(e: np.ndarray, max_lag: int) -> np.ndarray:
 
 
 def residual_diagnostics(residuals: np.ndarray, predictions=None) -> dict:
+    # scipy is imported where it runs, so the other commands never load it
+    from scipy.special import ndtri
+
     e = np.asarray(residuals, dtype=np.float64)
     n = e.shape[0]
     if n < 30:

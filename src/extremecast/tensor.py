@@ -61,7 +61,6 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf
 
 _grad_enabled = True
 
@@ -367,6 +366,9 @@ def sigmoid(a) -> Var:
 
 def gelu(a) -> Var:
     """Exact (erf-based) GELU."""
+    # scipy is imported where it runs: only the TCN and N-BEATS baselines
+    from scipy.special import erf
+
     a = as_var(a)
     v = a.value
     c = 0.5 * (1.0 + erf(v * _INV_SQRT2))

@@ -3,6 +3,7 @@ documented zero-strength identities, warp invariants.  The block kernels are
 checked bit for bit against the per-window transforms kept here as
 references."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from extremecast.augment import (_BLOCK, WARP_RETRIES, AugmentConfig,
-                                 _warp_grids, augment_windows, jitter,
-                                 magnitude_warp, scale, time_warp)
+                                 _natural_spline, _warp_grids,
+                                 augment_windows, jitter, magnitude_warp,
+                                 scale, time_warp)
 from extremecast.checkpoint import load_dataset, write_csv
 from extremecast.cli import main
 from extremecast.errors import DataError, NumericError
@@ -330,6 +332,55 @@ def test_augment_preview_matches_per_window_reference(tmp_path):
         want = tmp_path / f"want{sample}.csv"
         write_csv(want, ["variant", "t", *ds.feature_names, "y"], rows)
         assert out.read_bytes() == want.read_bytes()
+
+
+# ----------------------------------------------------------- natural spline
+
+
+def spline_knots(layout, knots, L, m, rng):
+    """(x, y [knots + 2, m]): the time-warp or magnitude-warp knots."""
+    if layout == "time":
+        anchors = 1.0 + (np.arange(1, knots + 1) / (knots + 1)) * (L - 1.0)
+        x = np.concatenate([[1.0], anchors, [float(L)]])
+        y = np.empty((knots + 2, m))
+        y[0], y[-1] = 1.0, float(L)
+        y[1:-1] = anchors[:, None] + rng.normal(0.0, 0.2 * L / knots,
+                                                (knots, m))
+        return x, y
+    # the magnitude warp fits the transpose of a [m, knots + 2] draw
+    return (np.linspace(1.0, float(L), knots + 2),
+            rng.normal(1.0, 0.3, (m, knots + 2)).T)
+
+
+@SETTINGS
+@given(st.sampled_from(("time", "magnitude")), st.integers(1, 7),
+       st.integers(5, 59), st.integers(1, 69), st.integers(0, 2**32 - 1))
+def test_natural_spline_matches_scipy_bitwise(layout, knots, L, m, seed):
+    x, y = spline_knots(layout, knots, L, m, np.random.default_rng(seed))
+    grid = np.arange(1.0, L + 1.0)
+    want = CubicSpline(x, y, bc_type="natural")(grid)
+    assert _natural_spline(x, y, grid).tobytes() == want.tobytes()
+
+
+def test_natural_spline_golden_digest():
+    # pins the augmentation's spline bits whatever scipy is installed
+    rng = Rng(5, "spline")
+    L, knots, m = 30, 4, 16
+    anchors = 1.0 + (np.arange(1, knots + 1) / (knots + 1)) * (L - 1.0)
+    x = np.concatenate([[1.0], anchors, [float(L)]])
+    y = np.empty((knots + 2, m))
+    y[0], y[-1] = 1.0, float(L)
+    y[1:-1] = anchors[:, None] + rng.gaussian_array((knots, m), 0.0, 1.5)
+    out = _natural_spline(x, y, np.arange(1.0, L + 1.0))
+    assert hashlib.sha256(out.tobytes()).hexdigest() == (
+        "53854a691e3f59e22398f15ea18761aca4840851f7ad3580ebfdf00d2b9a45f0")
+
+
+def test_natural_spline_refuses_a_system_that_needs_pivoting():
+    # the first sub-diagonal entry (9.9) exceeds its pivot (0.2)
+    x = np.array([0.0, 0.1, 10.0])
+    with pytest.raises(NumericError, match="pivoting"):
+        _natural_spline(x, np.ones((3, 1)), x)
 
 
 # ------------------------------------------------------- transform contracts

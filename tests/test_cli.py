@@ -3,12 +3,16 @@ exit codes, and the explain/augment/sweep outputs."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import extremecast
 from extremecast import cli
 from extremecast.cli import main
 from extremecast.config import validate_report_dict
@@ -598,3 +602,57 @@ def test_heap_policy_pins_mmap_threshold_before_trim(monkeypatch, pinned):
     cli._keep_freed_heap()
     expected = [(-3, 32 << 20), (-1, 1 << 30)]
     assert calls == expected[:1 + pinned]
+
+
+# ------------------------------------------------------------ scipy-free paths
+
+# prepare, train (dual stream, augmentation on), evaluate and explain
+# occlusion|permutation|pdp in one fresh process, after importing every
+# module the benchmark imports; prints the scipy modules then loaded, then
+# runs the two commands that do need scipy
+_NO_SCIPY_RUN = """
+import importlib, json, sys
+for name in ("cli", "pipeline", "data", "checkpoint", "training", "tensor",
+             "model", "rng", "augment", "synthetic"):
+    importlib.import_module("extremecast." + name)
+from extremecast import cli
+cfg, out = sys.argv[1:3]
+data = ["--data", out + "/data.json"]
+explain = ["explain", "--checkpoint", out + "/ckpt.json", *data]
+steps = [["prepare", "--config", cfg, "--out", out + "/data.json"],
+         ["train", "--config", cfg, *data, "--out", out + "/ckpt.json"],
+         ["evaluate", "--checkpoint", out + "/ckpt.json", *data,
+          "--report", out + "/report.json"],
+         explain + ["--method", "occlusion", "--out", out + "/occ.csv"],
+         explain + ["--method", "permutation", "--repeats", "1",
+                    "--out", out + "/perm.csv"],
+         explain + ["--method", "pdp", "--feature", "tempmax",
+                    "--out", out + "/pdp.csv"]]
+for step in steps:
+    if cli.main(step) != 0:
+        sys.exit(f"step failed: {step[:2]}")
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+codes = [cli.main(explain + ["--method", "residuals",
+                             "--out", out + "/resid.json"]),
+         cli.main(["train", "--config", cfg, *data, "--model", "tcn",
+                   "--out", out + "/tcn.json"])]
+print(json.dumps({"scipy": loaded, "codes": codes}))
+"""
+
+
+def test_main_paths_load_no_scipy(tmp_path):
+    table_to_csv(sinusoid_ar_table(seed=11, n_days=400), tmp_path / "raw.csv")
+    doc = dict(CONFIG, augment={"enabled": True},
+               training=dict(CONFIG["training"], max_epochs=1))
+    doc["dataset"] = dict(CONFIG["dataset"], csv_path=str(tmp_path / "raw.csv"))
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    src = str(Path(list(extremecast.__path__)[0]).resolve().parent)
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_RUN, str(tmp_path / "config.json"),
+         str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["scipy"] == []
+    assert result["codes"] == [0, 0]

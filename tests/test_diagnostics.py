@@ -4,9 +4,13 @@ recovery of planted clusters."""
 
 import datetime as dt
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import spearmanr
 
 from extremecast.baselines import NBeatsConfig, NBeatsModel, PersistenceModel
 from extremecast.data import ScalerParams, SplitSpec, WindowPartition
@@ -193,6 +197,53 @@ def test_persistence_task_ranks_lagged_target_first():
     assert top_occ == "tempmax"
     assert top_per == "tempmax"
     assert ranking_agreement(occ, per) > 0.0
+
+
+def importance_tables(occ_values, perm_values):
+    names = [f"f{i:02d}" for i in range(len(occ_values))]
+    # listed in reverse, so the name sort has work to do
+    occ = {"rows": [{"feature": n, "delta_rmse": v}
+                    for n, v in zip(names[::-1], occ_values[::-1])]}
+    per = {"rows": [{"feature": n, "mean_drop": v}
+                    for n, v in zip(names, perm_values)]}
+    return occ, per
+
+
+@st.composite
+def importance_columns(draw):
+    n = draw(st.integers(2, 40))
+    if draw(st.booleans()):
+        # few distinct values, so most columns have ties
+        col = st.integers(-3, 3).map(lambda k: k * 0.25)
+    else:
+        col = st.floats(-1e3, 1e3, allow_nan=False)
+    return (draw(st.lists(col, min_size=n, max_size=n)),
+            draw(st.lists(col, min_size=n, max_size=n)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(importance_columns())
+def test_ranking_agreement_equals_scipy_spearman(columns):
+    a, b = columns
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # constant columns warn in scipy
+        want = float(spearmanr(a, b).statistic)
+    got = ranking_agreement(*importance_tables(a, b))
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+@pytest.mark.parametrize("occ_values, perm_values", [
+    ([0.5, 0.5, 0.5], [0.1, 0.3, 0.2]),
+    ([0.1, 0.3, 0.2], [0.0, 0.0, 0.0]),
+    ([0.1, float("nan"), 0.2], [0.1, 0.3, 0.2]),
+    ([0.1], [0.2]),
+], ids=["constant-occlusion", "constant-permutation", "nan", "one-feature"])
+def test_ranking_agreement_undefined_is_nan_without_warning(occ_values,
+                                                            perm_values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho = ranking_agreement(*importance_tables(occ_values, perm_values))
+    assert math.isnan(rho)
 
 
 # ------------------------------------------------------ residual diagnostics

@@ -1,21 +1,28 @@
 """Checkpoint and report persistence.
 
-Everything is JSON: UTF-8, sorted keys, floats written via Python's
-shortest-round-trip ``repr`` (what ``json`` emits for float64), so a
-save→load cycle reproduces every parameter bit for bit.  Parameter tensors
-are stored flattened in row-major order next to their shapes.  Loaders read
-integers, numbers and scalers strictly (``_int``, ``_floats``,
-``_read_scaler``): a fractional integer, a string, boolean, null or
-non-finite number, or a scaler divisor that is not positive makes the file
-malformed.
+Everything is JSON: UTF-8, sorted keys.  Each float array (the parameters
+of every model kind, and a dataset's ``feature_matrix``, ``target_scaled``
+and ``target_raw``) is one base64 string of its little-endian float64 bytes
+in row-major order (``_pack``), so a save→load cycle reproduces every bit by
+construction; parameter strings sit next to their shapes.  Every other
+number (shapes, scaler pairs, split bounds, ``best_val_loss``) is plain
+JSON.  Savers refuse a NaN or an infinity with a ``ValueError``.  Loaders
+read arrays, integers, numbers and scalers strictly (``_unpack``, ``_int``,
+``_floats``, ``_read_scaler``): a packed array that is not a string, is not
+strict base64, holds other than 8 bytes per element its shape or split
+implies, or decodes to a non-finite value; a fractional integer; a string,
+boolean, null or non-finite number; or a scaler divisor that is not
+positive makes the file malformed.
 
 No timing is stored: identical runs must write identical bytes.
 """
 
 from __future__ import annotations
 
+import base64
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from pathlib import Path
@@ -25,7 +32,7 @@ import numpy as np
 from .data import ScalerParams
 from .errors import CompatibilityError, DataError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # ------------------------------------------------------------ JSON helpers
@@ -79,6 +86,30 @@ def _floats(values) -> np.ndarray:
     return arr
 
 
+def _pack(values) -> str:
+    """float64 values as base64 of their little-endian bytes, row-major; a
+    NaN or an infinity is refused, as ``json`` refuses it."""
+    arr = np.ascontiguousarray(values, dtype="<f8")
+    if not np.isfinite(arr).all():
+        raise ValueError("a float array to save holds non-finite values")
+    return base64.b64encode(arr.tobytes()).decode("ascii")
+
+
+def _unpack(text, count: int) -> np.ndarray:
+    """The ``count`` float64 values ``_pack`` wrote, as a new flat array."""
+    if type(text) is not str:
+        raise TypeError(f"a packed array must be a string, got "
+                        f"{type(text).__name__}")
+    raw = base64.b64decode(text, validate=True)
+    if len(raw) != 8 * count:
+        raise ValueError(f"a packed array holds {len(raw)} bytes, expected "
+                         f"{8 * count} for {count} values")
+    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError("a packed array holds non-finite values")
+    return arr
+
+
 def _scaler_doc(scaler: ScalerParams) -> dict:
     return {k: [float(m), float(d)] for k, (m, d) in sorted(scaler.columns.items())}
 
@@ -118,15 +149,15 @@ def _encode_params(params: dict) -> dict:
     out = {}
     for name, arr in params.items():
         a = np.asarray(arr, dtype=np.float64)
-        out[name] = {"shape": list(a.shape),
-                     "data": a.ravel().tolist()}
+        out[name] = {"shape": list(a.shape), "data": _pack(a)}
     return out
 
 
 def _decode_params(blob: dict) -> dict:
     out = {}
     for name, entry in blob.items():
-        out[name] = _floats(entry["data"]).reshape(entry["shape"])
+        shape = tuple(_int(n) for n in entry["shape"])
+        out[name] = _unpack(entry["data"], math.prod(shape)).reshape(shape)
     return out
 
 
@@ -210,9 +241,9 @@ def save_dataset(ds, path) -> None:
         "split": {"n_days": ds.split.n_days, "val": list(ds.split.val),
                   "train": list(ds.split.train), "test": list(ds.split.test)},
         "dates": [d.isoformat() for d in ds.dates],
-        "target_raw": [float(v) for v in ds.target_raw],
-        "target_scaled": [float(v) for v in ds.target_scaled],
-        "feature_matrix": [float(v) for v in ds.feature_matrix.ravel(order="C")],
+        "target_raw": _pack(ds.target_raw),
+        "target_scaled": _pack(ds.target_scaled),
+        "feature_matrix": _pack(ds.feature_matrix),
         "audit": [[name, group, float(corr), bool(chosen)]
                   for name, group, corr, chosen in ds.audit],
     }
@@ -239,16 +270,18 @@ def load_dataset(path):
         split = SplitSpec(n_days=_int(bounds["n_days"]),
                           **{part: tuple(_int(b) for b in bounds[part])
                              for part in ("val", "train", "test")})
-        matrix = _floats(doc["feature_matrix"]).reshape(split.n_days, len(names))
-        target_scaled = _floats(doc["target_scaled"])
+        n_days = split.n_days
+        matrix = _unpack(doc["feature_matrix"],
+                         n_days * len(names)).reshape(n_days, len(names))
+        target_scaled = _unpack(doc["target_scaled"], n_days)
         lookback = _int(doc["lookback"])
         parts = make_windows(matrix, target_scaled,
                              check_split(split, lookback), lookback)
         dates = [dt.date.fromisoformat(s) for s in doc["dates"]]
-        target_raw = _floats(doc["target_raw"])
-        if len(dates) != split.n_days or len(target_raw) != split.n_days:
-            raise CompatibilityError(f"{path}: malformed dataset (dates and "
-                                     f"target_raw must hold {split.n_days} days)")
+        target_raw = _unpack(doc["target_raw"], n_days)
+        if len(dates) != n_days:
+            raise CompatibilityError(f"{path}: malformed dataset (dates must "
+                                     f"hold {n_days} days)")
         scaler = _read_scaler(doc["scaler"])
         if doc["target"] not in scaler.columns:
             raise CompatibilityError(f"{path}: malformed dataset (the scaler "

@@ -20,6 +20,7 @@ and forces zero-variance features to rank last (r treated as 0).
 
 from __future__ import annotations
 
+import datetime as dt
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -108,21 +109,31 @@ class Climatology:
     std: dict[str, np.ndarray]
 
 
+_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
+
+
 def day_of_year(dates) -> np.ndarray:
-    return np.array([d.timetuple().tm_yday for d in dates], dtype=np.int64)
+    """Day of year, 1 to 366, of each date: its days since 1 January of its
+    year, from the proleptic ordinal as datetime64."""
+    ordinal = np.fromiter(map(dt.date.toordinal, dates), np.int64, len(dates))
+    days = (ordinal - _EPOCH_ORDINAL).astype("datetime64[D]")
+    return (days - days.astype("datetime64[Y]")).astype(np.int64) + 1
 
 
-def fit_climatology(table: TimeSeriesTable, columns,
-                    train_slice: slice) -> Climatology:
+def fit_climatology(table: TimeSeriesTable, columns, train_slice: slice,
+                    doy: np.ndarray | None = None) -> Climatology:
     """Statistics per column and day of year; std floored at
     CLIMATOLOGY_STD_FLOOR.  Day 366 borrows day 365 when only 365 is
     observed; any other unobserved day takes the global train statistics.
+    ``doy`` is ``day_of_year(table.dates)``, computed here when not given.
 
     Train rows are stably sorted by day of year, and the days with c rows
     are reduced together as one C-contiguous [columns, days, c] stack along
     its last axis, which gives the bits of reducing each day's rows alone.
     """
-    doy = day_of_year(table.dates)[train_slice]
+    if doy is None:
+        doy = day_of_year(table.dates)
+    doy = doy[train_slice]
     cols = np.stack([table.columns[name][train_slice] for name in columns])
     glob_m = cols.mean(axis=-1)
     glob_s = np.maximum(cols.std(axis=-1), CLIMATOLOGY_STD_FLOOR)
@@ -216,7 +227,7 @@ def build_features(table: TimeSeriesTable, split: SplitSpec,
         if name in cols:
             put(f"{name}_smooth", savgol_causal(cols[name]), "smoothing")
 
-    clim = fit_climatology(table, sorted(cols), split.slice_("train"))
+    clim = fit_climatology(table, sorted(cols), split.slice_("train"), doy)
     for name in sorted(cols):
         anom, z, flag = climatology_anomaly(cols[name], doy, clim, name,
                                             ZSCORE_FLAG)

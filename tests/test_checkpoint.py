@@ -1,6 +1,9 @@
 """Checkpoint persistence: bitwise round-trips, compatibility guards,
 and the JSON/CSV writers."""
 
+import dataclasses
+import datetime as dt
+import hashlib
 import json
 
 import numpy as np
@@ -10,10 +13,10 @@ from extremecast.checkpoint import (Checkpoint, check_feature_compatibility,
                                     load_checkpoint, load_dataset, read_json,
                                     save_checkpoint, save_dataset, write_csv,
                                     write_json)
-from extremecast.data import ScalerParams
+from extremecast.data import ScalerParams, SplitSpec, make_windows
 from extremecast.errors import CompatibilityError, DataError
 from extremecast.features import FeatureSpec
-from extremecast.pipeline import prepare
+from extremecast.pipeline import PreparedDataset, prepare
 from extremecast.synthetic import persistence_task_table
 
 
@@ -57,10 +60,24 @@ def test_schema_version_guard(tmp_path):
     path = tmp_path / "ckpt.json"
     save_checkpoint(make_ckpt({"w": np.zeros(2)}), path)
     doc = json.loads(path.read_text())
-    doc["schema_version"] = 2
+    doc["schema_version"] = 3
     path.write_text(json.dumps(doc))
-    with pytest.raises(CompatibilityError, match="schema_version"):
+    with pytest.raises(CompatibilityError, match="schema_version 3"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_saving_refuses_non_finite_arrays(tmp_path, value):
+    path = tmp_path / "ckpt.json"
+    with pytest.raises(ValueError):
+        save_checkpoint(make_ckpt({"w": np.array([0.5, value])}), path)
+    ds = tiny_dataset()
+    for name in ("feature_matrix", "target_scaled", "target_raw"):
+        bad = getattr(ds, name).copy()
+        bad.flat[-1] = value
+        with pytest.raises(ValueError):
+            save_dataset(dataclasses.replace(ds, **{name: bad}), path)
+    assert not path.exists()
 
 
 def test_unknown_model_kind_guard(tmp_path):
@@ -178,3 +195,47 @@ def test_dataset_kind_and_version_guards(tmp_path):
     save_checkpoint(make_ckpt({"w": np.zeros(1)}), ckpt_path)
     with pytest.raises(CompatibilityError, match="prepared-dataset"):
         load_dataset(ckpt_path)
+
+
+AWKWARD = np.array([-0.0, 5e-324, 1e308, 1.0 / 3.0, 0.1, -2.2250738585072014e-308,
+                    np.pi, 123456789.123456789, 1e-17, -1e16, 2.5, 0.0])
+
+
+def tiny_dataset():
+    """Six days, two features and lookback 1: the smallest valid split."""
+    names = ["a", "b"]
+    split = SplitSpec(n_days=6, val=(0, 2), train=(2, 4), test=(4, 6))
+    matrix = AWKWARD.reshape(6, 2)
+    target_scaled = AWKWARD[::2].copy()
+    return PreparedDataset(
+        feature_names=names, lookback=1, target="a",
+        scaler=ScalerParams(columns={"a": (1.5, 2.0), "b": (-0.0, 1e-300)}),
+        split=split, parts=make_windows(matrix, target_scaled, split, 1),
+        dates=[dt.date(2024, 2, 27) + dt.timedelta(days=i) for i in range(6)],
+        target_raw=AWKWARD[1::2].copy(),
+        audit=[("a", "raw", 1.0 / 3.0, True), ("b", "raw", -0.0, True)],
+        mode="raw_only", feature_matrix=matrix, target_scaled=target_scaled)
+
+
+# SHA-256 of the files below; a Python or numpy version that writes other
+# bytes for the same arrays fails here
+GOLDEN_CHECKPOINT = ("f120387742c232e0a9d798ce197d85d0"
+                     "9bfdee91dc38013a3d2efca0796ebdf9")
+GOLDEN_DATASET = ("97c0bc8f5e068c76d2475e3cbb6809f5"
+                  "9fc0e13b492bf807d7d5a1aa952de816")
+
+
+def test_saved_bytes_match_golden_digests(tmp_path):
+    ckpt = make_ckpt({"w": AWKWARD.reshape(3, 4), "b": AWKWARD[:1].copy()})
+    save_checkpoint(ckpt, tmp_path / "ckpt.json")
+    save_dataset(tiny_dataset(), tmp_path / "data.json")
+    digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+              for name in ("ckpt.json", "data.json")}
+    assert digest == {"ckpt.json": GOLDEN_CHECKPOINT,
+                      "data.json": GOLDEN_DATASET}
+    loaded = load_dataset(tmp_path / "data.json")
+    for name in ("feature_matrix", "target_scaled", "target_raw"):
+        assert getattr(loaded, name).tobytes() == \
+            getattr(tiny_dataset(), name).tobytes()
+    assert load_checkpoint(tmp_path / "ckpt.json").params["w"].tobytes() == \
+        AWKWARD.tobytes()

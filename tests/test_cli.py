@@ -1,6 +1,7 @@
 """End-to-end command-line workflow: artifact layout, determinism,
 exit codes, and the explain/augment/sweep outputs."""
 
+import base64
 import csv
 import json
 import os
@@ -354,20 +355,62 @@ def test_feature_mismatch_exit_5(work, tmp_path, capsys):
     assert "position 1" in err and victim in err and "intruder" in err
 
 
+# float64 bit patterns a saver never writes
+NAN, POS_INF, NEG_INF = 0x7FF8000000000000, 0x7FF0000000000000, 0xFFF0000000000000
+
+
+def _edit_packed(locate, edit):
+    """A tampering that unpacks the base64 array ``locate(doc)`` names (a
+    (holder, key) pair) as uint64 words, edits them and packs them again."""
+    def tamper(doc):
+        holder, key = locate(doc)
+        words = np.frombuffer(base64.b64decode(holder[key]), dtype="<u8")
+        holder[key] = base64.b64encode(edit(words.copy()).tobytes()).decode()
+    return tamper
+
+
+def _drop_last(words):
+    return words[:-1]
+
+
+def _set_last(bits):
+    def edit(words):
+        words[-1] = bits
+        return words
+    return edit
+
+
+def _head_w(doc):
+    return doc["params"]["head.W"], "data"
+
+
+def _urlsafe_char(holder, key):
+    holder[key] = "-" + holder[key][1:]
+
+
+def _float_shape(doc):
+    shape = doc["params"]["head.W"]["shape"]
+    shape[0] = float(shape[0])
+
+
+# The list-format ids (``*_cell``) are kept: each edit now hits the packed
+# string that replaced the list.
 TAMPERINGS = {
     "extra_config_key": lambda doc: doc["model_config"].update(bogus=1),
     "no_params_field": lambda doc: doc.pop("params"),
-    "param_data_short_of_shape":
-        lambda doc: doc["params"]["head.W"]["data"].pop(),
+    "param_data_short_of_shape": _edit_packed(_head_w, _drop_last),
     "missing_param": lambda doc: doc["params"].pop("head.W"),
     "fractional_lookback": lambda doc: doc.update(lookback=8.5),
     "fractional_seed": lambda doc: doc.update(seed=7.9),
-    "null_param_cell": lambda doc: doc["params"]["head.W"]["data"].__setitem__(
-        0, None),
+    "null_param_cell": lambda doc: doc["params"]["head.W"].update(data=None),
     "string_param_cell":
-        lambda doc: doc["params"]["head.W"]["data"].__setitem__(0, "0.5"),
-    "bool_param_cell":
-        lambda doc: doc["params"]["head.W"]["data"].__setitem__(0, True),
+        lambda doc: doc["params"]["head.W"].update(data="0.5"),
+    "bool_param_cell": lambda doc: doc["params"]["head.W"].update(data=True),
+    "nan_param": _edit_packed(_head_w, _set_last(NAN)),
+    "pos_inf_param": _edit_packed(_head_w, _set_last(POS_INF)),
+    "neg_inf_param": _edit_packed(_head_w, _set_last(NEG_INF)),
+    "urlsafe_char_in_param": lambda doc: _urlsafe_char(*_head_w(doc)),
+    "float_param_shape": _float_shape,
     "zero_target_scale":
         lambda doc: doc["scaler"].__setitem__(doc["target"], [1.0, 0.0]),
     "string_epoch": lambda doc: doc["train_state"].update(epoch="x"),
@@ -456,27 +499,38 @@ def _short_val(doc):
     doc["split"]["val"][1] = doc["split"]["train"][0] = doc["lookback"]
 
 
+def _field(name):
+    return lambda doc: (doc, name)
+
+
+# The test rows are the last days, so ``_set_last`` edits a test-row value.
 DATASET_TAMPERINGS = {
     "no_audit_field": lambda doc: doc.pop("audit"),
-    "feature_matrix_one_short": lambda doc: doc["feature_matrix"].pop(),
+    "feature_matrix_one_short":
+        _edit_packed(_field("feature_matrix"), _drop_last),
     "dates_one_short": lambda doc: doc["dates"].pop(),
     "test_overlaps_train": _shift("test", 0, -10),
     "gap_between_val_and_train": _shift("train", 0, 5),
     "val_shorter_than_lookback_plus_1": _short_val,
     "lookback_0": lambda doc: doc.update(lookback=0),
-    "target_scaled_one_short": lambda doc: doc["target_scaled"].pop(),
+    "target_scaled_one_short":
+        _edit_packed(_field("target_scaled"), _drop_last),
+    "target_raw_one_short": _edit_packed(_field("target_raw"), _drop_last),
     "fractional_lookback": lambda doc: doc.update(lookback=8.5),
     "float_n_days": lambda doc: doc["split"].update(
         n_days=float(doc["split"]["n_days"])),
-    "null_test_feature_cell":
-        lambda doc: doc["feature_matrix"].__setitem__(-1, None),
-    "null_test_target_scaled":
-        lambda doc: doc["target_scaled"].__setitem__(-1, None),
-    "null_test_target_raw": lambda doc: doc["target_raw"].__setitem__(-1, None),
+    "null_test_feature_cell": lambda doc: doc.update(feature_matrix=None),
+    "null_test_target_scaled": lambda doc: doc.update(target_scaled=None),
+    "null_test_target_raw": lambda doc: doc.update(target_raw=None),
     "scaler_lacks_target": lambda doc: doc["scaler"].pop(doc["target"]),
-    "string_test_feature_cell":
-        lambda doc: doc["feature_matrix"].__setitem__(-1, "0.123"),
-    "bool_test_target_raw": lambda doc: doc["target_raw"].__setitem__(-1, True),
+    "string_test_feature_cell": lambda doc: doc.update(feature_matrix="0.123"),
+    "bool_test_target_raw": lambda doc: doc.update(target_raw=True),
+    **{f"{label}_test_{name}": _edit_packed(_field(name), _set_last(bits))
+       for name in ("feature_matrix", "target_scaled", "target_raw")
+       for label, bits in (("nan", NAN), ("pos_inf", POS_INF),
+                           ("neg_inf", NEG_INF))},
+    "urlsafe_char_in_feature_matrix":
+        lambda doc: _urlsafe_char(doc, "feature_matrix"),
     "zero_target_scale":
         lambda doc: doc["scaler"].__setitem__(doc["target"], [1.0, 0.0]),
     "negative_target_scale":
@@ -496,6 +550,36 @@ def test_malformed_dataset_exit_5(work, tmp_path, capsys, tampering):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "malformed dataset" in err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def _as_v1_lists(doc, holders):
+    """The list format of schema version 1: each packed array as a JSON
+    number list."""
+    doc["schema_version"] = 1
+    for holder, key in holders:
+        holder[key] = np.frombuffer(base64.b64decode(holder[key]),
+                                    dtype="<f8").tolist()
+
+
+def test_v1_list_format_files_exit_5(work, tmp_path, capsys):
+    data = json.loads((work / "data.json").read_text())
+    _as_v1_lists(data, [(data, k) for k in ("feature_matrix", "target_scaled",
+                                             "target_raw")])
+    ckpt = json.loads((work / "ckpt.json").read_text())
+    _as_v1_lists(ckpt, [(entry, "data") for entry in ckpt["params"].values()])
+    for name, doc in (("data", data), ("ckpt", ckpt)):
+        (tmp_path / f"{name}_v1.json").write_text(json.dumps(doc))
+    for args, what in (((work / "ckpt.json", tmp_path / "data_v1.json"),
+                        "dataset"),
+                       ((tmp_path / "ckpt_v1.json", work / "data.json"),
+                        "checkpoint")):
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(args[0]),
+                     "--data", str(args[1]),
+                     "--report", str(tmp_path / "r.json")]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {what} schema_version 1 unsupported")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_sample_index_out_of_range_exit_3(work, tmp_path, capsys):

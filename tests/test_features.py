@@ -60,9 +60,10 @@ def rolling_loop(x, window, stat):
     return out
 
 
-def climatology_loop(table, columns, train_slice):
-    """Reference: one boolean mask and two reductions per column and day."""
-    doy = day_of_year(table.dates)[train_slice]
+def climatology_loop(table, columns, train_slice, doy=None):
+    """Reference: one boolean mask and two reductions per column and day;
+    ``doy`` is ignored, the days come from ``timetuple``."""
+    doy = np.array([d.timetuple().tm_yday for d in table.dates])[train_slice]
     mean, std = {}, {}
     for name in columns:
         col = table.columns[name][train_slice]
@@ -207,6 +208,20 @@ def test_climatology_train_only_mean_and_z():
     # aberrant year: anomaly 99, std 1 per day -> everything flagged
     assert np.all(flag[730:] == 1.0)
     npt.assert_allclose(z[730:], 99.0, atol=1e-9)
+
+
+def test_day_of_year_matches_timetuple():
+    # leap years, the century years 1900 and 2100 (not leap) and 2000 (leap),
+    # and the ends of the date range
+    dates = [dt.date(1, 1, 1), dt.date(9999, 12, 31)]
+    for start in (dt.date(1899, 12, 20), dt.date(1999, 12, 20),
+                  dt.date(2023, 12, 20), dt.date(2099, 12, 20)):
+        dates += [start + dt.timedelta(days=i) for i in range(400)]
+    want = np.array([d.timetuple().tm_yday for d in dates])
+    got = day_of_year(dates)
+    assert got.dtype == np.int64
+    npt.assert_array_equal(got, want)
+    assert day_of_year([]).shape == (0,)
 
 
 def test_climatology_leap_day_borrows_and_global_fallback():

@@ -121,18 +121,16 @@ def day_of_year(dates) -> np.ndarray:
 
 
 def fit_climatology(table: TimeSeriesTable, columns, train_slice: slice,
-                    doy: np.ndarray | None = None) -> Climatology:
+                    doy: np.ndarray) -> Climatology:
     """Statistics per column and day of year; std floored at
     CLIMATOLOGY_STD_FLOOR.  Day 366 borrows day 365 when only 365 is
     observed; any other unobserved day takes the global train statistics.
-    ``doy`` is ``day_of_year(table.dates)``, computed here when not given.
+    ``doy`` is ``day_of_year(table.dates)``.
 
     Train rows are stably sorted by day of year, and the days with c rows
     are reduced together as one C-contiguous [columns, days, c] stack along
     its last axis, which gives the bits of reducing each day's rows alone.
     """
-    if doy is None:
-        doy = day_of_year(table.dates)
     doy = doy[train_slice]
     cols = np.stack([table.columns[name][train_slice] for name in columns])
     glob_m = cols.mean(axis=-1)

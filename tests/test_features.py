@@ -60,7 +60,7 @@ def rolling_loop(x, window, stat):
     return out
 
 
-def climatology_loop(table, columns, train_slice, doy=None):
+def climatology_loop(table, columns, train_slice, doy):
     """Reference: one boolean mask and two reductions per column and day;
     ``doy`` is ignored, the days come from ``timetuple``."""
     doy = np.array([d.timetuple().tm_yday for d in table.dates])[train_slice]
@@ -198,8 +198,8 @@ def test_climatology_train_only_mean_and_z():
     year = 30.0 + np.sin(2 * np.pi * np.arange(365) / 365.0)
     vals = np.concatenate([year, year + 2.0, year + 100.0])
     table = mk_table({"tempmax": vals}, start=dt.date(2018, 1, 1))
-    clim = fit_climatology(table, ["tempmax"], slice(0, 730))
     doy = day_of_year(table.dates)
+    clim = fit_climatology(table, ["tempmax"], slice(0, 730), doy)
     # per-day mean is the two train years' average; the +100 year is unseen
     npt.assert_allclose(clim.mean["tempmax"][doy[:365]], year + 1.0, atol=1e-12)
     anom, z, flag = climatology_anomaly(vals, doy, clim, "tempmax", 2.0)
@@ -229,7 +229,8 @@ def test_climatology_leap_day_borrows_and_global_fallback():
     n = 60
     vals = np.linspace(0.0, 10.0, n)
     table = mk_table({"tempmax": vals}, start=dt.date(2020, 1, 1))
-    clim = fit_climatology(table, ["tempmax"], slice(0, n))
+    clim = fit_climatology(table, ["tempmax"], slice(0, n),
+                           day_of_year(table.dates))
     # an observed day keeps its own statistics
     assert clim.mean["tempmax"][1] == vals[0] and clim.std["tempmax"][1] == 1e-8
     # unobserved ordinary day falls back to global train stats
@@ -237,14 +238,15 @@ def test_climatology_leap_day_borrows_and_global_fallback():
     assert clim.std["tempmax"][200] == pytest.approx(vals.std())
     # fit a table that observes day 365 but not 366: 366 borrows 365
     full = mk_table({"tempmax": np.arange(365.0)}, start=dt.date(2019, 1, 1))
-    clim2 = fit_climatology(full, ["tempmax"], slice(0, 365))
+    clim2 = fit_climatology(full, ["tempmax"], slice(0, 365),
+                            day_of_year(full.dates))
     assert clim2.mean["tempmax"][366] == clim2.mean["tempmax"][365]
 
 
 def test_climatology_std_floor():
     table = mk_table({"tempmax": np.full(30, 5.0)})
-    clim = fit_climatology(table, ["tempmax"], slice(0, 30))
     doy = day_of_year(table.dates)
+    clim = fit_climatology(table, ["tempmax"], slice(0, 30), doy)
     _, z, _ = climatology_anomaly(table.columns["tempmax"], doy, clim,
                                   "tempmax", 2.0)
     assert np.all(np.isfinite(z))
@@ -259,8 +261,9 @@ def test_climatology_std_floor():
 def test_climatology_matches_per_day_loop_bitwise(n_days, train, frac):
     table = gappy(sinusoid_ar_table(seed=n_days, n_days=n_days), n_days, frac)
     columns = sorted(table.columns)
-    got = fit_climatology(table, columns, train)
-    want = climatology_loop(table, columns, train)
+    doy = day_of_year(table.dates)
+    got = fit_climatology(table, columns, train, doy)
+    want = climatology_loop(table, columns, train, doy)
     for name in columns:
         assert_same_bits(got.mean[name], want.mean[name], name)
         assert_same_bits(got.std[name], want.std[name], name)
@@ -271,8 +274,9 @@ def test_climatology_matches_per_day_loop_bitwise(n_days, train, frac):
 def test_climatology_borrows_day_366_from_365_bitwise():
     # 2018 and 2019 are not leap years: the train rows hold day 365, never 366
     table = sinusoid_ar_table(seed=4, n_days=730, start=dt.date(2018, 1, 1))
-    got = fit_climatology(table, ["tempmax", "precip"], slice(0, 730))
-    want = climatology_loop(table, ["tempmax", "precip"], slice(0, 730))
+    doy = day_of_year(table.dates)
+    got = fit_climatology(table, ["tempmax", "precip"], slice(0, 730), doy)
+    want = climatology_loop(table, ["tempmax", "precip"], slice(0, 730), doy)
     for name in ("tempmax", "precip"):
         assert got.mean[name][366] == got.mean[name][365]
         assert_same_bits(got.mean[name], want.mean[name], name)

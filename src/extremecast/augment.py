@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .rng import Rng, gaussian_rows, uniform_rows
 
 # windows per jitter fill and per write into the output.  It bounds the
@@ -68,6 +68,21 @@ class AugmentConfig:
     scale_high: float = 1.1
     warp_knots: int = 4
     warp_sigma: float = 0.2
+
+    def validate(self) -> "AugmentConfig":
+        for name in ("jitter_sigma", "warp_sigma"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"augment.{name} must be >= 0")
+        for name in ("scale_low", "scale_high"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"augment.{name} must be > 0")
+        if self.scale_low > self.scale_high:
+            raise ConfigError(
+                f"augment.scale_low ({self.scale_low}) must not "
+                f"exceed augment.scale_high ({self.scale_high})")
+        if self.warp_knots < 2:
+            raise ConfigError("augment.warp_knots must be >= 2")
+        return self
 
 
 def _jitter_block(X: np.ndarray, rngs: list[Rng], sigma: float) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .checkpoint import (load_checkpoint, load_dataset, save_checkpoint,
                          save_dataset, write_csv, write_json)
-from .config import RunConfig, load_run_config, validate_report_dict
+from .config import RunConfig, load_run_config
 from .data import load_csv
 from .diagnostics import (kmeans_regimes, occlusion_sensitivity,
                           partial_dependence, permutation_importance,
@@ -76,7 +76,6 @@ def _write_report(ckpt, ds: PreparedDataset, partition: str,
     report["model_kind"] = ckpt.model_kind
     report["best_val_loss"] = ckpt.best_val_loss
     report["partition"] = partition
-    validate_report_dict(report)
     write_json(report, report_path)
     residuals_path = _sibling(report_path, "_residuals.csv")
     write_csv(residuals_path, ["date", "y", "yhat", "e"],

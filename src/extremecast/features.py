@@ -28,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import SplitSpec, TimeSeriesTable
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 KEY_SERIES = ("tempmax", "tempmin", "temp", "feelslike")
 DIFF_SERIES = KEY_SERIES + ("sealevelpressure",)
@@ -36,14 +36,23 @@ CYCLICAL_CALENDAR = ("month_sin", "month_cos", "doy_sin", "doy_cos")
 ROLLING_WINDOWS = (7, 30)
 ZSCORE_FLAG = 2.0
 CLIMATOLOGY_STD_FLOOR = 1e-8
+FEATURE_MODES = ("full", "minimal", "raw_only")
 _ROLLING = {"mean": np.mean, "min": np.min, "max": np.max,
             "std": partial(np.std, ddof=1)}
 
 
 @dataclass
 class FeatureSpec:
-    mode: str = "full"               # full | minimal | raw_only
+    mode: str = "full"               # one of FEATURE_MODES
     top_k: int = 30
+
+    def validate(self) -> "FeatureSpec":
+        if self.mode not in FEATURE_MODES:
+            raise ConfigError(f"features.mode must be one of {FEATURE_MODES}, "
+                              f"got {self.mode!r}")
+        if self.top_k < 1:
+            raise ConfigError("features.top_k must be >= 1")
+        return self
 
 
 def rolling_stat(x: np.ndarray, window: int, stat: str) -> np.ndarray:
@@ -175,7 +184,7 @@ def first_diff(x: np.ndarray) -> np.ndarray:
 def build_features(table: TimeSeriesTable, split: SplitSpec,
                    spec: FeatureSpec) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     """All candidate series (raw + derived) and their group labels."""
-    if spec.mode not in ("full", "minimal", "raw_only"):
+    if spec.mode not in FEATURE_MODES:
         raise DataError(f"unknown feature mode {spec.mode!r}")
     n = table.n_days
     feats: dict[str, np.ndarray] = {}

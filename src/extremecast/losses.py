@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .errors import ConfigError
 from .metrics import TAIL_Q
 from .tensor import Var
 
@@ -33,6 +34,14 @@ class LossConfig:
     alpha_high: float = 2.0
     alpha_low: float = 2.0
     beta: float = 0.5
+
+    def validate(self) -> "LossConfig":
+        for name in ("alpha_high", "alpha_low"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"training.loss.{name} must be >= 0")
+        if self.beta <= 0:
+            raise ConfigError("training.loss.beta must be > 0")
+        return self
 
 
 def extreme_weights(target: np.ndarray, cfg: LossConfig) -> np.ndarray:

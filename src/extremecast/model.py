@@ -84,16 +84,16 @@ class ModelConfig:
     n_layers: int = 2
 
     def validate(self) -> "ModelConfig":
-        for name in ("n_features", "lookback", "embed_dim", "lstm_hidden",
-                     "gru_hidden", "n_states", "n_heads", "stream_dim", "n_layers"):
+        for name in ("n_features", "lookback", "lstm_hidden", "gru_hidden",
+                     "n_heads", "stream_dim", "n_layers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"model.{name} must be >= 1")
         if self.n_states < 2:
             raise ConfigError("model.n_states must be >= 2")
-        if self.embed_dim % self.n_heads != 0:
-            raise ConfigError("model.embed_dim must be divisible by model.n_heads")
         if self.embed_dim < 2:
             raise ConfigError("model.embed_dim must be >= 2 (anomaly MLP width D/2)")
+        if self.embed_dim % self.n_heads != 0:
+            raise ConfigError("model.embed_dim must be divisible by model.n_heads")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("model.dropout must be in [0, 1)")
         if self.amp_gain < 0.0:

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
+
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
@@ -36,6 +38,16 @@ class OptimConfig:
     weight_decay: float = 1e-4
     clip_norm: float = 5.0
     t0: int = 10      # epochs in the first cosine cycle
+
+    def validate(self) -> "OptimConfig":
+        for name in ("lr_max", "clip_norm"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"training.optim.{name} must be > 0")
+        if self.weight_decay < 0:
+            raise ConfigError("training.optim.weight_decay must be >= 0")
+        if self.t0 < 1:
+            raise ConfigError("training.optim.t0 must be >= 1")
+        return self
 
 
 def cosine_warm_restart_lr(epoch: int, cfg: OptimConfig) -> float:

@@ -291,9 +291,6 @@ class Rng:
             idx[i], idx[j] = idx[j], idx[i]
         return idx
 
-    def state_words(self) -> tuple[int, int, int, int]:
-        return tuple(self._s)
-
 
 def _fill(rngs: list[Rng], n: int) -> np.ndarray:
     """uint64 [len(rngs), n]: the next n raw draws of each stream, which

@@ -115,9 +115,6 @@ class Var:
     def ndim(self):
         return self.value.ndim
 
-    def item(self) -> float:
-        return float(self.value.reshape(()))
-
     def __repr__(self):
         return f"Var(shape={self.value.shape}, requires_grad={self.requires_grad})"
 

@@ -33,6 +33,7 @@ from .baselines import (NBeatsConfig, NBeatsModel, PersistenceModel,
                         TcnConfig, TcnModel)
 from .checkpoint import Checkpoint, check_feature_compatibility
 from .errors import CompatibilityError, ConfigError, DataError, NumericError
+from .features import FEATURE_MODES, FeatureSpec
 from .losses import LossConfig, compute_loss
 from .metrics import evaluation_report
 from .model import (TAPE_DTYPE, DualStreamModel, ModelConfig, predict,
@@ -45,7 +46,6 @@ from .tensor import Var
 
 HISTORY_COLUMNS = ("epoch", "train_loss", "val_loss", "lr")
 LEARNING_CURVE_FRACTIONS = (0.2, 0.4, 0.6, 0.8, 1.0)
-FEATURE_MODES = ("full", "minimal", "raw_only")
 
 
 @dataclass
@@ -84,10 +84,9 @@ class TrainConfig:
             raise ConfigError("training.patience must be >= 1")
         if self.max_epochs < 1:
             raise ConfigError("training.max_epochs must be >= 1")
-        if self.augment.scale_low > self.augment.scale_high:
-            raise ConfigError(
-                f"augment.scale_low ({self.augment.scale_low}) must not "
-                f"exceed augment.scale_high ({self.augment.scale_high})")
+        self.loss.validate()
+        self.optim.validate()
+        self.augment.validate()
         return self
 
 
@@ -113,13 +112,15 @@ def build_model(model_cfg, dataset: PreparedDataset):
 
 
 def model_config_from_dict(kind: str, doc: dict):
-    """Rebuild a model config dataclass from its JSON form (lists -> tuples)."""
+    """Rebuild a model config dataclass from its JSON form, read as strictly
+    as a run config's sections (``config.from_json``)."""
+    from .config import from_json       # config imports this module
+
     if kind not in MODELS:
         raise ConfigError(f"unknown model kind {kind!r}")
     try:
-        return MODELS[kind][0](**{k: tuple(v) if isinstance(v, list) else v
-                                  for k, v in doc.items()}).validate()
-    except (AttributeError, ConfigError, TypeError) as exc:
+        return from_json(MODELS[kind][0], doc, "model_config").validate()
+    except ConfigError as exc:
         raise CompatibilityError(
             f"model_config does not fit model kind {kind!r}: {exc}") from exc
 
@@ -343,12 +344,9 @@ def feature_ablation(table, model_cfg, train_cfg: TrainConfig,
     """Train and evaluate under each feature mode with identical seeds."""
     if not modes:
         raise ConfigError("feature_ablation needs at least one mode")
-    from .features import FeatureSpec
     rows = []
     for mode in modes:
-        if mode not in FEATURE_MODES:
-            raise ConfigError(f"unknown feature mode {mode!r}")
-        spec = replace(feature_spec or FeatureSpec(), mode=mode)
+        spec = replace(feature_spec or FeatureSpec(), mode=mode).validate()
         ds = prepare(table, lookback=lookback, train_frac=train_frac,
                      val_frac=val_frac, feature_spec=spec)
         ckpt, state = train(ds, fit_model_config(model_cfg, ds), train_cfg)

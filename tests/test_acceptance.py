@@ -183,7 +183,7 @@ def test_criterion_02_loss_oracle_equivalence():
                          alpha_low=0.5 + 3.0 * rng.uniform(),
                          beta=0.1 + rng.uniform())
         loss = compute_loss(pred, target, cfg)
-        worst = max(worst, abs(loss.item()
+        worst = max(worst, abs(loss.value
                                - _brute_force_extreme(pred.value, target, cfg)))
     assert worst <= 1e-12, worst
 
@@ -192,7 +192,7 @@ def test_criterion_02_loss_oracle_equivalence():
     pred = Var(target + Rng(9, "acceptance").gaussian_array(64, 0.0, 2.0))
     flat = LossConfig(alpha_high=0.5, alpha_low=0.5, beta=0.5)
     loss = compute_loss(pred, target, flat)
-    assert loss.item() == 0.5 * np.mean((pred.value - target) ** 2)
+    assert loss.value == 0.5 * np.mean((pred.value - target) ** 2)
 
 
 # ----------------------------------------------------- 3: simplex invariants

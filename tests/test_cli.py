@@ -4,6 +4,7 @@ exit codes, and the explain/augment/sweep outputs."""
 import base64
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,9 +17,10 @@ import pytest
 import extremecast
 from extremecast import cli
 from extremecast.cli import main
-from extremecast.config import validate_report_dict
+from extremecast.features import FEATURE_MODES
 from extremecast.synthetic import sinusoid_ar_table, table_to_csv
-from extremecast.training import FEATURE_MODES, MODELS
+from extremecast.training import MODELS
+from test_config import set_path, validate_report
 
 CONFIG = {
     "seed": 7,
@@ -98,7 +100,7 @@ def test_evaluate_report_schema_and_residuals(work):
                  "--data", str(work / "data.json"),
                  "--report", str(report_path)]) == 0
     report = json.loads(report_path.read_text())
-    validate_report_dict(report)
+    validate_report(report)
     assert report["model_kind"] == "dual_stream"
     assert report["partition"] == "test"
     assert isinstance(report["best_val_loss"], float)
@@ -144,7 +146,7 @@ def test_baseline_persistence_trivial_checkpoint(work):
     assert doc["model_kind"] == "persistence"
     assert doc["params"] == {}
     report = json.loads(report_path.read_text())
-    validate_report_dict(report)
+    validate_report(report)
     assert report["model_kind"] == "persistence"
     assert report["metrics"]["rmse"] > 0.0
 
@@ -318,6 +320,33 @@ def test_invalid_config_exit_2(work, capsys, tmp_path):
                  "--out", str(tmp_path / "d.json")]) == 2
 
 
+# Config values that used to pass the schema and then fail later: a float in
+# an integer setting, a NaN in a number; (command, path, value)
+CONFIG_TAMPERINGS = {
+    "float_lookback": ("prepare", "dataset.lookback", 7.0),
+    "nan_clip_norm": ("train", "training.optim.clip_norm", math.nan),
+    "nan_lr_max": ("train", "training.optim.lr_max", math.nan),
+    "inf_amp_gain": ("train", "model.amp_gain", math.inf),
+}
+
+
+@pytest.mark.parametrize("tampering", CONFIG_TAMPERINGS)
+def test_non_integral_or_non_finite_config_exit_2(work, tmp_path, capsys,
+                                                  tampering):
+    command, path, value = CONFIG_TAMPERINGS[tampering]
+    doc = set_path(json.loads((work / "config.json").read_text()), path, value)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    data = [] if command == "prepare" else ["--data", str(work / "data.json")]
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert main([command, "--config", str(config), *data,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_bad_data_exit_3(work, tmp_path):
     garbage = tmp_path / "garbage.json"
     garbage.write_text("{not json")
@@ -417,7 +446,15 @@ TAMPERINGS = {
     "string_best_val_loss":
         lambda doc: doc["train_state"].update(best_val_loss="abc"),
     "zero_kernel": lambda doc: doc["model_config"].update(kernel=0),
+    "float_kernel": lambda doc: doc["model_config"].update(kernel=3.0),
+    "float_channel":
+        lambda doc: doc["model_config"]["channels"].__setitem__(0, 16.0),
+    "nan_dropout": lambda doc: doc["model_config"].update(dropout=math.nan),
+    "float_n_heads": lambda doc: doc["model_config"].update(n_heads=4.0),
+    "nan_amp_gain": lambda doc: doc["model_config"].update(amp_gain=math.nan),
 }
+# rows that edit the dual-stream checkpoint; the others edit the TCN's
+DUAL_STREAM_TAMPERINGS = {"float_n_heads", "nan_amp_gain"}
 
 
 @pytest.fixture(scope="module")
@@ -433,7 +470,9 @@ def tcn_ckpt(work):
 @pytest.mark.parametrize("tampering", TAMPERINGS)
 def test_malformed_checkpoint_exit_5(work, tcn_ckpt, tmp_path, capsys,
                                      tampering):
-    doc = json.loads(tcn_ckpt.read_text())
+    source = (work / "ckpt.json" if tampering in DUAL_STREAM_TAMPERINGS
+              else tcn_ckpt)
+    doc = json.loads(source.read_text())
     TAMPERINGS[tampering](doc)
     ckpt = tmp_path / "tcn.json"
     ckpt.write_text(json.dumps(doc))
@@ -693,7 +732,8 @@ def test_heap_policy_pins_mmap_threshold_before_trim(monkeypatch, pinned):
 # prepare, train (dual stream, augmentation on), evaluate and explain
 # occlusion|permutation|pdp in one fresh process, after importing every
 # module the benchmark imports; prints the scipy modules then loaded, then
-# runs the two commands that do need scipy
+# runs the two commands that do need scipy and prints the jsonschema modules
+# loaded by all eight
 _NO_SCIPY_RUN = """
 import importlib, json, sys
 for name in ("cli", "pipeline", "data", "checkpoint", "training", "tensor",
@@ -720,7 +760,8 @@ codes = [cli.main(explain + ["--method", "residuals",
                              "--out", out + "/resid.json"]),
          cli.main(["train", "--config", cfg, *data, "--model", "tcn",
                    "--out", out + "/tcn.json"])]
-print(json.dumps({"scipy": loaded, "codes": codes}))
+schema = sorted(m for m in sys.modules if m.split(".")[0] == "jsonschema")
+print(json.dumps({"scipy": loaded, "codes": codes, "jsonschema": schema}))
 """
 
 
@@ -740,3 +781,4 @@ def test_main_paths_load_no_scipy(tmp_path):
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["scipy"] == []
     assert result["codes"] == [0, 0]
+    assert result["jsonschema"] == []

@@ -1,23 +1,75 @@
-"""Run-config schema validation: defaults, dotted error paths, unknown-key
-rejection, seed/augment threading, and README's example document."""
+"""Run-config loading: defaults, dotted error paths, unknown-key
+rejection, every type and range constraint, seed/augment threading, README's
+example document, and the report schema the CLI's reports follow."""
 
 import json
+import math
 import re
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
+import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extremecast.augment import AugmentConfig
 from extremecast.config import (DatasetConfig, RunConfig, load_run_config,
-                                load_schema, run_config_from_dict,
-                                validate_report_dict)
+                                run_config_from_dict)
 from extremecast.errors import ConfigError
 from extremecast.features import FeatureSpec
 from extremecast.metrics import evaluation_report
 from extremecast.pipeline import prepare
 from extremecast.synthetic import persistence_task_table
 from extremecast.training import MODELS, TrainConfig, fit_model_config
+
+REPORT_SCHEMA = json.loads(
+    Path(__file__).with_name("report.schema.json").read_text(encoding="utf-8"))
+
+
+def validate_report(doc: dict) -> None:
+    """Raise ``jsonschema.ValidationError`` unless ``doc`` is a valid report."""
+    jsonschema.validate(doc, REPORT_SCHEMA,
+                        cls=jsonschema.Draft202012Validator)
+
+
+# The settable values of a run config and their JSON types.
+SETTINGS = {
+    "seed": int,
+    "dataset.csv_path": str, "dataset.target": str, "dataset.lookback": int,
+    "dataset.train_frac": float, "dataset.val_frac": float,
+    "features.mode": str, "features.top_k": int,
+    "augment.enabled": bool, "augment.jitter_sigma": float,
+    "augment.scale_low": float, "augment.scale_high": float,
+    "augment.warp_knots": int, "augment.warp_sigma": float,
+    "model.embed_dim": int, "model.lstm_hidden": int, "model.gru_hidden": int,
+    "model.n_states": int, "model.n_heads": int, "model.stream_dim": int,
+    "model.dropout": float, "model.amp_gain": float, "model.n_layers": int,
+    "training.batch_size": int, "training.max_epochs": int,
+    "training.patience": int,
+    "training.loss.alpha_high": float, "training.loss.alpha_low": float,
+    "training.loss.beta": float,
+    "training.optim.lr_max": float, "training.optim.weight_decay": float,
+    "training.optim.clip_norm": float, "training.optim.t0": int,
+}
+SECTIONS = ("dataset", "features", "augment", "model", "training",
+            "training.loss", "training.optim")
+
+
+def set_path(doc: dict, path: str, value) -> dict:
+    """``doc`` with its dotted ``path`` set to ``value``, making sections."""
+    *sections, key = path.split(".")
+    holder = doc
+    for section in sections:
+        holder = holder.setdefault(section, {})
+    holder[key] = value
+    return doc
+
+
+def _names(path: str) -> str:
+    """A pattern matching the dotted path as a whole, not as a prefix."""
+    return rf"(?<![\w.]){re.escape(path)}(?![\w.])"
 
 
 def test_empty_document_yields_defaults():
@@ -66,39 +118,141 @@ def test_unknown_keys_rejected_with_location():
             run_config_from_dict({"training": {section: {key: value}}})
 
 
-def _schema_leaves(node, path=()):
-    props = node.get("properties")
-    if props is None:
-        return {".".join(path)}
-    return set().union(*(_schema_leaves(v, path + (k,)) for k, v in props.items()))
-
-
-def _settable_fields(obj, path=()):
-    out = set()
+def _leaf_paths(obj, path=()):
+    out = {}
     for f in fields(obj):
         value = getattr(obj, f.name)
         if is_dataclass(value):
-            out |= _settable_fields(value, path + (f.name,))
+            out.update(_leaf_paths(value, path + (f.name,)))
         else:
-            out.add(".".join(path + (f.name,)))
+            out[".".join(path + (f.name,))] = value
     return out
 
 
-def test_schema_leaves_are_the_dataclass_fields():
-    # a key in the schema but not in its dataclass would pass validation and
-    # then fail in the constructor; one in the dataclass alone is unreachable
-    leaves = _schema_leaves(load_schema("run_config.schema.json"))
-    cfg = RunConfig()
-    settable = {"seed"} | {
-        f"{section}.{name}"
-        for section in ("dataset", "features", "augment", "model")
-        for name in _settable_fields(getattr(cfg, section))}
-    # the training section threads the top-level seed and augment in
-    settable |= {f"training.{name}" for name in _settable_fields(cfg.training)
-                 if name != "seed" and not name.startswith("augment.")}
-    settable -= {"model.n_features", "model.lookback"}
-    assert leaves == settable
-    assert len(leaves) == 33
+def test_settable_paths_are_the_33_settings():
+    # every leaf of the config dataclasses, set to its default alone; the
+    # dataset sets the model's shape and the top level training's seed and
+    # augment section, so the loader refuses those
+    leaves = _leaf_paths(RunConfig())
+    settable = set()
+    for path, default in leaves.items():
+        try:
+            run_config_from_dict(set_path({}, path, default))
+        except ConfigError as exc:
+            # named by its own path or its section's (training.augment)
+            parts = path.split(".")
+            assert any(re.search(_names(".".join(parts[:i])), str(exc))
+                       for i in range(2, len(parts) + 1)), (path, str(exc))
+        else:
+            settable.add(path)
+    assert settable == set(SETTINGS)
+    assert len(settable) == 33
+    assert set(leaves) - settable == {
+        "model.n_features", "model.lookback", "training.seed",
+        *(f"training.augment.{f.name}" for f in fields(AugmentConfig))}
+
+
+# One case per constraint the run config held as a JSON schema: each bound,
+# the feature-mode enum, the target's minimum length, each setting's JSON
+# type, and each section's being an object.
+BOUNDS = [
+    ("seed", -1), ("dataset.target", ""), ("dataset.lookback", 0),
+    ("dataset.train_frac", 0), ("dataset.train_frac", 1),
+    ("dataset.val_frac", 0), ("dataset.val_frac", 1.0),
+    ("features.mode", "everything"), ("features.top_k", 0),
+    ("augment.jitter_sigma", -0.01), ("augment.scale_low", 0),
+    ("augment.scale_high", 0.0), ("augment.warp_knots", 1),
+    ("augment.warp_sigma", -0.01),
+    ("model.embed_dim", 1), ("model.lstm_hidden", 0), ("model.gru_hidden", 0),
+    ("model.n_states", 1), ("model.n_heads", 0), ("model.stream_dim", 0),
+    ("model.dropout", -0.1), ("model.dropout", 1), ("model.amp_gain", -1e-9),
+    ("model.n_layers", 0),
+    ("training.batch_size", 1), ("training.max_epochs", 0),
+    ("training.patience", 0),
+    ("training.loss.alpha_high", -0.5), ("training.loss.alpha_low", -0.5),
+    ("training.loss.beta", 0),
+    ("training.optim.lr_max", 0.0), ("training.optim.weight_decay", -1e-4),
+    ("training.optim.clip_norm", 0), ("training.optim.t0", 0),
+]
+WRONG_TYPE = {int: "7", float: "0.5", bool: 1, str: 5}
+CONSTRAINTS = (
+    BOUNDS
+    + [(path, WRONG_TYPE[kind]) for path, kind in SETTINGS.items()]
+    + [(path, None) for path in SETTINGS]
+    + [(path, True) for path, kind in SETTINGS.items() if kind is float]
+    + [(section, value) for section in SECTIONS for value in (5, [], "x")])
+# Values the schema let through as integers or numbers: most then failed
+# later with another exit code, or not at all.
+NON_INTEGRAL_OR_NON_FINITE = (
+    [(path, 7.0) for path, kind in SETTINGS.items() if kind is int]
+    + [(path, value) for path, kind in SETTINGS.items() if kind is float
+       for value in (math.nan, math.inf, -math.inf, 10**400)])
+
+
+@pytest.mark.parametrize("path,value", CONSTRAINTS)
+def test_each_constraint_names_its_path(path, value):
+    with pytest.raises(ConfigError, match=_names(path)):
+        run_config_from_dict(set_path({}, path, value))
+
+
+@pytest.mark.parametrize("path,value", NON_INTEGRAL_OR_NON_FINITE,
+                         ids=lambda v: "1e400" if v == 10**400 else None)
+def test_non_integral_or_non_finite_values_name_their_path(path, value):
+    with pytest.raises(ConfigError, match=_names(path)):
+        run_config_from_dict(set_path({}, path, value))
+
+
+# Hypothesis: documents over the real section and key names, each value of
+# its field's type, then one path (a setting, a section, a field the loader
+# refuses or an unknown key) set to any JSON value.
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.just(10**400),
+    st.floats(), st.text(max_size=3), st.lists(st.integers(0, 9), max_size=2),
+    st.dictionaries(st.sampled_from(["mode", "beta", "x"]), st.integers(0, 3),
+                    max_size=2))
+TYPICAL = {int: st.integers(-1, 40), float: st.floats(-0.25, 1.25),
+           bool: st.booleans(),
+           str: st.sampled_from(["full", "minimal", "raw_only", "tempmax", ""])}
+
+
+def _section(cls):
+    hints = get_type_hints(cls)
+    return st.fixed_dictionaries({}, optional={
+        name: _section(kind) if is_dataclass(kind) else TYPICAL[kind]
+        for name, kind in hints.items()})
+
+
+@st.composite
+def config_docs(draw):
+    doc = draw(_section(RunConfig))
+    if draw(st.booleans()):
+        paths = sorted(_leaf_paths(RunConfig())) + list(SECTIONS)
+        path = draw(st.sampled_from(paths + ["bogus", "training.loss.bogus"]))
+        set_path(doc, path, draw(JSON_VALUES))
+    return doc
+
+
+def _assert_field_types(obj):
+    for name, kind in get_type_hints(type(obj)).items():
+        value = getattr(obj, name)
+        if is_dataclass(kind):
+            _assert_field_types(value)
+        elif kind is float:
+            assert type(value) in (int, float) and math.isfinite(value), name
+        else:
+            assert type(value) is kind, name
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(config_docs())
+def test_any_document_loads_typed_or_raises_config_error(doc):
+    try:
+        cfg = run_config_from_dict(doc)
+    except ConfigError:
+        return
+    _assert_field_types(cfg)
+    assert cfg.training.seed == cfg.seed
+    assert cfg.training.augment is cfg.augment
 
 
 def test_enum_and_range_violations_name_paths():
@@ -181,9 +335,8 @@ def test_load_run_config_file_errors(tmp_path):
 
 
 def test_report_model_kinds_are_the_training_models():
-    # the report schema's enum is the one other list of model kinds
-    schema = load_schema("report.schema.json")
-    assert schema["properties"]["model_kind"]["enum"] == list(MODELS)
+    # the test schema's enum must list every model kind a report can name
+    assert REPORT_SCHEMA["properties"]["model_kind"]["enum"] == list(MODELS)
 
 
 def test_report_schema_accepts_real_reports():
@@ -193,7 +346,7 @@ def test_report_schema_accepts_real_reports():
     report["model_kind"] = "persistence"
     report["best_val_loss"] = 0.5
     report["partition"] = "test"
-    validate_report_dict(report)
+    validate_report(report)
     report["surprise"] = True
-    with pytest.raises(ConfigError, match="surprise"):
-        validate_report_dict(report)
+    with pytest.raises(jsonschema.ValidationError, match="surprise"):
+        validate_report(report)

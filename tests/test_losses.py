@@ -40,7 +40,7 @@ def test_frozen_example():
     cfg = LossConfig()
     loss = compute_loss(pred, target, cfg)
     w = extreme_weights(target, cfg)
-    assert loss.item() == pytest.approx(0.65, abs=1e-12)
+    assert loss.value == pytest.approx(0.65, abs=1e-12)
     assert w[-1] == 2.0 and w[0] == 2.0 and set(w[1:-1]) == {0.5}
 
 
@@ -50,7 +50,7 @@ def test_equal_weights_is_beta_times_mse():
     pred = rng.gaussian_array(64, 10.0, 5.0)
     cfg = LossConfig(alpha_high=0.5, alpha_low=0.5, beta=0.5)
     loss = compute_loss(Var(pred), target, cfg)
-    assert loss.item() == pytest.approx(0.5 * np.mean((pred - target) ** 2), rel=1e-15)
+    assert loss.value == pytest.approx(0.5 * np.mean((pred - target) ** 2), rel=1e-15)
 
 
 def test_against_brute_force_oracle():
@@ -61,7 +61,7 @@ def test_against_brute_force_oracle():
         pred = target + rng.gaussian_array(b, 0.0, 3.0)
         cfg = LossConfig()
         loss = compute_loss(Var(pred), target, cfg)
-        assert loss.item() == pytest.approx(
+        assert loss.value == pytest.approx(
             brute_force_extreme(pred, target, cfg), abs=1e-12), case
 
 
@@ -85,7 +85,7 @@ def test_weights_ignore_predictions():
     cfg = LossConfig(alpha_high=3.0, alpha_low=1.0)
     w = extreme_weights(target, cfg)
     assert w[-1] == 3.0 and w[0] == 1.0
-    assert compute_loss(Var(pred), target, cfg).item() == pytest.approx(
+    assert compute_loss(Var(pred), target, cfg).value == pytest.approx(
         np.mean(w * (pred - target) ** 2), rel=1e-15)
 
 

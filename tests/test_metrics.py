@@ -8,9 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from extremecast.config import validate_report_dict
 from extremecast.metrics import (TAIL_Q, evaluation_report,
                                  regression_metrics, tail_rmse)
+from test_config import validate_report
 
 
 def brute_force_metrics(y, yhat):
@@ -173,4 +173,4 @@ def test_evaluation_report_constant_observations_null_tails_with_reasons():
     assert set(reasons) == {"extreme_high_rmse", "extreme_low_rmse"}
     assert "high threshold" in reasons["extreme_high_rmse"]
     assert "low threshold" in reasons["extreme_low_rmse"]
-    validate_report_dict(rep)
+    validate_report(rep)

@@ -90,9 +90,9 @@ def test_substreams_match_scalar_seeding_word_for_word(seed, parent, labels):
         want = seed_words_ref(seed, stream)
         assert words == want
         assert (child.seed, child.stream) == (seed & MASK, stream)
-        assert list(child.state_words()) == want
-    assert [c.state_words() for c in children] == \
-        [base.substream(label).state_words() for label in labels]
+        assert child._s == want
+    assert [c._s for c in children] == \
+        [base.substream(label)._s for label in labels]
 
 
 def test_stream_golden_values():
@@ -140,12 +140,12 @@ def test_bulk_draws_match_scalar_stream_and_continue_it(n):
     ref = Rng(21, "dropout")
     expect = [ref.next_u64() for _ in range(n + 1)]
     raw = Rng(21, "dropout")
-    state = np.array([raw.state_words()], dtype=np.uint64)
+    state = np.array([raw._s], dtype=np.uint64)
     npt.assert_array_equal(_draw(state, n)[0], np.array(expect[:n], dtype=np.uint64))
     # the state ends exactly where n scalar calls leave it
     for _ in range(n):
         raw.next_u64()
-    assert state[0].tolist() == list(raw.state_words())
+    assert state[0].tolist() == raw._s
     r = Rng(21, "dropout")
     u = r.uniform_array(n)
     npt.assert_array_equal(u, np.array([(x >> 11) * 2.0**-53 for x in expect[:n]]))
@@ -156,10 +156,10 @@ def test_bulk_draws_match_scalar_stream_and_continue_it(n):
 @pytest.mark.parametrize("level", [0, 2])
 def test_jump_table_equals_scalar_steps(level):
     r = Rng(4, "init")
-    start = np.array([r.state_words()], dtype=np.uint64)
+    start = np.array([r._s], dtype=np.uint64)
     for _ in range(_LANE_LEN * 2**level):
         r.next_u64()
-    assert _jump(start, _jump_table(level))[0].tolist() == list(r.state_words())
+    assert _jump(start, _jump_table(level))[0].tolist() == r._s
 
 
 @pytest.mark.parametrize("n", [1, 7, 1800])
@@ -173,7 +173,7 @@ def test_gaussian_rows_match_each_stream(n):
         u = np.array([own.uniform() for _ in range(2 * n)])
         assert rows[i].tobytes() == (0.0 + 0.03 * _box_muller(u)).tobytes()
         # each stream advanced by its own 2 n draws
-        assert r.state_words() == own.state_words()
+        assert r._s == own._s
     one = Rng(3, "augment").substream("jitter/0").gaussian_array(n, 0.0, 0.03)
     assert one.tobytes() == rows[0].tobytes()
 
@@ -184,7 +184,7 @@ def test_uniform_rows_match_each_stream():
     for i, r in enumerate(rngs):
         own = Rng(3, "augment").substream(i)
         assert rows[i].tolist() == [own.uniform(0.9, 1.1) for _ in range(3)]
-        assert r.state_words() == own.state_words()
+        assert r._s == own._s
 
 
 def test_uniform_range_and_mantissa_rule():

@@ -42,6 +42,7 @@ spline over a [knots+2, m] value matrix fits all m windows of a stack:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,11 +72,11 @@ class AugmentConfig:
 
     def validate(self) -> "AugmentConfig":
         for name in ("jitter_sigma", "warp_sigma"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"augment.{name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"augment.{name} must be finite and >= 0")
         for name in ("scale_low", "scale_high"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"augment.{name} must be > 0")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"augment.{name} must be finite and > 0")
         if self.scale_low > self.scale_high:
             raise ConfigError(
                 f"augment.scale_low ({self.scale_low}) must not "

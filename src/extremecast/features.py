@@ -183,9 +183,8 @@ def first_diff(x: np.ndarray) -> np.ndarray:
 
 def build_features(table: TimeSeriesTable, split: SplitSpec,
                    spec: FeatureSpec) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    """All candidate series (raw + derived) and their group labels."""
-    if spec.mode not in FEATURE_MODES:
-        raise DataError(f"unknown feature mode {spec.mode!r}")
+    """All candidate series (raw + derived) and their group labels, for a
+    spec that passes ``FeatureSpec.validate``."""
     n = table.n_days
     feats: dict[str, np.ndarray] = {}
     groups: dict[str, str] = {}
@@ -287,10 +286,9 @@ def select_features(candidates: dict[str, np.ndarray], target: np.ndarray,
     """Top-k candidates by |corr(feature_t, target_{t+1})| on train rows.
 
     Ties break lexicographically; zero-variance features score 0 and thus
-    sort last (before the lexicographic key).  Returns min(k, n_candidates).
+    sort last (before the lexicographic key).  Returns min(k, n_candidates);
+    ``k`` >= 1 is ``FeatureSpec.validate``'s rule.
     """
-    if k < 1:
-        raise DataError(f"top_k must be >= 1, got {k}")
     lo, hi = split.train
     if hi - lo < 3:
         raise DataError("train partition too short for selection")

@@ -19,6 +19,7 @@ beta * MSE.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +38,10 @@ class LossConfig:
 
     def validate(self) -> "LossConfig":
         for name in ("alpha_high", "alpha_low"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"training.loss.{name} must be >= 0")
-        if self.beta <= 0:
-            raise ConfigError("training.loss.beta must be > 0")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"training.loss.{name} must be finite and >= 0")
+        if not 0.0 < self.beta < math.inf:
+            raise ConfigError("training.loss.beta must be finite and > 0")
         return self
 
 

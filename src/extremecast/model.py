@@ -25,12 +25,14 @@ emission softmax over axis 1 of [L, N, B] and the readouts as [F, B] blocks
 (``H[L-1]``, ``G[L-1, :HG]``, ``G[0, HG:]``), and transposes each stream's
 readout vector back before its head.  The introspection dict is batch-major.
 
-Every affine map is one node: ``tensor.linear`` (x W + b) batch-major,
-``tensor.linear_t`` (Wᵀ x + b) batch-minor.  A bidirectional recurrent layer
-is one ``tensor.bidirectional`` node, which projects all timesteps of each
-direction with one ``linear_t`` and writes both directions' hidden states
-into one [L, 2H, B] array.  Only q_L reaches the tape; the earlier q_t are
-computed in plain numpy for the introspection dict.
+A bidirectional recurrent layer is one ``tensor.bidirectional`` node over
+the layer input and its parameters: it projects all timesteps of each
+direction with ``linear_t``'s math, frees that projection once the direction
+is scanned, and writes both directions' hidden states into one [L, 2H, B]
+array.  Every other affine map is one node: ``tensor.linear`` (x W + b)
+batch-major, ``tensor.linear_t`` (Wᵀ x + b) batch-minor.  Only q_L reaches
+the tape; the earlier q_t are computed in plain numpy for the introspection
+dict.
 
 Dropout (train mode only) applies after the embedding activation and inside
 the anomaly MLP, in that order, consuming the dropout stream deterministically.
@@ -96,8 +98,8 @@ class ModelConfig:
             raise ConfigError("model.embed_dim must be divisible by model.n_heads")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("model.dropout must be in [0, 1)")
-        if self.amp_gain < 0.0:
-            raise ConfigError("model.amp_gain must be >= 0")
+        if not 0.0 <= self.amp_gain < math.inf:
+            raise ConfigError("model.amp_gain must be finite and >= 0")
         return self
 
 

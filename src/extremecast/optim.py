@@ -41,10 +41,10 @@ class OptimConfig:
 
     def validate(self) -> "OptimConfig":
         for name in ("lr_max", "clip_norm"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"training.optim.{name} must be > 0")
-        if self.weight_decay < 0:
-            raise ConfigError("training.optim.weight_decay must be >= 0")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"training.optim.{name} must be finite and > 0")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ConfigError("training.optim.weight_decay must be finite and >= 0")
         if self.t0 < 1:
             raise ConfigError("training.optim.t0 must be >= 1")
         return self

@@ -56,9 +56,10 @@ def prepare(table: TimeSeriesTable, lookback: int = 30, train_frac: float = 0.8,
 
     Fitting steps (climatology, selection, scaler) see train-partition rows
     only.  Feature columns are ordered by selection rank; the target is
-    scaled with its own column's parameters even when not selected.
+    scaled with its own column's parameters even when not selected.  The
+    feature spec is validated first, so a bad one raises ``ConfigError``.
     """
-    spec = feature_spec or FeatureSpec()
+    spec = (feature_spec or FeatureSpec()).validate()
     if table.target not in table.columns:
         raise DataError(f"target column {table.target!r} missing")
     imputed = impute_two_stage(table)

@@ -4,8 +4,9 @@ arrays.
 A ``Var`` wraps a C-order ndarray plus, when gradients are being recorded,
 the parent nodes and a vector-Jacobian-product closure.  Calling
 ``backward`` on a scalar ``Var`` walks the recorded graph once in reverse
-topological order and accumulates gradients into ``.grad`` of every node
-that requires them.
+topological order, accumulates gradients into ``.grad`` of every leaf that
+requires them, and frees each recorded node it has passed, so a graph can
+be walked once.
 
 The tape keeps its inputs' dtype: a float32 or float64 array stays as it
 is, anything else becomes float64.  Ops follow numpy 2's promotion (NEP 50),
@@ -37,11 +38,13 @@ batch) stack, so each step works on contiguous [F, B] blocks and every gate
 is a contiguous row block of one [G*H, B] array.  ``linear_t`` is the
 affine map of that layout, ``Wᵀ x + b`` as one node.  ``bidirectional``
 takes [L, n_in, B] and returns [L, 2H, B], running a whole bidirectional
-LSTM or GRU layer as one tape node: one ``linear_t`` projects each
-direction's steps, the scan computes ``Whᵀ h`` per step and writes every
-hidden state straight into the output, and the single vjp runs
-backpropagation through time in one loop per direction.  The step math
-lives once, in plain-numpy kernels on [G*H, B] blocks; the single-step
+LSTM or GRU layer as one tape node whose parents are the input and the
+parameters: it projects each direction's steps with ``linear_t``'s math and
+frees the projection after that direction's scan, the scan computes
+``Whᵀ h`` per step and writes every hidden state straight into the output,
+and the single vjp runs backpropagation through time in one loop per
+direction, then ``linear_t``'s gradient math on the projection.  The step
+math lives once, in plain-numpy kernels on [G*H, B] blocks; the single-step
 ``lstm_cell`` and ``gru_cell`` ops keep the batch-major [B, G*H] layout and
 call the kernels on transposed views.  The BPTT adds gradients up in the
 order of the per-step composition of those ops in the batch-minor
@@ -201,8 +204,22 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _freed(g=None):
+    """The vjp of a node whose graph an earlier ``backward`` freed."""
+    raise RuntimeError("backward reached a node whose graph an earlier backward "
+                       "freed; record the forward pass again")
+
+
 def backward(root: Var) -> None:
-    """Backpropagate from a scalar root; accumulates into ``.grad``."""
+    """Backpropagate from a scalar root; accumulates into ``.grad``.
+
+    The walk frees the graph as it goes: once a recorded node has passed its
+    gradient on, its ``grad`` is dropped and its ``_parents`` and ``_vjp``
+    give way to ``()`` and ``_freed``, so each gradient, closure and value
+    dies as soon as nothing later in the walk needs it.  Leaves keep their
+    ``.grad``.  A later ``backward`` that reaches a freed node raises
+    ``RuntimeError`` before any gradient moves.
+    """
     if root.value.size != 1:
         raise ValueError("backward requires a scalar root")
     topo: list[Var] = []
@@ -215,17 +232,23 @@ def backward(root: Var) -> None:
             continue
         if id(node) in visited:
             continue
+        if node._vjp is _freed:
+            _freed()  # raises before any gradient moves
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
     root.grad = np.ones_like(root.value)
-    for node in reversed(topo):
-        if node._vjp is None or node.grad is None:
+    while topo:
+        node = topo.pop()
+        vjp, grad, parents = node._vjp, node.grad, node._parents
+        if vjp is None:
+            continue  # a leaf keeps its gradient
+        node.grad, node._vjp, node._parents = None, _freed, ()
+        if grad is None:
             continue
-        grads = node._vjp(node.grad)
-        for p, g in zip(node._parents, grads):
+        for p, g in zip(parents, vjp(grad)):
             if g is None or not p.requires_grad:
                 continue
             if g.dtype != p.value.dtype:
@@ -311,19 +334,25 @@ def linear_t(x, W, b) -> Var:
     x, W, b = as_var(x), as_var(W), as_var(b)
     if x.ndim < 2 or W.ndim != 2:
         raise ValueError("linear_t takes x with ndim >= 2 and a 2-d W")
-    WT = W.value.T
-    out = WT @ x.value
+    return _record(_linear_t_value(x, W, b), (x, W, b),
+                   lambda g: _linear_t_grads(g, x, W, b))
+
+
+def _linear_t_value(x: Var, W: Var, b: Var) -> np.ndarray:
+    out = W.value.T @ x.value
     out += b.value[:, None]
+    return out
 
-    def vjp(g):
-        gx = W.value @ g if x.requires_grad else None
-        gW = None
-        if W.requires_grad:
-            gW = np.ascontiguousarray(
-                _unbroadcast(g @ np.swapaxes(x.value, -1, -2), WT.shape).T)
-        return gx, gW, _unbroadcast(g, (WT.shape[0], 1)).reshape(b.value.shape)
 
-    return _record(out, (x, W, b), vjp)
+def _linear_t_grads(g: np.ndarray, x: Var, W: Var, b: Var) -> tuple:
+    """Gradients of ``linear_t(x, W, b)`` for the output gradient ``g``; None
+    for an ``x`` or ``W`` that requires none."""
+    gx = W.value @ g if x.requires_grad else None
+    gW = None
+    if W.requires_grad:
+        gW = np.ascontiguousarray(
+            _unbroadcast(g @ np.swapaxes(x.value, -1, -2), W.value.T.shape).T)
+    return gx, gW, _unbroadcast(g, (W.value.shape[1], 1)).reshape(b.value.shape)
 
 
 def sqrt(a) -> Var:
@@ -610,7 +639,8 @@ def _scan(zx: np.ndarray, W: np.ndarray, bh, reverse: bool, out: np.ndarray,
     (``out`` is a [L, H, B] view whose [H, B] blocks are C-contiguous).
     ``bh`` is the GRU's hidden bias as a [G*H, 1] column, None for the LSTM.
     Returns the (t, h_prev, residuals) of every step when ``keep``, else an
-    empty list."""
+    empty list.  No residual refers to ``zx``, and a kept GRU step holds a
+    copy of its ``zh_n`` rows rather than a view that pins all of ``z``."""
     WT = W.T
     h = c = np.zeros(out.shape[1:], dtype=out.dtype)
     steps = []
@@ -623,6 +653,9 @@ def _scan(zx: np.ndarray, W: np.ndarray, bh, reverse: bool, out: np.ndarray,
         else:
             z += bh
             h, res = _gru_step(zx[t], z, h_prev, out[t])
+            if keep:
+                r, u, n, zh_n, _ = res
+                res = (r, u, n, zh_n.copy(), h_prev)
         if keep:
             steps.append((t, h_prev, res))
     return steps
@@ -668,17 +701,22 @@ def bidirectional(x, fwd, bwd) -> Var:
 
     ``fwd`` and ``bwd`` hold each direction's parameters, and their count
     names the cell: (Wx, b, Wh) for the LSTM, (Wx, bx, Wh, bh) for the GRU.
-    With zx = ``linear_t(x, Wx, b)`` and zero initial states h, c [H, B],
-    step t (t = 0..L-1 forward, L-1..0 backward) is the cell's step kernel
-    on ``zx[t] + Whᵀ h`` (LSTM) or on ``zx[t]`` and ``Whᵀ h + bh`` (GRU):
-    every gate block is a contiguous [H, B] row block, and ``lstm_cell`` /
-    ``gru_cell`` on the transposed blocks compute the same bits.  The
-    forward direction, then the backward one, is projected and scanned,
-    writing its hidden states straight into its half of the output, forward
-    half first.  Per-step residuals are kept only when the node is recorded,
-    and the vjp feeds each direction's BPTT its half of the output gradient.
-    When nothing is recorded, a direction's projection is freed before the
-    next one is made.
+    With the input projection zx = ``Wxᵀ x + b`` (``linear_t``'s value) and
+    zero initial states h, c [H, B], step t (t = 0..L-1 forward, L-1..0
+    backward) is the cell's step kernel on ``zx[t] + Whᵀ h`` (LSTM) or on
+    ``zx[t]`` and ``Whᵀ h + bh`` (GRU): every gate block is a contiguous
+    [H, B] row block, and ``lstm_cell`` / ``gru_cell`` on the transposed
+    blocks compute the same bits.  The forward direction, then the backward
+    one, is projected and scanned, writing its hidden states straight into
+    its half of the output, forward half first.  A direction's projection
+    is freed before the next one is made, recorded or not: no vjp reads it.
+
+    The node's parents are ``(x, *fwd, *bwd)``.  Per-step residuals are kept
+    only when the node is recorded.  The vjp feeds each direction's BPTT its
+    half of the output gradient and passes the projection's gradient through
+    ``linear_t``'s gradient math; the input gradient is the forward
+    direction's term plus the backward one's.  Values and gradients equal
+    those of ``linear_t`` nodes feeding a recurrence bit for bit.
     """
     x = as_var(x)
     dirs = [[as_var(p) for p in ps] for ps in (fwd, bwd)]
@@ -686,28 +724,31 @@ def bidirectional(x, fwd, bwd) -> Var:
         raise ValueError("each direction takes (Wx, b, Wh) for an LSTM "
                          "or (Wx, bx, Wh, bh) for a GRU")
     lstm = len(dirs[0]) == 3
-    keep = _recording([x] + dirs[0] + dirs[1])
+    parents = (x, *dirs[0], *dirs[1])
+    keep = _recording(parents)
     hsz = dirs[0][2].value.shape[0]
     L, _, B = x.shape
-    out = np.empty((L, 2 * hsz, B),
-                   dtype=np.result_type(*(p.value for p in [x, *dirs[0], *dirs[1]])))
-    parents, scans = [], []
+    out = np.empty((L, 2 * hsz, B), dtype=np.result_type(*(p.value for p in parents)))
+    scans = []
     for d, (Wx, b, Wh, *bh) in enumerate(dirs):
-        zx = linear_t(x, Wx, b)
-        steps = _scan(zx.value, Wh.value, bh[0].value[:, None] if bh else None,
+        zx = _linear_t_value(x, Wx, b)
+        steps = _scan(zx, Wh.value, bh[0].value[:, None] if bh else None,
                       d == 1, out[:, d * hsz:(d + 1) * hsz], keep)
-        scans.append((steps, zx.shape, Wh.value))
-        if keep:
-            parents += [zx, Wh, *bh]
-        del zx  # unrecorded, it is freed before the next direction's projection
+        scans.append((steps, zx.shape))
+        del zx  # before the next direction's projection is made
 
     def vjp(G):
-        grads = ()
-        for d, (steps, shape, W) in enumerate(scans):
-            grads += _bptt(steps, G[:, d * hsz:(d + 1) * hsz], shape, W, lstm)
-        return grads
+        gx, grads = None, []
+        for d, (steps, shape) in enumerate(scans):
+            Wx, b, Wh = dirs[d][:3]
+            gzx, *rec = _bptt(steps, G[:, d * hsz:(d + 1) * hsz], shape, Wh.value, lstm)
+            gxd, gWx, gb = _linear_t_grads(gzx, x, Wx, b)
+            if gxd is not None:
+                gx = gxd if gx is None else gx + gxd
+            grads += [gWx, gb, *rec]
+        return (gx, *grads)
 
-    return _record(out, tuple(parents), vjp)
+    return _record(out, parents, vjp)
 
 
 def check_finite(a, stage: str):

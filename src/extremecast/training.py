@@ -184,8 +184,9 @@ def _validation_loss(model, params, part, loss_cfg: LossConfig) -> float:
 def _train_step(model, params, X, y, cfg: TrainConfig, state: TrainState,
                 lr: float, dropout_rng: Rng, where: str) -> float:
     """Forward, loss, backward, clip and AdamW on one batch; updates
-    ``params`` in place and returns the batch loss.  The step's tape and
-    gradients die with this frame, before validation runs."""
+    ``params`` in place and returns the batch loss.  ``backward`` frees the
+    step's tape as it walks it; the parameter gradients die with this frame,
+    before validation runs."""
     wrapped = wrap_params(params, dtype=TAPE_DTYPE)
     pred, _ = model.forward(wrapped, X, train=True, rng=dropout_rng)
     loss = compute_loss(pred, y, cfg.loss)

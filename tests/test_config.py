@@ -202,6 +202,37 @@ def test_non_integral_or_non_finite_values_name_their_path(path, value):
         run_config_from_dict(set_path({}, path, value))
 
 
+def _config_classes(cls):
+    yield cls
+    for kind in get_type_hints(cls).values():
+        if is_dataclass(kind):
+            yield from _config_classes(kind)
+
+
+# Every float field of every config dataclass: the run config's sections and
+# each model kind's config, as built in Python without ``from_json``.
+FLOAT_FIELDS = [
+    (cls, name)
+    for cls in sorted(set(_config_classes(RunConfig)) | {c for c, _ in MODELS.values()},
+                      key=lambda c: c.__name__)
+    for name, kind in get_type_hints(cls).items() if kind is float]
+
+
+def test_float_field_table_covers_every_config():
+    assert len(FLOAT_FIELDS) == 15
+    assert {cls.__name__ for cls, _ in FLOAT_FIELDS} == {
+        "AugmentConfig", "DatasetConfig", "LossConfig", "ModelConfig",
+        "OptimConfig", "TcnConfig"}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("cls,name", FLOAT_FIELDS,
+                         ids=[f"{c.__name__}.{n}" for c, n in FLOAT_FIELDS])
+def test_validate_refuses_non_finite_float_fields(cls, name, value):
+    with pytest.raises(ConfigError, match=name):
+        replace(cls(), **{name: value}).validate()
+
+
 # Hypothesis: documents over the real section and key names, each value of
 # its field's type, then one path (a setting, a section, a field the loader
 # refuses or an unknown key) set to any JSON value.

@@ -382,13 +382,18 @@ def _bidirectional_by_steps(x, fwd, bwd):
                      for d, (Wx, b, Wh, *bh) in enumerate((fwd, bwd))], axis=1)
 
 
-def _train_step_grads(cfg, seed=41):
+def _train_step_loss(cfg, seed=41):
+    """A train step's recorded loss and its parameters, before ``backward``."""
     from extremecast.losses import LossConfig, compute_loss
     model = DualStreamModel(cfg)
     params = wrap_params(model.init_params(Rng(seed, "init")))
     X = make_batch(cfg, B=4, seed=seed)
     pred, _ = model.forward(params, X, train=True, rng=Rng(seed, "dropout"))
-    loss = compute_loss(pred, np.linspace(-1.0, 1.0, 4), LossConfig())
+    return compute_loss(pred, np.linspace(-1.0, 1.0, 4), LossConfig()), params
+
+
+def _train_step_grads(cfg, seed=41):
+    loss, params = _train_step_loss(cfg, seed)
     T.backward(loss)
     return loss, {k: v.grad for k, v in params.items()}
 
@@ -439,10 +444,11 @@ def _take_nodes(root):
 
 
 def test_take_nodes_do_not_grow_with_lookback():
-    # per-step reads stay inside the recurrence nodes, so backward is O(L)
-    counts = [_take_nodes(_train_step_grads(tiny_cfg(lookback=L))[0])
+    # per-step reads stay inside the recurrence nodes, so backward is O(L);
+    # counted before ``backward``, which frees the tape it walks
+    counts = [_take_nodes(_train_step_loss(tiny_cfg(lookback=L))[0])
               for L in (5, 12)]
-    assert counts[0] == counts[1], counts
+    assert counts[0] == counts[1] > 0, counts
 
 
 _KINDS = {
@@ -452,6 +458,15 @@ _KINDS = {
                                       kernel=2, dilations=(1, 2), dropout=0.3)),
     "nbeats": lambda: NBeatsModel(NBeatsConfig(lookback=7, stacks=2, fc_units=6), 0),
 }
+
+
+def _dtype_spy(vjp, received):
+    """``vjp``, appending the dtype of each gradient it receives to
+    ``received``."""
+    def spy(g):
+        received.append(g.dtype)
+        return vjp(g)
+    return spy
 
 
 @pytest.mark.parametrize("kind", sorted(_KINDS))
@@ -464,12 +479,18 @@ def test_tape_runs_in_float32_at_tape_dtype(kind):
     pred, _ = model.forward(params, X, train=True, rng=Rng(42, "dropout"))
     loss = compute_loss(pred, np.linspace(-1.0, 1.0, 5), LossConfig())
     assert loss.value.dtype == np.float64
-    T.backward(loss)
+    # collected before ``backward``, which frees the tape it walks; each
+    # interior node's vjp records the dtype of the gradient it receives
     nodes = _tape_nodes(pred)
     assert len(nodes) > len(params)
-    for node in nodes:
-        assert node.value.dtype == np.float32, node
-        assert node.grad is None or node.grad.dtype == np.float32, node
+    assert all(node.value.dtype == np.float32 for node in nodes)
+    interior = [node for node in nodes if node._vjp is not None]
+    received = []
+    for node in interior:
+        node._vjp = _dtype_spy(node._vjp, received)
+    T.backward(loss)
+    assert len(received) == len(interior)
+    assert set(received) == {np.dtype(np.float32)}
     assert all(p.grad is None or p.grad.dtype == np.float32
                for p in params.values())
     # predict is a float32 eval forward of the same batch, bit for bit

@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from extremecast.errors import DataError
+from extremecast.errors import ConfigError, DataError
 from extremecast.features import CYCLICAL_CALENDAR, FeatureSpec
 from extremecast.pipeline import prepare
 from extremecast.synthetic import sinusoid_ar_table
@@ -106,3 +106,14 @@ def test_prepare_rejects_missing_target():
     del table.columns["tempmax"]
     with pytest.raises(DataError, match="target"):
         prepare(table)
+
+
+@pytest.mark.parametrize("spec,path", [(FeatureSpec(mode="x"), "features.mode"),
+                                       (FeatureSpec(top_k=0), "features.top_k")])
+def test_prepare_refuses_a_bad_feature_spec_first(spec, path):
+    # ``FeatureSpec.validate`` states each rule once; a table without its
+    # target shows that it runs before any data check
+    table = sinusoid_ar_table(seed=1, n_days=420)
+    del table.columns["tempmax"]
+    with pytest.raises(ConfigError, match=path):
+        prepare(table, feature_spec=spec)

@@ -226,6 +226,38 @@ def test_backward_requires_scalar():
         backward(Var(np.zeros(3), requires_grad=True) * 2.0)
 
 
+def test_backward_frees_interior_nodes_and_keeps_leaf_gradients():
+    x = Var(np.array([0.5, -1.0, 2.0]), requires_grad=True)
+    w = Var(np.array([[1.0], [2.0], [3.0]]), requires_grad=True)
+    a = x * 2.0
+    h = T.tanh(a)
+    m = T.matmul(T.reshape(h, (1, 3)), w)
+    y = T.sum_(m)
+    values = [n.value.copy() for n in (a, h, m)]
+    backward(y)
+    for node in (a, h, m, y):
+        assert node.grad is None and node._parents == () and node._vjp is T._freed
+        # a freed node does not pass for a leaf
+        assert node.requires_grad
+    for node, v in zip((a, h, m), values):
+        npt.assert_array_equal(node.value, v)
+    npt.assert_allclose(x.grad, 2.0 * (1.0 - h.value ** 2) * w.value[:, 0], rtol=1e-15)
+    npt.assert_array_equal(w.grad, h.value[:, None])
+
+
+def test_second_backward_through_a_freed_node_raises():
+    x = Var(np.array([0.5, -1.0]), requires_grad=True)
+    h = T.tanh(x)
+    y = T.sum_(h)
+    backward(y)
+    first = x.grad.copy()
+    for root in (y, T.sum_(h * 3.0), T.sum_(h * x)):
+        with pytest.raises(RuntimeError, match="freed"):
+            backward(root)
+        # no gradient moved
+        npt.assert_array_equal(x.grad, first)
+
+
 def test_dropout_semantics():
     x = Var(np.ones((50, 40)), requires_grad=True)
     assert T.dropout(x, 0.2, Rng(0, "dropout"), training=False) is x
@@ -511,10 +543,27 @@ def test_recurrence_under_no_grad_records_nothing():
             out, kept, _ = _traced_bidirectional(x, p, names)
         assert not out.requires_grad and out._parents == () and out._vjp is None
         # only the output array outlives the call; the recorded node also
-        # keeps both projections and every step's residuals
+        # keeps every step's residuals
         assert kept < out.value.nbytes + 4096, (cell, kept)
         recorded, kept_recorded, _ = _traced_bidirectional(x, p, names)
         assert recorded._vjp is not None and kept_recorded > 4 * out.value.nbytes
+
+
+def test_recorded_bidirectional_keeps_no_projection():
+    rng = Rng(17, "init")
+    # [H, B] blocks a kept step holds per direction: the LSTM's i, f, o, g,
+    # c_prev and tanh(c); the GRU's r, u, n and its zh_n rows
+    for cell, gates, blocks in (("lstm", 4, 6), ("gru", 3, 4)):
+        raw, names = _bidirectional_params(rng, cell, 8, 8)
+        p = {k: Var(v, requires_grad=True) for k, v in raw.items()}
+        x = Var(rng.gaussian_array((40, 8, 64)))
+        out, kept, _ = _traced_bidirectional(x, p, names)
+        assert out._vjp is not None
+        # out is [L, 2H, B]: the residuals of both directions come to
+        # ``blocks`` times its size, one direction's projection [L, G*H, B]
+        # to ``gates`` halves of it
+        projection = out.value.nbytes // 2 * gates
+        assert kept < (1 + blocks) * out.value.nbytes + projection // 2, (cell, kept)
 
 
 def test_bidirectional_under_no_grad_holds_one_projection():

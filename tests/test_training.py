@@ -2,6 +2,7 @@
 best-checkpoint restoration, and the sweep helpers."""
 
 import math
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from extremecast.losses import LossConfig
 from extremecast.model import DualStreamModel, ModelConfig
 from extremecast.optim import OptimConfig, cosine_warm_restart_lr
 from extremecast.pipeline import prepare
+from extremecast.rng import Rng
 from extremecast.synthetic import persistence_task_table
 from extremecast.training import (PersistenceConfig, TrainConfig,
                                   _batch_spans, _training_arrays, build_model,
@@ -56,6 +58,24 @@ def test_train_config_validation():
         TrainConfig(patience=0).validate()
     with pytest.raises(ConfigError):
         TrainConfig(max_epochs=0).validate()
+
+
+def test_default_size_step_frees_its_tape_as_backward_walks_it():
+    # forward, loss, backward, clip and AdamW (whose state it creates) on
+    # one batch of 64 default-size windows; the float32 tape alone holds
+    # about 20 MB before backward
+    model = DualStreamModel(ModelConfig())
+    params = model.init_params(Rng(0, "init"))
+    rng = Rng(1, "data")
+    X, y = rng.gaussian_array((64, 30, 30)), rng.gaussian_array((64,))
+    tracemalloc.start()
+    try:
+        training._train_step(model, params, X, y, TrainConfig(), training.TrainState(),
+                             1e-3, Rng(2, "dropout"), "step 0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6, peak
 
 
 def test_batch_spans_drop_singleton_tail():

@@ -49,6 +49,8 @@ def read_json(path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid JSON ({exc})") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read ({exc})") from exc
 
 
 def write_csv(path, header: list, rows: list) -> None:
@@ -192,6 +194,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise CompatibilityError(f"{path} is not a checkpoint file")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise CompatibilityError(
@@ -258,7 +262,7 @@ def load_dataset(path):
     from .pipeline import PreparedDataset
 
     doc = read_json(path)
-    if doc.get("kind") != "prepared_dataset":
+    if not isinstance(doc, dict) or doc.get("kind") != "prepared_dataset":
         raise CompatibilityError(f"{path} is not a prepared-dataset file")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise CompatibilityError(

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands cover the full workflow: ``prepare`` (CSV -> dataset artifact),
-``train`` / ``baseline`` (dataset -> checkpoint, history, report),
-``evaluate`` (checkpoint + dataset -> metrics report), ``explain``
+``train`` (dataset -> checkpoint, history), ``evaluate`` (checkpoint +
+dataset -> metrics report, residuals), ``explain``
 (importance / dependence / residual / clustering / internal-state
 diagnostics), ``augment-preview`` (before/after CSV for one window) and
 ``sweep`` (learning-curve and feature-ablation tables).
@@ -58,43 +58,6 @@ def _base_model_config(run_cfg: RunConfig, kind: str):
     return run_cfg.model if isinstance(run_cfg.model, cls) else cls()
 
 
-def _train_and_save(run_cfg: RunConfig, seed: int, ds: PreparedDataset,
-                    kind: str, out) -> tuple:
-    train_cfg = replace(run_cfg.training, seed=seed)
-    model_cfg = fit_model_config(_base_model_config(run_cfg, kind), ds)
-    ckpt, state = train(ds, model_cfg, train_cfg)
-    save_checkpoint(ckpt, out)
-    history_path = _sibling(out, "_history.csv")
-    write_csv(history_path, list(HISTORY_COLUMNS),
-              [[row[k] for k in HISTORY_COLUMNS] for row in state.history])
-    return ckpt, state, history_path
-
-
-def _write_report(ckpt, ds: PreparedDataset, partition: str,
-                  report_path) -> dict:
-    report = evaluate_checkpoint(ckpt, ds, partition=partition)
-    report["model_kind"] = ckpt.model_kind
-    report["best_val_loss"] = ckpt.best_val_loss
-    report["partition"] = partition
-    write_json(report, report_path)
-    residuals_path = _sibling(report_path, "_residuals.csv")
-    write_csv(residuals_path, ["date", "y", "yhat", "e"],
-              [[r["date"], r["y"], r["yhat"], r["e"]]
-               for r in report["residuals"]])
-    return report
-
-
-def _print_metrics(report: dict) -> None:
-    m = report["metrics"]
-    print(f"partition {report['partition']}: n={report['n_test']}")
-    for key in ("rmse", "mae", "r2"):
-        print(f"  {key} = {m[key]}")
-    print(f"  extreme_high_rmse = {report['extreme_high_rmse']} "
-          f"(n={report['n_high']})")
-    print(f"  extreme_low_rmse = {report['extreme_low_rmse']} "
-          f"(n={report['n_low']})")
-
-
 # --------------------------------------------------------------- subcommands
 
 
@@ -125,8 +88,13 @@ def cmd_train(args) -> int:
     run_cfg = load_run_config(args.config)
     seed = run_cfg.seed if args.seed is None else args.seed
     ds = load_dataset(args.data)
-    ckpt, state, history_path = _train_and_save(
-        run_cfg, seed, ds, args.model, args.out)
+    train_cfg = replace(run_cfg.training, seed=seed)
+    model_cfg = fit_model_config(_base_model_config(run_cfg, args.model), ds)
+    ckpt, state = train(ds, model_cfg, train_cfg)
+    save_checkpoint(ckpt, args.out)
+    history_path = _sibling(args.out, "_history.csv")
+    write_csv(history_path, list(HISTORY_COLUMNS),
+              [[row[k] for k in HISTORY_COLUMNS] for row in state.history])
     print(f"model {ckpt.model_kind}: seed {seed}, "
           f"{state.epoch} epochs ({state.stopped_reason})")
     if ckpt.best_val_loss is not None:
@@ -142,26 +110,25 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.data)
-    report = _write_report(ckpt, ds, args.partition, args.report)
-    _print_metrics(report)
+    report = evaluate_checkpoint(ckpt, ds, partition=args.partition)
+    report["model_kind"] = ckpt.model_kind
+    report["best_val_loss"] = ckpt.best_val_loss
+    report["partition"] = args.partition
+    write_json(report, args.report)
+    residuals_path = _sibling(args.report, "_residuals.csv")
+    write_csv(residuals_path, ["date", "y", "yhat", "e"],
+              [[r["date"], r["y"], r["yhat"], r["e"]]
+               for r in report["residuals"]])
+    m = report["metrics"]
+    print(f"partition {args.partition}: n={report['n_test']}")
+    for key in ("rmse", "mae", "r2"):
+        print(f"  {key} = {m[key]}")
+    print(f"  extreme_high_rmse = {report['extreme_high_rmse']} "
+          f"(n={report['n_high']})")
+    print(f"  extreme_low_rmse = {report['extreme_low_rmse']} "
+          f"(n={report['n_low']})")
     print(f"report -> {args.report}")
-    print(f"residuals -> {_sibling(args.report, '_residuals.csv')}")
-    return 0
-
-
-def cmd_baseline(args) -> int:
-    run_cfg = load_run_config(args.config)
-    seed = run_cfg.seed if args.seed is None else args.seed
-    ds = load_dataset(args.data)
-    ckpt, state, history_path = _train_and_save(
-        run_cfg, seed, ds, args.model, args.out)
-    report = _write_report(ckpt, ds, "test", args.report)
-    print(f"baseline {ckpt.model_kind}: seed {seed}, "
-          f"{state.epoch} epochs ({state.stopped_reason})")
-    _print_metrics(report)
-    print(f"checkpoint -> {args.out}")
-    print(f"history -> {history_path}")
-    print(f"report -> {args.report}")
+    print(f"residuals -> {residuals_path}")
     return 0
 
 
@@ -363,16 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", default="test",
                    choices=("train", "val", "test"))
     p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("baseline",
-                       help="train a reference model and report in one step")
-    p.add_argument("--config", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--model", required=True, choices=MODELS)
-    p.add_argument("--out", required=True, help="checkpoint JSON to write")
-    p.add_argument("--report", required=True, help="report JSON to write")
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("explain", help="model and residual diagnostics")
     p.add_argument("--checkpoint", required=True)

@@ -73,13 +73,15 @@ def load_csv(path: str, target: str = TARGET_COLUMN) -> TimeSeriesTable:
     '1e999') is an error, as are duplicate or out-of-order dates.  Missing
     calendar days become all-missing rows.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file")
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read ({exc})") from exc
+    if header is None:
+        raise DataError(f"{path}: empty file")
     header = [h.strip() for h in header]
     date_col = next((c for c in DATE_COLUMNS if c in header), None)
     if date_col is None:

@@ -223,6 +223,9 @@ def train(dataset: PreparedDataset, model_cfg, train_cfg: TrainConfig):
     cfg = train_cfg.validate()
     model, kind = build_model(model_cfg, dataset)
     val = dataset.part("val")
+    if val.n_samples < 2:
+        raise DataError(f"validation set of {val.n_samples} windows cannot "
+                        "score the extreme-weighted loss, which needs >= 2")
 
     state = TrainState()
     started = time.monotonic()

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError
-from .tensor import Var, backward, no_grad
+from extremecast.errors import NumericError
+from extremecast.tensor import Var, backward, no_grad
 
 DEFAULT_EPS = 1e-5
 

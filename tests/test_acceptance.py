@@ -31,18 +31,18 @@ from extremecast.diagnostics import (kmeans, occlusion_sensitivity,
                                      partial_dependence,
                                      permutation_importance)
 from extremecast.features import FeatureSpec, build_features, savgol_causal
-from extremecast.gradcheck import grad_check
 from extremecast.losses import LossConfig, compute_loss
 from extremecast.metrics import TAIL_Q, regression_metrics
 from extremecast.model import (DualStreamModel, ModelConfig, forward,
                                fuse_outputs, wrap_params)
 from extremecast.pipeline import PreparedDataset, prepare
 from extremecast.rng import Rng
-from extremecast.synthetic import (persistence_task_table, sinusoid_ar_table,
-                                   table_to_csv)
+from extremecast.synthetic import sinusoid_ar_table, table_to_csv
 from extremecast.tensor import Var
 from extremecast.training import (PersistenceConfig, TrainConfig, build_model,
                                   evaluate_checkpoint, evaluate_model, train)
+from gradcheck import grad_check
+from persistence_task import persistence_task_table
 
 # ----------------------------------------------------------------- fixtures
 

@@ -23,10 +23,10 @@ from extremecast.baselines import (
     causal_conv,
 )
 from extremecast.errors import ConfigError, DataError
-from extremecast.gradcheck import grad_check
 from extremecast.losses import LossConfig, compute_loss
 from extremecast.rng import Rng
 from extremecast.tensor import Var
+from gradcheck import grad_check
 
 
 def tiny_tcn_cfg():

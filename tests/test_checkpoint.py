@@ -17,7 +17,7 @@ from extremecast.data import ScalerParams, SplitSpec, make_windows
 from extremecast.errors import CompatibilityError, DataError
 from extremecast.features import FeatureSpec
 from extremecast.pipeline import PreparedDataset, prepare
-from extremecast.synthetic import persistence_task_table
+from persistence_task import persistence_task_table
 
 
 def make_ckpt(params):

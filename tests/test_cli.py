@@ -131,24 +131,12 @@ def test_every_model_kind_trains_and_evaluates_byte_identically(work, kind):
                      for suffix in (".json", "_history.csv", "_report.json",
                                     "_report_residuals.csv")])
     assert runs[0] == runs[1]
-    assert json.loads(runs[0][2])["model_kind"] == kind
-
-
-def test_baseline_persistence_trivial_checkpoint(work):
-    ckpt_path = work / "pers.json"
-    report_path = work / "pers_report.json"
-    assert main(["baseline", "--config", str(work / "config.json"),
-                 "--data", str(work / "data.json"),
-                 "--model", "persistence",
-                 "--out", str(ckpt_path),
-                 "--report", str(report_path)]) == 0
-    doc = json.loads(ckpt_path.read_text())
-    assert doc["model_kind"] == "persistence"
-    assert doc["params"] == {}
-    report = json.loads(report_path.read_text())
+    report = json.loads(runs[0][2])
     validate_report(report)
-    assert report["model_kind"] == "persistence"
+    assert report["model_kind"] == kind
     assert report["metrics"]["rmse"] > 0.0
+    if kind == "persistence":
+        assert json.loads(runs[0][0])["params"] == {}
 
 
 def test_checkpoint_with_removed_train_settings_evaluates_unchanged(work):
@@ -353,6 +341,74 @@ def test_bad_data_exit_3(work, tmp_path):
     assert main(["train", "--config", str(work / "config.json"),
                  "--data", str(garbage),
                  "--out", str(tmp_path / "c.json")]) == 3
+
+
+@pytest.mark.parametrize("kind", ["dual_stream", "persistence"])
+def test_one_window_validation_set_exit_3(work, tmp_path, capsys, kind):
+    # 60 days at lookback 8 and the default fractions leave one val window
+    table_to_csv(sinusoid_ar_table(seed=0, n_days=60), tmp_path / "raw.csv")
+    data, out = tmp_path / "data.json", tmp_path / "ckpt.json"
+    assert main(["prepare", "--config", str(work / "config.json"),
+                 "--input", str(tmp_path / "raw.csv"),
+                 "--out", str(data)]) == 0
+    assert "val: 1 windows" in capsys.readouterr().out
+    assert main(["train", "--config", str(work / "config.json"),
+                 "--data", str(data), "--out", str(out), "--model", kind]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation set of 1 windows ")
+    assert len(err.splitlines()) == 1 and not out.exists()
+
+
+def _directory(path, work):
+    path.mkdir()
+
+
+def _json_array(path, work):
+    path.write_text("[1, 2]")
+
+
+def _non_utf8(name):
+    """A writer of the shared file ``name`` after a 0xff byte, which UTF-8
+    never holds."""
+    def write(path, work):
+        path.write_bytes(b"\xff" + (work / name).read_bytes())
+    return write
+
+
+# unreadable or non-object input files: (command, the argument the hostile
+# file replaces, its writer or None for a missing path, exit code)
+HOSTILE_FILES = {
+    "missing_csv": ("prepare", "--input", None, 3),
+    "directory_csv": ("prepare", "--input", _directory, 3),
+    "non_utf8_csv": ("prepare", "--input", _non_utf8("raw.csv"), 3),
+    "non_utf8_config": ("prepare", "--config", _non_utf8("config.json"), 2),
+    "missing_checkpoint": ("evaluate", "--checkpoint", None, 3),
+    "missing_dataset": ("evaluate", "--data", None, 3),
+    "array_checkpoint": ("evaluate", "--checkpoint", _json_array, 5),
+    "array_dataset": ("evaluate", "--data", _json_array, 5),
+}
+
+
+@pytest.mark.parametrize("case", HOSTILE_FILES)
+def test_hostile_input_file_exits_with_its_code(work, tmp_path, capsys, case):
+    command, flag, writer, code = HOSTILE_FILES[case]
+    hostile = tmp_path / "hostile"
+    if writer is not None:
+        writer(hostile, work)
+    out = tmp_path / "out.json"
+    if command == "prepare":
+        args = {"--config": work / "config.json", "--input": work / "raw.csv",
+                "--out": out}
+    else:
+        args = {"--checkpoint": work / "ckpt.json",
+                "--data": work / "data.json", "--report": out}
+    args[flag] = hostile
+    capsys.readouterr()
+    argv = [str(a) for pair in args.items() for a in pair]
+    assert main([command, *argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("token", ["inf", "-inf", "1e999"])

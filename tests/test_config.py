@@ -21,8 +21,8 @@ from extremecast.errors import ConfigError
 from extremecast.features import FeatureSpec
 from extremecast.metrics import evaluation_report
 from extremecast.pipeline import prepare
-from extremecast.synthetic import persistence_task_table
 from extremecast.training import MODELS, TrainConfig, fit_model_config
+from persistence_task import persistence_task_table
 
 REPORT_SCHEMA = json.loads(
     Path(__file__).with_name("report.schema.json").read_text(encoding="utf-8"))

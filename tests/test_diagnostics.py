@@ -23,9 +23,10 @@ from extremecast.errors import ConfigError, DataError
 from extremecast.features import FeatureSpec
 from extremecast.pipeline import PreparedDataset, prepare
 from extremecast.rng import Rng
-from extremecast.synthetic import persistence_task_table, sinusoid_ar_table
+from extremecast.synthetic import sinusoid_ar_table
 from extremecast.tensor import Var
 from extremecast.training import evaluate_model
+from persistence_task import persistence_task_table
 
 
 def toy_dataset(n=40, L=5, seed=9):

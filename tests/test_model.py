@@ -323,7 +323,7 @@ def test_gru_constant_input_converges_to_fixed_point():
 
 def test_bilstm_layer_gradients_fd():
     # wiring check for the bidirectional node and its two projections
-    from extremecast.gradcheck import grad_check
+    from gradcheck import grad_check
     H, n_in = 2, 3
     rng = Rng(33, "init")
     raw = {"f.Wx": rng.gaussian_array((n_in, 4 * H), 0.0, 0.4),

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 from extremecast import tensor as T
 from extremecast.errors import NumericError
-from extremecast.gradcheck import grad_check
 from extremecast.rng import Rng
 from extremecast.tensor import Var, backward, no_grad
+from gradcheck import grad_check
 from test_model import _bidirectional_by_steps, _linear_t_by_ops, _t
 
 

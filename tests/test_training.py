@@ -11,19 +11,21 @@ import pytest
 import extremecast.training as training
 from extremecast.augment import AugmentConfig
 from extremecast.baselines import NBeatsConfig, NBeatsModel, TcnConfig, TcnModel
-from extremecast.errors import CompatibilityError, ConfigError, NumericError
+from extremecast.errors import (CompatibilityError, ConfigError, DataError,
+                               NumericError)
 from extremecast.features import FeatureSpec
 from extremecast.losses import LossConfig
 from extremecast.model import DualStreamModel, ModelConfig
 from extremecast.optim import OptimConfig, cosine_warm_restart_lr
 from extremecast.pipeline import prepare
 from extremecast.rng import Rng
-from extremecast.synthetic import persistence_task_table
 from extremecast.training import (PersistenceConfig, TrainConfig,
                                   _batch_spans, _training_arrays, build_model,
                                   evaluate_checkpoint, evaluate_model,
-                                  feature_ablation, learning_curve,
-                                  model_config_from_dict, train)
+                                  feature_ablation, fit_model_config,
+                                  learning_curve, model_config_from_dict,
+                                  train)
+from persistence_task import persistence_task_table
 
 
 @pytest.fixture(scope="module")
@@ -242,6 +244,17 @@ def test_persistence_trains_trivially(dataset):
     assert state.history == []
     assert state.stopped_reason == "no_training_needed"
     assert math.isfinite(state.best_val_loss)
+
+
+@pytest.mark.parametrize("config", [ModelConfig(), PersistenceConfig()],
+                         ids=["dual_stream", "persistence"])
+def test_one_window_validation_set_is_refused(config):
+    # the extreme-weighted loss needs >= 2 targets; persistence scores val too
+    ds = prepare(persistence_task_table(0, n_days=52), lookback=7,
+                 feature_spec=FeatureSpec(mode="minimal"))
+    assert ds.part("val").n_samples == 1
+    with pytest.raises(DataError, match="validation set of 1 windows"):
+        train(ds, fit_model_config(config, ds), quick_cfg())
 
 
 def test_non_finite_loss_aborts_with_location(dataset, monkeypatch):

@@ -131,12 +131,26 @@ def test_every_model_kind_trains_and_evaluates_byte_identically(work, kind):
                      for suffix in (".json", "_history.csv", "_report.json",
                                     "_report_residuals.csv")])
     assert runs[0] == runs[1]
-    report = json.loads(runs[0][2])
+    assert json.loads(runs[0][2])["model_kind"] == kind
+
+
+def test_baseline_persistence_trivial_checkpoint(work):
+    ckpt_path = work / "pers.json"
+    report_path = work / "pers_report.json"
+    assert main(["train", "--config", str(work / "config.json"),
+                 "--data", str(work / "data.json"),
+                 "--model", "persistence",
+                 "--out", str(ckpt_path)]) == 0
+    assert main(["evaluate", "--checkpoint", str(ckpt_path),
+                 "--data", str(work / "data.json"),
+                 "--report", str(report_path)]) == 0
+    doc = json.loads(ckpt_path.read_text())
+    assert doc["model_kind"] == "persistence"
+    assert doc["params"] == {}
+    report = json.loads(report_path.read_text())
     validate_report(report)
-    assert report["model_kind"] == kind
+    assert report["model_kind"] == "persistence"
     assert report["metrics"]["rmse"] > 0.0
-    if kind == "persistence":
-        assert json.loads(runs[0][0])["params"] == {}
 
 
 def test_checkpoint_with_removed_train_settings_evaluates_unchanged(work):

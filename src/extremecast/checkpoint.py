@@ -6,7 +6,8 @@ and ``target_raw``) is one base64 string of its little-endian float64 bytes
 in row-major order (``_pack``), so a save→load cycle reproduces every bit by
 construction; parameter strings sit next to their shapes.  Every other
 number (shapes, scaler pairs, split bounds, ``best_val_loss``) is plain
-JSON.  Savers refuse a NaN or an infinity with a ``ValueError``.  Loaders
+JSON.  Savers refuse a NaN or an infinity with a ``ValueError``, and a
+path that cannot be written raises ``DataError`` naming it.  Loaders
 read arrays, integers, numbers and scalers strictly (``_unpack``, ``_int``,
 ``_floats``, ``_read_scaler``): a packed array that is not a string, is not
 strict base64, holds other than 8 bytes per element its shape or split
@@ -41,7 +42,10 @@ SCHEMA_VERSION = 2
 def write_json(obj, path) -> None:
     text = json.dumps(obj, sort_keys=True, ensure_ascii=False,
                       separators=(",", ":"), allow_nan=False)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    try:
+        Path(path).write_text(text + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot write ({exc})") from exc
 
 
 def read_json(path):
@@ -55,11 +59,14 @@ def read_json(path):
 
 def write_csv(path, header: list, rows: list) -> None:
     """Comma-separated, UTF-8, '\\n' endings, numerics unquoted via repr."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_cell(v) for v in row])
+    except OSError as exc:
+        raise DataError(f"{path}: cannot write ({exc})") from exc
 
 
 def _cell(v):

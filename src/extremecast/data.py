@@ -67,14 +67,15 @@ def _parse_date(raw: str, row: int):
 def load_csv(path: str, target: str = TARGET_COLUMN) -> TimeSeriesTable:
     """Read a daily weather CSV into a table.
 
-    The date column must be named 'datetime' or 'date'.  A column is numeric
+    The date column must be named 'datetime' or 'date', and no column name
+    may repeat.  A leading byte-order mark is ignored.  A column is numeric
     when every non-empty cell parses as a float; otherwise it is dropped.
     Blank and 'nan' cells are missing values; an infinite one ('inf',
     '1e999') is an error, as are duplicate or out-of-order dates.  Missing
     calendar days become all-missing rows.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             rows = list(reader)
@@ -83,6 +84,10 @@ def load_csv(path: str, target: str = TARGET_COLUMN) -> TimeSeriesTable:
     if header is None:
         raise DataError(f"{path}: empty file")
     header = [h.strip() for h in header]
+    repeated = next((h for h in header if header.count(h) > 1), None)
+    if repeated is not None:
+        raise DataError(f"{path}: column {repeated!r} appears more than once "
+                        f"in the header")
     date_col = next((c for c in DATE_COLUMNS if c in header), None)
     if date_col is None:
         raise DataError(f"{path}: no 'datetime' or 'date' column in header")
@@ -95,51 +100,34 @@ def load_csv(path: str, target: str = TARGET_COLUMN) -> TimeSeriesTable:
         if len(row) != len(header):
             raise DataError(f"row {r}: expected {len(header)} fields, got {len(row)}")
         d = _parse_date(row[di], r)
-        if dates:
+        if dates and d <= dates[-1]:
             if d == dates[-1]:
                 raise DataError(f"row {r}: duplicate date {d.isoformat()}")
-            if d < dates[-1]:
-                raise DataError(f"row {r}: date {d.isoformat()} breaks chronological order")
+            raise DataError(f"row {r}: date {d.isoformat()} breaks chronological order")
         dates.append(d)
 
-    # dense daily calendar; unlisted days become missing rows
-    full_dates = []
-    day = dates[0]
-    while day <= dates[-1]:
-        full_dates.append(day)
-        day += dt.timedelta(days=1)
-    pos = {d: i for i, d in enumerate(full_dates)}
-    n = len(full_dates)
-
-    raw_cells: dict[str, list] = {h: [None] * n for h in header if h != date_col}
-    csv_row = [0] * n
-    for r, (row, d) in enumerate(zip(rows, dates), start=2):
-        i = pos[d]
-        csv_row[i] = r
-        for j, h in enumerate(header):
-            if h == date_col:
-                continue
-            raw_cells[h][i] = row[j]
+    # dense daily calendar; unlisted days become missing rows, and data row
+    # k (from 0) lands on day offset[k]
+    ordinal = np.fromiter(map(dt.date.toordinal, dates), np.int64, len(dates))
+    full_dates = list(map(dt.date.fromordinal, range(ordinal[0], ordinal[-1] + 1)))
+    offset = ordinal - ordinal[0]
 
     columns: dict[str, np.ndarray] = {}
-    for name, cells in raw_cells.items():
-        parsed = np.full(n, np.nan)
-        numeric = True
-        for i, cell in enumerate(cells):
-            if cell is None or cell.strip() == "":
-                continue
-            try:
-                parsed[i] = float(cell)
-            except ValueError:
-                numeric = False
-                break
-        if not numeric:
+    for name, cells in zip(header, zip(*rows)):
+        if name == date_col:
             continue
+        try:
+            parsed = np.array([float(c) if c.strip() else np.nan for c in cells])
+        except ValueError:
+            continue        # a text cell: the column is not numeric
         inf = np.flatnonzero(np.isinf(parsed))
         if inf.size:
-            raise DataError(f"row {csv_row[inf[0]]}: column {name!r} holds the "
-                            f"infinite value {cells[inf[0]].strip()!r}")
-        columns[name] = parsed
+            k = inf[0]
+            raise DataError(f"row {k + 2}: column {name!r} holds the "
+                            f"infinite value {cells[k].strip()!r}")
+        col = np.full(len(full_dates), np.nan)
+        col[offset] = parsed
+        columns[name] = col
     if target not in columns:
         raise DataError(f"{path}: target column {target!r} missing or non-numeric")
     return TimeSeriesTable(full_dates, columns, target)
@@ -177,16 +165,21 @@ class ScalerParams:
 
 
 def fit_scaler(columns: dict[str, np.ndarray], fit_slice: slice) -> ScalerParams:
-    """Median/IQR per column over ``fit_slice`` rows; IQR 0 -> divisor 1."""
-    params = {}
-    for name, col in columns.items():
-        rows = col[fit_slice]
-        if rows.size == 0:
-            raise DataError(f"scaler fit on empty slice for column {name!r}")
-        med = float(np.median(rows))
-        iqr = float(np.quantile(rows, 0.75) - np.quantile(rows, 0.25))
-        params[name] = (med, iqr if iqr > 0.0 else 1.0)
-    return ScalerParams(params)
+    """Median/IQR per column over ``fit_slice`` rows; IQR 0 -> divisor 1.
+
+    The columns are stacked as rows and reduced along the last axis in one
+    ``median`` and one ``quantile`` call, which gives the bits of the calls
+    on each column alone.
+    """
+    names = list(columns)
+    rows = np.stack([columns[name][fit_slice] for name in names])
+    if rows.shape[1] == 0:
+        raise DataError(f"scaler fit on empty slice for column {names[0]!r}")
+    med = np.median(rows, axis=-1)
+    q25, q75 = np.quantile(rows, [0.25, 0.75], axis=-1)
+    iqr = q75 - q25
+    return ScalerParams({name: (float(m), float(d) if d > 0.0 else 1.0)
+                         for name, m, d in zip(names, med, iqr)})
 
 
 @dataclass

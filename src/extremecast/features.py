@@ -39,6 +39,7 @@ CLIMATOLOGY_STD_FLOOR = 1e-8
 FEATURE_MODES = ("full", "minimal", "raw_only")
 _ROLLING = {"mean": np.mean, "min": np.min, "max": np.max,
             "std": partial(np.std, ddof=1)}
+_RUNNING = {"min": np.minimum, "max": np.maximum}
 
 
 @dataclass
@@ -61,7 +62,11 @@ def rolling_stat(x: np.ndarray, window: int, stat: str) -> np.ndarray:
     std uses ddof=1; a single-point window yields std 0.  Each full window
     is reduced as one row of a sliding-window view along its last axis,
     which runs the same inner loop as the call on the 1-D slice, so the
-    bits equal a per-day loop's.
+    bits equal a per-day loop's.  The partial min and max at the start are
+    running accumulations.  Those are exact, but a tie of 0.0 and -0.0 may
+    keep the other zero than ``np.min`` does, so a start holding a zero,
+    like the partial mean and std (a cumulative sum adds in another order),
+    keeps one call per day.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -72,8 +77,12 @@ def rolling_stat(x: np.ndarray, window: int, stat: str) -> np.ndarray:
     out = np.zeros(n)
     # a one-point std is left at 0 rather than computed with ddof=1
     lo = 1 if stat == "std" else 0
-    for i in range(lo, min(window - 1, n)):
-        out[i] = reduce(x[:i + 1])
+    head = min(window - 1, n)
+    if stat in _RUNNING and not (x[:head] == 0.0).any():
+        out[:head] = _RUNNING[stat].accumulate(x[:head])
+    else:
+        for i in range(lo, head):
+            out[i] = reduce(x[:i + 1])
     if n >= window > lo:
         out[window - 1:] = reduce(sliding_window_view(x, window), axis=-1)
     return out
@@ -101,13 +110,17 @@ def savgol_causal(x: np.ndarray, window: int = 7, poly: int = 3) -> np.ndarray:
     if window < 1 or poly < 0:
         raise ValueError("window must be >= 1 and poly >= 0")
     n = x.shape[0]
-    # sliding_window_view(x, window) @ coeffs, contiguous or not, moved bits
-    # on nearly all of 500 random series, so the per-day dot products stay
     coeffs = {m: _sg_coeffs(m, min(poly, m - 1)) for m in range(1, min(window, n) + 1)}
     out = np.empty(n)
-    for i in range(n):
-        m = min(i + 1, window)
-        out[i] = coeffs[m] @ x[i - m + 1:i + 1]
+    for i in range(min(window - 1, n)):
+        out[i] = coeffs[i + 1] @ x[:i + 1]
+    if n >= window:
+        # a stack of [1, window] @ [window, 1] products runs the vector dot
+        # kernel of the one-day `coeffs @ x[i-window+1:i+1]`, so the bits
+        # equal a per-day loop's; a plain `view @ coeffs` (matrix-vector
+        # kernel) moves them
+        view = sliding_window_view(x, window)[:, None, :]
+        out[window - 1:] = (view @ coeffs[window][:, None])[:, 0, 0]
     return out
 
 
@@ -121,12 +134,22 @@ class Climatology:
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 
 
-def day_of_year(dates) -> np.ndarray:
-    """Day of year, 1 to 366, of each date: its days since 1 January of its
-    year, from the proleptic ordinal as datetime64."""
+def calendar_fields(dates) -> dict[str, np.ndarray]:
+    """The integer calendar fields of each date, from its proleptic ordinal
+    as datetime64: ``year``, ``month``, ``day_of_year`` (1 to 366, its days
+    since 1 January), ``day_of_week`` (Monday 0) and ``week_of_year``, the
+    ISO week, which is the week of the year that holds the date's Thursday."""
     ordinal = np.fromiter(map(dt.date.toordinal, dates), np.int64, len(dates))
+    weekday = (ordinal + 6) % 7
     days = (ordinal - _EPOCH_ORDINAL).astype("datetime64[D]")
-    return (days - days.astype("datetime64[Y]")).astype(np.int64) + 1
+    years = days.astype("datetime64[Y]")
+    thursday = days + (3 - weekday)
+    return {"year": years.astype(np.int64) + 1970,
+            "month": days.astype("datetime64[M]").astype(np.int64) % 12 + 1,
+            "day_of_year": (days - years).astype(np.int64) + 1,
+            "day_of_week": weekday,
+            "week_of_year": (thursday - thursday.astype("datetime64[Y]"))
+            .astype(np.int64) // 7 + 1}
 
 
 def fit_climatology(table: TimeSeriesTable, columns, train_slice: slice,
@@ -134,7 +157,7 @@ def fit_climatology(table: TimeSeriesTable, columns, train_slice: slice,
     """Statistics per column and day of year; std floored at
     CLIMATOLOGY_STD_FLOOR.  Day 366 borrows day 365 when only 365 is
     observed; any other unobserved day takes the global train statistics.
-    ``doy`` is ``day_of_year(table.dates)``.
+    ``doy`` is ``calendar_fields(table.dates)["day_of_year"]``.
 
     Train rows are stably sorted by day of year, and the days with c rows
     are reduced together as one C-contiguous [columns, days, c] stack along
@@ -199,21 +222,21 @@ def build_features(table: TimeSeriesTable, split: SplitSpec,
     if spec.mode == "raw_only":
         return feats, groups
 
-    dates = table.dates
-    doy = day_of_year(dates)
-    month = np.array([d.month for d in dates], dtype=np.float64)
+    cal = calendar_fields(table.dates)
+    doy = cal["day_of_year"]
+    month = cal["month"].astype(np.float64)
     put("month_sin", np.sin(2 * np.pi * month / 12.0), "calendar")
     put("month_cos", np.cos(2 * np.pi * month / 12.0), "calendar")
     put("doy_sin", np.sin(2 * np.pi * doy / 365.25), "calendar")
     put("doy_cos", np.cos(2 * np.pi * doy / 365.25), "calendar")
     if spec.mode == "minimal":
         return feats, groups
-    put("year", [d.year for d in dates], "calendar")
+    put("year", cal["year"], "calendar")
     put("month", month, "calendar")
     put("day_of_year", doy, "calendar")
-    put("day_of_week", [d.weekday() for d in dates], "calendar")
-    put("quarter", [(d.month - 1) // 3 + 1 for d in dates], "calendar")
-    put("week_of_year", [d.isocalendar()[1] for d in dates], "calendar")
+    put("day_of_week", cal["day_of_week"], "calendar")
+    put("quarter", (cal["month"] - 1) // 3 + 1, "calendar")
+    put("week_of_year", cal["week_of_year"], "calendar")
 
     cols = table.columns
     for name in KEY_SERIES:

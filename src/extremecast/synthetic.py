@@ -60,13 +60,13 @@ def sinusoid_ar_table(seed: int, n_days: int = 2000, amplitude: float = 15.0,
 
 
 def table_to_csv(table: TimeSeriesTable, path: str) -> None:
-    """Write a table as the CSV layout the loader expects."""
+    """Write a table as the CSV layout the loader expects: each value as
+    ``repr`` of its float, a NaN as a blank cell."""
     names = sorted(table.columns)
+    columns = [np.asarray(table.columns[n], dtype=np.float64).tolist() for n in names]
+    lines = [",".join(["datetime"] + names)]
+    for d, *values in zip(table.dates, *columns):
+        lines.append(",".join([d.isoformat()]
+                              + ["" if v != v else repr(v) for v in values]))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(["datetime"] + names) + "\n")
-        for i, d in enumerate(table.dates):
-            cells = [d.isoformat()]
-            for n in names:
-                v = table.columns[n][i]
-                cells.append("" if np.isnan(v) else repr(float(v)))
-            fh.write(",".join(cells) + "\n")
+        fh.write("\n".join(lines) + "\n")

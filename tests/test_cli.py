@@ -425,6 +425,30 @@ def test_hostile_input_file_exits_with_its_code(work, tmp_path, capsys, case):
     assert "Traceback" not in err and not out.exists()
 
 
+# an output path in a directory that does not exist: (command, its inputs,
+# the output flag); each writer fails after the work is done
+MISSING_OUTPUT_DIRS = {
+    "prepare": ("prepare", {"--config": "config.json", "--input": "raw.csv"},
+                "--out"),
+    "train": ("train", {"--config": "config.json", "--data": "data.json"},
+              "--out"),
+    "evaluate": ("evaluate", {"--checkpoint": "ckpt.json",
+                              "--data": "data.json"}, "--report"),
+}
+
+
+@pytest.mark.parametrize("case", MISSING_OUTPUT_DIRS)
+def test_missing_output_directory_exits_3(work, tmp_path, capsys, case):
+    command, inputs, flag = MISSING_OUTPUT_DIRS[case]
+    out = tmp_path / "absent" / "out.json"
+    argv = [str(a) for name, file in inputs.items() for a in (name, work / file)]
+    capsys.readouterr()
+    assert main([command, *argv, flag, str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: cannot write ")
+    assert len(err.splitlines()) == 1 and not out.parent.exists()
+
+
 @pytest.mark.parametrize("token", ["inf", "-inf", "1e999"])
 def test_infinite_csv_cell_exit_3(work, tmp_path, capsys, token):
     lines = (work / "raw.csv").read_text().splitlines()

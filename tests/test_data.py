@@ -1,6 +1,9 @@
 """Loader, imputation, scaler, split, and windowing tests with hand-computed
-fixtures."""
+fixtures.  The column-wise loader, the CSV writer and the stacked scaler fit
+are checked bit for bit against the per-cell and per-column loops kept here
+as references."""
 
+import csv
 import datetime as dt
 
 import numpy as np
@@ -9,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extremecast.data import (TimeSeriesTable, chronological_split, fit_scaler,
+from extremecast.data import (DATE_COLUMNS, ScalerParams, TimeSeriesTable,
+                              _parse_date, chronological_split, fit_scaler,
                               impute_two_stage, load_csv, make_windows)
 from extremecast.errors import DataError
 from extremecast.synthetic import sinusoid_ar_table, table_to_csv
@@ -24,6 +28,109 @@ def mk_table(values, start=dt.date(2020, 1, 1), name="tempmax"):
 def write_csv(path, rows, header="datetime,tempmax,temp"):
     path.write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
     return str(path)
+
+
+def load_csv_loop(path, target="tempmax"):
+    """Reference: the loader one row and one cell at a time; each cell is
+    scattered into a dense calendar, then parsed with its own ``float``."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read ({exc})") from exc
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    header = [h.strip() for h in header]
+    for i, h in enumerate(header):
+        if h in header[:i] or h in header[i + 1:]:
+            raise DataError(f"{path}: column {h!r} appears more than once "
+                            f"in the header")
+    date_col = next((c for c in DATE_COLUMNS if c in header), None)
+    if date_col is None:
+        raise DataError(f"{path}: no 'datetime' or 'date' column in header")
+    di = header.index(date_col)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+
+    dates = []
+    for r, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise DataError(f"row {r}: expected {len(header)} fields, got {len(row)}")
+        d = _parse_date(row[di], r)
+        if dates:
+            if d == dates[-1]:
+                raise DataError(f"row {r}: duplicate date {d.isoformat()}")
+            if d < dates[-1]:
+                raise DataError(f"row {r}: date {d.isoformat()} breaks chronological order")
+        dates.append(d)
+
+    full_dates = []
+    day = dates[0]
+    while day <= dates[-1]:
+        full_dates.append(day)
+        day += dt.timedelta(days=1)
+    pos = {d: i for i, d in enumerate(full_dates)}
+    n = len(full_dates)
+
+    raw_cells = {h: [None] * n for h in header if h != date_col}
+    csv_row = [0] * n
+    for r, (row, d) in enumerate(zip(rows, dates), start=2):
+        i = pos[d]
+        csv_row[i] = r
+        for j, h in enumerate(header):
+            if h != date_col:
+                raw_cells[h][i] = row[j]
+
+    columns = {}
+    for name, cells in raw_cells.items():
+        parsed = np.full(n, np.nan)
+        numeric = True
+        for i, cell in enumerate(cells):
+            if cell is None or cell.strip() == "":
+                continue
+            try:
+                parsed[i] = float(cell)
+            except ValueError:
+                numeric = False
+                break
+        if not numeric:
+            continue
+        inf = np.flatnonzero(np.isinf(parsed))
+        if inf.size:
+            raise DataError(f"row {csv_row[inf[0]]}: column {name!r} holds the "
+                            f"infinite value {cells[inf[0]].strip()!r}")
+        columns[name] = parsed
+    if target not in columns:
+        raise DataError(f"{path}: target column {target!r} missing or non-numeric")
+    return TimeSeriesTable(full_dates, columns, target)
+
+
+def table_to_csv_loop(table, path):
+    """Reference: the CSV writer one cell at a time."""
+    names = sorted(table.columns)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(["datetime"] + names) + "\n")
+        for i, d in enumerate(table.dates):
+            cells = [d.isoformat()]
+            for n in names:
+                v = table.columns[n][i]
+                cells.append("" if np.isnan(v) else repr(float(v)))
+            fh.write(",".join(cells) + "\n")
+
+
+def fit_scaler_loop(columns, fit_slice):
+    """Reference: one median and two quantile calls per column."""
+    params = {}
+    for name, col in columns.items():
+        rows = col[fit_slice]
+        if rows.size == 0:
+            raise DataError(f"scaler fit on empty slice for column {name!r}")
+        med = float(np.median(rows))
+        iqr = float(np.quantile(rows, 0.75) - np.quantile(rows, 0.25))
+        params[name] = (med, iqr if iqr > 0.0 else 1.0)
+    return ScalerParams(params)
 
 
 # ---------------------------------------------------------------- loading
@@ -92,6 +199,23 @@ def test_load_csv_errors_name_offending_row(tmp_path):
         load_csv(str(empty))
 
 
+def test_load_csv_skips_a_byte_order_mark(tmp_path):
+    p = tmp_path / "bom.csv"
+    p.write_bytes("datetime,tempmax\n2021-01-01,1.5\n2021-01-02,2.5\n"
+                  .encode("utf-8-sig"))
+    t = load_csv(str(p))
+    assert t.dates == [dt.date(2021, 1, 1), dt.date(2021, 1, 2)]
+    npt.assert_array_equal(t.columns["tempmax"], [1.5, 2.5])
+
+
+def test_load_csv_refuses_a_repeated_column_name(tmp_path):
+    p = write_csv(tmp_path / "rep.csv", ["2021-01-01,1.0,2.0"],
+                  header="datetime,tempmax, tempmax")
+    with pytest.raises(DataError, match="column 'tempmax' appears more than "
+                                        "once in the header"):
+        load_csv(p)
+
+
 def test_csv_round_trip_preserves_values(tmp_path):
     table = sinusoid_ar_table(seed=77, n_days=64)
     path = tmp_path / "synth.csv"
@@ -100,6 +224,17 @@ def test_csv_round_trip_preserves_values(tmp_path):
     assert back.dates == table.dates
     for name, col in table.columns.items():
         npt.assert_array_equal(back.columns[name], col)  # repr round-trip
+
+
+def test_table_to_csv_matches_per_cell_writer(tmp_path):
+    table = sinusoid_ar_table(seed=5, n_days=300)
+    gen = np.random.default_rng(5)
+    for col in table.columns.values():
+        col[gen.random(table.n_days) < 0.1] = np.nan
+    table.columns["tempmax"][:3] = [0.0, -0.0, 1e-300]
+    table_to_csv(table, str(tmp_path / "got.csv"))
+    table_to_csv_loop(table, str(tmp_path / "want.csv"))
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 # -------------------------------------------------------------- imputation
@@ -183,6 +318,21 @@ def test_scaler_fits_only_given_slice():
     assert sc.columns["a"] == (0.0, 1.0)
     with pytest.raises(DataError, match="empty slice"):
         fit_scaler({"a": x}, slice(5, 5))
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 7, 8, 600, 601])
+def test_scaler_matches_per_column_calls_bitwise(n_rows):
+    gen = np.random.default_rng(n_rows)
+    cols = {f"c{j}": gen.normal(size=n_rows + 9) * 10.0 ** (j - 3)
+            for j in range(8)}
+    cols["constant"] = np.full(n_rows + 9, 2.5)        # IQR 0 -> divisor 1
+    cols["steps"] = np.round(gen.normal(size=n_rows + 9))
+    got = fit_scaler(cols, slice(4, 4 + n_rows)).columns
+    want = fit_scaler_loop(cols, slice(4, 4 + n_rows)).columns
+    assert list(got) == list(want)
+    for name in want:
+        assert np.array(got[name]).tobytes() == np.array(want[name]).tobytes(), name
+    assert got["constant"] == (2.5, 1.0)
 
 
 # ------------------------------------------------------------------- split

@@ -1,8 +1,8 @@
 """Feature engineering tests: frozen small fixtures, polynomial-exactness of
 the causal smoother, train-only climatology, causality under future edits,
-and selection ranking rules.  The vectorised rolling statistics and
-climatology are checked bit for bit against the per-day loops kept here as
-references."""
+and selection ranking rules.  The vectorised rolling statistics, smoother
+and climatology are checked bit for bit against the per-day loops kept here
+as references."""
 
 import datetime as dt
 import warnings
@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from extremecast import features
 from extremecast.data import TimeSeriesTable, chronological_split
 from extremecast.features import (CLIMATOLOGY_STD_FLOOR, CYCLICAL_CALENDAR,
-                                  Climatology, FeatureSpec, build_features,
-                                  climatology_anomaly, day_of_year,
+                                  Climatology, FeatureSpec, _sg_coeffs,
+                                  build_features, calendar_fields,
+                                  climatology_anomaly,
                                   first_diff, fit_climatology, pearson,
                                   rolling_stat, savgol_causal,
                                   select_features)
@@ -56,6 +57,18 @@ def rolling_loop(x, window, stat):
             out[i] = seg.max()
         else:
             out[i] = seg.std(ddof=1) if seg.size > 1 else 0.0
+    return out
+
+
+def savgol_loop(x, window=7, poly=3):
+    """Reference: one dot product per day on the trailing slice."""
+    n = x.shape[0]
+    coeffs = {m: _sg_coeffs(m, min(poly, m - 1))
+              for m in range(1, min(window, n) + 1)}
+    out = np.empty(n)
+    for i in range(n):
+        m = min(i + 1, window)
+        out[i] = coeffs[m] @ x[i - m + 1:i + 1]
     return out
 
 
@@ -144,6 +157,17 @@ def test_rolling_stat_matches_per_day_loop_bitwise(case):
                          rolling_loop(x, window, stat), stat)
 
 
+def test_rolling_min_max_match_per_day_loop_with_signed_zeros():
+    gen = np.random.default_rng(4)
+    cells = np.array([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf])
+    for _ in range(200):
+        x = gen.choice(cells, size=int(gen.integers(1, 45)))
+        for window in (2, 7, 9, 30):
+            for stat in ("min", "max"):
+                assert_same_bits(rolling_stat(x, window, stat),
+                                 rolling_loop(x, window, stat), stat)
+
+
 def test_rolling_std_of_one_point_is_zero_without_warning():
     x = np.random.default_rng(5).normal(size=50)
     with warnings.catch_warnings():
@@ -189,6 +213,26 @@ def test_savgol_causal_and_smooths_noise():
         savgol_causal(x, 0, 3)
 
 
+@pytest.mark.parametrize("window,poly", [(1, 0), (2, 1), (7, 3), (8, 2), (30, 3)])
+@pytest.mark.parametrize("n", ["short", "equal", "long"])
+def test_savgol_matches_per_day_loop_bitwise(window, poly, n):
+    n = {"short": window - 1, "equal": window, "long": 2000}[n]
+    gen = np.random.default_rng(window * 100 + n)
+    for scale in (1e-3, 1.0, 1e4):
+        x = gen.normal(size=n) * scale + gen.uniform(-1e3, 1e3)
+        for series in (x, x[::-1]):
+            assert_same_bits(savgol_causal(series, window, poly),
+                             savgol_loop(series, window, poly))
+
+
+def test_savgol_matches_per_day_loop_on_strided_input():
+    gen = np.random.default_rng(12)
+    base = gen.normal(size=(3000, 3)) * 40.0
+    for x in (base[:, 1], base[::3, 0], base[::-2, 2]):
+        assert not x.flags.c_contiguous
+        assert_same_bits(savgol_causal(x), savgol_loop(x))
+
+
 # ------------------------------------------------------------- climatology
 
 
@@ -197,7 +241,7 @@ def test_climatology_train_only_mean_and_z():
     year = 30.0 + np.sin(2 * np.pi * np.arange(365) / 365.0)
     vals = np.concatenate([year, year + 2.0, year + 100.0])
     table = mk_table({"tempmax": vals}, start=dt.date(2018, 1, 1))
-    doy = day_of_year(table.dates)
+    doy = calendar_fields(table.dates)["day_of_year"]
     clim = fit_climatology(table, ["tempmax"], slice(0, 730), doy)
     # per-day mean is the two train years' average; the +100 year is unseen
     npt.assert_allclose(clim.mean["tempmax"][doy[:365]], year + 1.0, atol=1e-12)
@@ -217,10 +261,28 @@ def test_day_of_year_matches_timetuple():
                   dt.date(2023, 12, 20), dt.date(2099, 12, 20)):
         dates += [start + dt.timedelta(days=i) for i in range(400)]
     want = np.array([d.timetuple().tm_yday for d in dates])
-    got = day_of_year(dates)
+    got = calendar_fields(dates)["day_of_year"]
     assert got.dtype == np.int64
     npt.assert_array_equal(got, want)
-    assert day_of_year([]).shape == (0,)
+    assert calendar_fields([])["day_of_year"].shape == (0,)
+
+
+def test_calendar_fields_match_date_methods():
+    # every day of 1899-2101 (ISO years of 52 and 53 weeks, weeks that
+    # straddle New Year) and the ends of the date range
+    first = dt.date(1899, 1, 1).toordinal()
+    dates = [dt.date(1, 1, 1), dt.date(9999, 12, 31)] + [
+        dt.date.fromordinal(o)
+        for o in range(first, dt.date(2101, 12, 31).toordinal() + 1)]
+    got = calendar_fields(dates)
+    want = {"year": [d.year for d in dates], "month": [d.month for d in dates],
+            "day_of_year": [d.timetuple().tm_yday for d in dates],
+            "day_of_week": [d.weekday() for d in dates],
+            "week_of_year": [d.isocalendar()[1] for d in dates]}
+    assert list(got) == list(want)
+    for name, values in want.items():
+        assert got[name].dtype == np.int64, name
+        npt.assert_array_equal(got[name], values, err_msg=name)
 
 
 def test_climatology_leap_day_borrows_and_global_fallback():
@@ -229,7 +291,7 @@ def test_climatology_leap_day_borrows_and_global_fallback():
     vals = np.linspace(0.0, 10.0, n)
     table = mk_table({"tempmax": vals}, start=dt.date(2020, 1, 1))
     clim = fit_climatology(table, ["tempmax"], slice(0, n),
-                           day_of_year(table.dates))
+                           calendar_fields(table.dates)["day_of_year"])
     # an observed day keeps its own statistics
     assert clim.mean["tempmax"][1] == vals[0] and clim.std["tempmax"][1] == 1e-8
     # unobserved ordinary day falls back to global train stats
@@ -238,13 +300,13 @@ def test_climatology_leap_day_borrows_and_global_fallback():
     # fit a table that observes day 365 but not 366: 366 borrows 365
     full = mk_table({"tempmax": np.arange(365.0)}, start=dt.date(2019, 1, 1))
     clim2 = fit_climatology(full, ["tempmax"], slice(0, 365),
-                            day_of_year(full.dates))
+                            calendar_fields(full.dates)["day_of_year"])
     assert clim2.mean["tempmax"][366] == clim2.mean["tempmax"][365]
 
 
 def test_climatology_std_floor():
     table = mk_table({"tempmax": np.full(30, 5.0)})
-    doy = day_of_year(table.dates)
+    doy = calendar_fields(table.dates)["day_of_year"]
     clim = fit_climatology(table, ["tempmax"], slice(0, 30), doy)
     _, z, _ = climatology_anomaly(table.columns["tempmax"], doy, clim,
                                   "tempmax", 2.0)
@@ -260,7 +322,7 @@ def test_climatology_std_floor():
 def test_climatology_matches_per_day_loop_bitwise(n_days, train, frac):
     table = gappy(sinusoid_ar_table(seed=n_days, n_days=n_days), n_days, frac)
     columns = sorted(table.columns)
-    doy = day_of_year(table.dates)
+    doy = calendar_fields(table.dates)["day_of_year"]
     got = fit_climatology(table, columns, train, doy)
     want = climatology_loop(table, columns, train, doy)
     for name in columns:
@@ -273,7 +335,7 @@ def test_climatology_matches_per_day_loop_bitwise(n_days, train, frac):
 def test_climatology_borrows_day_366_from_365_bitwise():
     # 2018 and 2019 are not leap years: the train rows hold day 365, never 366
     table = sinusoid_ar_table(seed=4, n_days=730, start=dt.date(2018, 1, 1))
-    doy = day_of_year(table.dates)
+    doy = calendar_fields(table.dates)["day_of_year"]
     got = fit_climatology(table, ["tempmax", "precip"], slice(0, 730), doy)
     want = climatology_loop(table, ["tempmax", "precip"], slice(0, 730), doy)
     for name in ("tempmax", "precip"):
@@ -356,6 +418,7 @@ def test_full_features_match_per_day_references_bitwise(monkeypatch):
     split = chronological_split(table.n_days, 30)
     got, _ = build_features(table, split, FeatureSpec())
     monkeypatch.setattr(features, "rolling_stat", rolling_loop)
+    monkeypatch.setattr(features, "savgol_causal", savgol_loop)
     monkeypatch.setattr(features, "fit_climatology", climatology_loop)
     want, _ = build_features(table, split, FeatureSpec())
     assert list(got) == list(want)

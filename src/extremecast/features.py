@@ -39,7 +39,6 @@ CLIMATOLOGY_STD_FLOOR = 1e-8
 FEATURE_MODES = ("full", "minimal", "raw_only")
 _ROLLING = {"mean": np.mean, "min": np.min, "max": np.max,
             "std": partial(np.std, ddof=1)}
-_RUNNING = {"min": np.minimum, "max": np.maximum}
 
 
 @dataclass
@@ -62,11 +61,7 @@ def rolling_stat(x: np.ndarray, window: int, stat: str) -> np.ndarray:
     std uses ddof=1; a single-point window yields std 0.  Each full window
     is reduced as one row of a sliding-window view along its last axis,
     which runs the same inner loop as the call on the 1-D slice, so the
-    bits equal a per-day loop's.  The partial min and max at the start are
-    running accumulations.  Those are exact, but a tie of 0.0 and -0.0 may
-    keep the other zero than ``np.min`` does, so a start holding a zero,
-    like the partial mean and std (a cumulative sum adds in another order),
-    keeps one call per day.
+    bits equal a per-day loop's.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -77,12 +72,8 @@ def rolling_stat(x: np.ndarray, window: int, stat: str) -> np.ndarray:
     out = np.zeros(n)
     # a one-point std is left at 0 rather than computed with ddof=1
     lo = 1 if stat == "std" else 0
-    head = min(window - 1, n)
-    if stat in _RUNNING and not (x[:head] == 0.0).any():
-        out[:head] = _RUNNING[stat].accumulate(x[:head])
-    else:
-        for i in range(lo, head):
-            out[i] = reduce(x[:i + 1])
+    for i in range(lo, min(window - 1, n)):
+        out[i] = reduce(x[:i + 1])
     if n >= window > lo:
         out[window - 1:] = reduce(sliding_window_view(x, window), axis=-1)
     return out

@@ -31,7 +31,7 @@ from .diagnostics import (kmeans_regimes, occlusion_sensitivity,
                           partial_dependence, permutation_importance,
                           ranking_agreement, residual_diagnostics)
 from .errors import CompatibilityError, ConfigError, DataError, ExtremecastError
-from .model import raw_predictions, wrap_params
+from .model import attention_weights, raw_predictions, wrap_params
 from .pipeline import PreparedDataset, prepare
 from .training import (HISTORY_COLUMNS, MODELS, evaluate_checkpoint,
                        feature_ablation, fit_model_config, learning_curve,
@@ -141,17 +141,15 @@ def _sample(ds: PreparedDataset, partition: str, index: int):
     return part.X[index:index + 1], part.y[index:index + 1]
 
 
-def _sample_internals(model, ckpt, ds: PreparedDataset, args) -> dict:
-    """The dual-stream model's introspection dict for window ``args.sample``
-    of ``args.partition``, from one eval-mode forward."""
+def _sample_window(ckpt, ds: PreparedDataset, args):
+    """(float64 parameters, window ``args.sample`` of ``args.partition``) for
+    a method that reads dual-stream internals."""
     if ckpt.model_kind != "dual_stream":
         raise CompatibilityError(
             f"method {args.method!r} reads dual-stream internals; "
             f"checkpoint is {ckpt.model_kind!r}")
     X, _ = _sample(ds, args.partition, args.sample)
-    _, intro = model.forward(wrap_params(ckpt.params, requires_grad=False),
-                             X, train=False)
-    return intro
+    return wrap_params(ckpt.params, requires_grad=False), X
 
 
 def cmd_explain(args) -> int:
@@ -224,14 +222,14 @@ def cmd_explain(args) -> int:
               f"final wcss {result['wcss_history'][-1]}")
         print(f"centroids -> {centroid_path}")
     elif args.method == "attention":
-        intro = _sample_internals(model, ckpt, ds, args)
-        attn = intro["attention"][0].mean(axis=0)       # heads -> [L, L]
+        params, X = _sample_window(ckpt, ds, args)
+        attn = attention_weights(params, X, model.cfg)[0].mean(axis=0)  # [L, L]
         write_csv(out, [f"t{j}" for j in range(attn.shape[1])],
                   [list(row) for row in attn])
         print(f"attention map for sample {args.sample}: "
               f"{attn.shape[0]}x{attn.shape[1]} (head-averaged)")
     else:  # states
-        intro = _sample_internals(model, ckpt, ds, args)
+        _, intro = model.forward(*_sample_window(ckpt, ds, args), train=False)
         P = intro["p"][0]                               # [L, N]
         write_csv(out, [f"state{j}" for j in range(P.shape[1])],
                   [list(row) for row in P])

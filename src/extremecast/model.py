@@ -23,7 +23,20 @@ stream readouts, fusion and the prediction are batch-major ([B, L, F] and
 amplified attention output once into the GRU stack (views), takes the
 emission softmax over axis 1 of [L, N, B] and the readouts as [F, B] blocks
 (``H[L-1]``, ``G[L-1, :HG]``, ``G[0, HG:]``), and transposes each stream's
-readout vector back before its head.  The introspection dict is batch-major.
+readout vector back before its head.
+
+Code layout: ``forward`` runs ``embed`` (the embedding, stated once and
+shared with ``attention_weights``), then ``_regime_stream`` and
+``_anomaly_stream`` on its output, then the fusion gate, recording the ops in
+that order.  Each stream helper's intermediates die when it returns, and
+``multi_head_attention`` drops q and k once the scores exist and each score
+array once its last reader has run, so a no-grad pass holds about one
+stream's activations at a time; a recorded pass keeps them on the tape.
+The batch introspection dict holds detached, batch-major arrays: the regime
+probabilities p and q [B, L, N], the transition matrix [N, N], the
+amplification alpha [B, L] and the fusion gate gamma [B, DS].  It holds no
+attention weights: ``attention_weights`` computes those for the windows it
+is given (``explain attention``).
 
 A bidirectional recurrent layer is one ``tensor.bidirectional`` node over
 the layer input and its parameters: it projects all timesteps of each
@@ -144,7 +157,9 @@ class SpecModel:
     start at one for a layer-norm gain ``g`` and at zero otherwise.  Every
     other array ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in)) with fan_in = shape[0],
     drawn in spec order, row-major within each array, so initial parameters
-    are a pure function of (seed, specs).
+    are a pure function of (seed, specs).  All draws come from one bulk fill
+    of U(0, 1), each array's slice mapped as ``Rng.uniform_array`` maps its
+    own: the same bits, and the stream left where per-array fills leave it.
     """
 
     def __init__(self, specs: list):
@@ -153,13 +168,20 @@ class SpecModel:
                                   if n.rsplit(".", 1)[-1] in _NO_DECAY_LEAVES)
 
     def init_params(self, rng: Rng) -> dict[str, np.ndarray]:
+        drawn = [math.prod(shape) for name, shape in self._specs
+                 if name not in self.no_decay]
+        u = rng.uniform_array(sum(drawn)) if drawn else None
         params: dict[str, np.ndarray] = {}
+        start = 0
         for name, shape in self._specs:
             if name in self.no_decay:
                 params[name] = (np.ones if name.endswith(".g") else np.zeros)(shape)
-            else:
-                bound = 1.0 / np.sqrt(shape[0])
-                params[name] = rng.uniform_array(shape, -bound, bound)
+                continue
+            stop = start + math.prod(shape)
+            bound = 1.0 / np.sqrt(shape[0])
+            lo, hi = -bound, bound
+            params[name] = lo + u[start:stop].reshape(shape) * (hi - lo)
+            start = stop
         return params
 
 
@@ -196,11 +218,37 @@ def multi_head_attention(E: Var, params: dict, n_heads: int):
     q = split_heads(T.matmul(E, params["attn.Wq"]))
     k = split_heads(T.matmul(E, params["attn.Wk"]))
     v = split_heads(T.matmul(E, params["attn.Wv"]))
-    scores = T.matmul(q, T.swapaxes(k, 2, 3)) * (1.0 / math.sqrt(dh))
+    # each array is released once its last reader has run: q and k after
+    # the scores, the unscaled scores after scaling, the scaled ones after
+    # the softmax (the tape keeps them all when it records)
+    scores = T.matmul(q, T.swapaxes(k, 2, 3))
+    del q, k
+    scores = scores * (1.0 / math.sqrt(dh))
     attn = T.softmax(scores, axis=-1)
+    del scores
     ctx = T.matmul(attn, v)                       # [B, heads, L, dh]
     merged = T.reshape(T.swapaxes(ctx, 1, 2), (B, L, D))
     return T.matmul(merged, params["attn.Wo"]), attn
+
+
+def embed(params: dict[str, Var], X, cfg: ModelConfig, train: bool = False,
+          dropout_rng: Rng | None = None) -> Var:
+    """The shared embedding sigmoid(X W + b) of the windows X [B, L, F],
+    with dropout in train mode: [B, L, D]."""
+    Xv = window_stack(params, X)
+    if Xv.shape[2] != cfg.n_features:
+        raise ConfigError(f"forward expects {cfg.n_features} features, "
+                          f"got {Xv.shape[2]}")
+    E = T.sigmoid(T.linear(Xv, params["emb.W"], params["emb.b"]))
+    E = dropout(E, cfg.dropout, dropout_rng, train)
+    return check_finite(E, "embedding")
+
+
+def attention_weights(params: dict[str, Var], X, cfg: ModelConfig) -> np.ndarray:
+    """Eval-mode attention weights [B, heads, L, L] of the windows X: the
+    embedding and ``multi_head_attention`` only."""
+    _, attn = multi_head_attention(embed(params, X, cfg), params, cfg.n_heads)
+    return attn.value
 
 
 def forward(params: dict[str, Var], X, cfg: ModelConfig, train: bool = False,
@@ -209,23 +257,27 @@ def forward(params: dict[str, Var], X, cfg: ModelConfig, train: bool = False,
 
     X: [B, L, F] scaled feature windows (Var or ndarray).  Returns the
     scaled next-day prediction [B] and an introspection dict of detached
-    arrays (regime probabilities p and q, transition matrix, attention,
-    amplification, fusion gate).
+    arrays: regime probabilities p and q, transition matrix, amplification
+    alpha and fusion gate gamma.
     """
-    Xv = window_stack(params, X)
-    B, L, F = Xv.shape
-    if F != cfg.n_features:
-        raise ConfigError(f"forward expects {cfg.n_features} features, got {F}")
     if train and cfg.dropout > 0.0 and dropout_rng is None:
         raise ConfigError("train-mode forward with dropout needs a dropout stream")
-    HG, N = cfg.gru_hidden, cfg.n_states
+    E = embed(params, X, cfg, train, dropout_rng)
+    o_m, intro = _regime_stream(E, params, cfg)
+    o_a, intro["alpha"] = _anomaly_stream(E, params, cfg, train, dropout_rng)
+    fused, gamma = fuse_outputs(o_m, o_a, params["fuse.W"], params["fuse.b"])
+    pred = T.linear(fused, params["out.W"], params["out.b"])[:, 0]
+    check_finite(pred, "head")
+    intro["gamma"] = gamma.value.copy()
+    return pred, intro
 
-    E = T.sigmoid(T.linear(Xv, params["emb.W"], params["emb.b"]))
-    E = dropout(E, cfg.dropout, dropout_rng, train)
-    check_finite(E, "embedding")
 
-    # regime stream, batch-minor: [L, features, B] from the embedding to
-    # the readout
+def _regime_stream(E: Var, params: dict[str, Var],
+                   cfg: ModelConfig) -> tuple[Var, dict]:
+    """Regime stream, batch-minor from the embedding to the readout:
+    (o_m [B, DS], introspection dict with p, q and the transition matrix)."""
+    B, L, _ = E.shape
+    N = cfg.n_states
     H = _batch_minor(E)
     for layer in range(cfg.n_layers):
         H = bilstm_layer(H, _layer_view(params, f"lstm.{layer}."))
@@ -241,18 +293,23 @@ def forward(params: dict[str, Var], X, cfg: ModelConfig, train: bool = False,
     q_last = T.matmul(trans_t, Var(p0) if L == 1 else P[L - 2])
     o_m = T.linear(T.swapaxes(T.concat([H[L - 1], q_last], axis=0), 0, 1),
                    params["head_m.W"], params["head_m.b"])
+    return o_m, {"p": _batch_major(P.value), "q": _batch_major(Q),
+                 "transition": trans.value.copy()}
 
-    # anomaly stream: batch-major through attention and amplification, then
-    # batch-minor through the GRU stack
-    Z, attn = multi_head_attention(E, params, cfg.n_heads)
+
+def _anomaly_stream(E: Var, params: dict[str, Var], cfg: ModelConfig,
+                    train: bool, dropout_rng: Rng | None) -> tuple[Var, np.ndarray]:
+    """Anomaly stream, batch-major through attention and amplification, then
+    batch-minor through the GRU stack: (o_a [B, DS], alpha [B, L])."""
+    L, HG = E.shape[1], cfg.gru_hidden
+    Z = multi_head_attention(E, params, cfg.n_heads)[0]
     check_finite(Z, "attention")
     hidden = T.tanh(T.linear(Z, params["amp.W1"], params["amp.b1"]))
     hidden = dropout(hidden, cfg.dropout, dropout_rng, train)
     logit = T.linear(hidden, params["amp.W2"], params["amp.b2"])  # [B, L, 1]
     alpha = 1.0 + cfg.amp_gain * T.sigmoid(logit)
-    Zt = Z * alpha
-    check_finite(Zt, "amplification")
-    G = _batch_minor(Zt)
+    G = _batch_minor(check_finite(Z * alpha, "amplification"))
+    del Z, hidden, logit                          # no GRU layer reads them
     for layer in range(cfg.n_layers):
         G = bigru_layer(G, _layer_view(params, f"gru.{layer}."))
     check_finite(G, "bigru")                      # [L, 2HG, B]
@@ -260,19 +317,7 @@ def forward(params: dict[str, Var], X, cfg: ModelConfig, train: bool = False,
     h_bwd_first = G[0, HG:]
     o_a = T.linear(T.swapaxes(T.concat([h_fwd_last, h_bwd_first], axis=0), 0, 1),
                    params["head_a.W"], params["head_a.b"])
-
-    # fusion
-    fused, gamma = fuse_outputs(o_m, o_a, params["fuse.W"], params["fuse.b"])
-    pred = T.linear(fused, params["out.W"], params["out.b"])[:, 0]
-    check_finite(pred, "head")
-
-    intro = {
-        "p": _batch_major(P.value), "q": _batch_major(Q),
-        "transition": trans.value.copy(),
-        "attention": attn.value.copy(), "alpha": alpha.value[:, :, 0].copy(),
-        "gamma": gamma.value.copy(),
-    }
-    return pred, intro
+    return o_a, alpha.value[:, :, 0].copy()
 
 
 def _batch_minor(x: Var) -> Var:

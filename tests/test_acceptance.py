@@ -33,8 +33,8 @@ from extremecast.diagnostics import (kmeans, occlusion_sensitivity,
 from extremecast.features import FeatureSpec, build_features, savgol_causal
 from extremecast.losses import LossConfig, compute_loss
 from extremecast.metrics import TAIL_Q, regression_metrics
-from extremecast.model import (DualStreamModel, ModelConfig, forward,
-                               fuse_outputs, wrap_params)
+from extremecast.model import (DualStreamModel, ModelConfig, attention_weights,
+                               forward, fuse_outputs, wrap_params)
 from extremecast.pipeline import PreparedDataset, prepare
 from extremecast.rng import Rng
 from extremecast.synthetic import sinusoid_ar_table, table_to_csv
@@ -210,9 +210,9 @@ def test_criterion_03_simplex_invariants():
         X = Rng(2000 + draw, "acceptance").gaussian_array(
             (B, cfg.lookback, cfg.n_features), 0.0, 1.0 + (draw % 3))
         _, intro = forward(params, X, cfg)
+        attn = attention_weights(params, X, cfg)
         for name, rows in (("p", intro["p"].reshape(-1, cfg.n_states)),
-                           ("attention",
-                            intro["attention"].reshape(-1, cfg.lookback)),
+                           ("attention", attn.reshape(-1, cfg.lookback)),
                            ("transition", intro["transition"])):
             assert np.all(rows >= -1e-10), name
             npt.assert_allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-10,

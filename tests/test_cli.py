@@ -16,10 +16,12 @@ import pytest
 
 import extremecast
 from extremecast import cli
+from extremecast.checkpoint import load_checkpoint, load_dataset
 from extremecast.cli import main
 from extremecast.features import FEATURE_MODES
+from extremecast.model import embed, multi_head_attention, wrap_params
 from extremecast.synthetic import sinusoid_ar_table, table_to_csv
-from extremecast.training import MODELS
+from extremecast.training import MODELS, rebuild_model
 from test_config import set_path, validate_report
 
 CONFIG = {
@@ -223,6 +225,15 @@ def test_explain_attention_rows_are_stochastic(work):
     assert len(rows) == 1 + L and len(rows[1]) == L
     for row in rows[1:]:
         assert abs(sum(map(float, row)) - 1.0) <= 1e-9
+    # the head mean of multi_head_attention's weights for test window 3,
+    # from the float64 parameters, bit for bit
+    ckpt = load_checkpoint(work / "ckpt.json")
+    ds = load_dataset(work / "data.json")
+    cfg = rebuild_model(ckpt, ds).cfg
+    params = wrap_params(ckpt.params, requires_grad=False)
+    E = embed(params, ds.part("test").X[3:4], cfg)
+    attn = multi_head_attention(E, params, cfg.n_heads)[1].value[0].mean(axis=0)
+    assert [[float(v) for v in row] for row in rows[1:]] == attn.tolist()
 
 
 def test_explain_states_rows_are_stochastic(work):

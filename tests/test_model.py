@@ -6,6 +6,8 @@ equivariance), deterministic dropout accounting, and eval-mode bitwise
 reproducibility.
 """
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -16,8 +18,9 @@ from extremecast.errors import ConfigError
 from extremecast.baselines import NBeatsConfig, NBeatsModel, TcnConfig, TcnModel
 from extremecast.losses import LossConfig, compute_loss
 from extremecast.model import (TAPE_DTYPE, DualStreamModel, ModelConfig,
-                               bigru_layer, bilstm_layer, fuse_outputs,
-                               multi_head_attention, predict, wrap_params)
+                               attention_weights, bigru_layer, bilstm_layer,
+                               fuse_outputs, multi_head_attention, predict,
+                               wrap_params)
 from extremecast.rng import Rng
 from extremecast.tensor import Var
 
@@ -65,29 +68,41 @@ def test_init_reproducible_and_bounded():
     assert any(not np.array_equal(p1[k], p3[k]) for k in p1)
 
 
-def test_forward_shapes_and_simplex_invariants():
+def test_forward_shapes_and_simplex_invariants(monkeypatch):
     cfg = tiny_cfg()
     model = DualStreamModel(cfg)
     params = wrap_params(model.init_params(Rng(1, "init")))
     X = make_batch(cfg)
     B, L, N = X.shape[0], cfg.lookback, cfg.n_states
+    seen = []
+
+    def spy(E, p, n_heads):
+        Z, attn = multi_head_attention(E, p, n_heads)
+        seen.append(attn.value)
+        return Z, attn
+
+    monkeypatch.setattr(model_module, "multi_head_attention", spy)
     pred, intro = model.forward(params, X)
+    monkeypatch.undo()
+    attn = attention_weights(params, X, cfg)
 
     assert pred.shape == (B,)
+    assert list(intro) == ["p", "q", "transition", "alpha", "gamma"]
     assert intro["p"].shape == (B, L, N)
     assert intro["q"].shape == (B, L, N)
     assert intro["transition"].shape == (N, N)
-    assert intro["attention"].shape == (B, cfg.n_heads, L, L)
+    assert attn.shape == (B, cfg.n_heads, L, L)
     assert intro["alpha"].shape == (B, L)
     assert intro["gamma"].shape == (B, cfg.stream_dim)
+    # the weights the forward pass mixes with, bit for bit
+    assert len(seen) == 1 and seen[0].tobytes() == attn.tobytes()
 
     npt.assert_allclose(intro["p"].sum(axis=-1), np.ones((B, L)), atol=1e-12)
     npt.assert_allclose(intro["q"].sum(axis=-1), np.ones((B, L)), atol=1e-12)
     npt.assert_allclose(intro["transition"].sum(axis=-1), np.ones(N), atol=1e-12)
-    npt.assert_allclose(intro["attention"].sum(axis=-1),
-                        np.ones((B, cfg.n_heads, L)), atol=1e-12)
+    npt.assert_allclose(attn.sum(axis=-1), np.ones((B, cfg.n_heads, L)), atol=1e-12)
     assert np.all(intro["p"] >= 0) and np.all(intro["q"] >= 0)
-    assert np.all(intro["attention"] >= 0)
+    assert np.all(attn >= 0)
     # amplification stays in (1, 1 + gain); fusion gate in (0, 1)
     assert np.all(intro["alpha"] > 1.0) and np.all(intro["alpha"] < 1.0 + cfg.amp_gain)
     assert np.all(intro["gamma"] > 0.0) and np.all(intro["gamma"] < 1.0)
@@ -498,3 +513,84 @@ def test_tape_runs_in_float32_at_tape_dtype(kind):
                                           dtype=np.float32), X)
     assert (predict(model, raw, X).tobytes()
             == direct.value.astype(np.float64).tobytes())
+
+
+def _init_params_per_array(model, rng):
+    """The reference init: one ``uniform_array`` call per drawn parameter,
+    in spec order."""
+    params = {}
+    for name, shape in model._specs:
+        if name in model.no_decay:
+            params[name] = (np.ones if name.endswith(".g") else np.zeros)(shape)
+        else:
+            bound = 1.0 / np.sqrt(shape[0])
+            params[name] = rng.uniform_array(shape, -bound, bound)
+    return params
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_init_params_one_fill_equals_per_array_fills_bitwise(kind):
+    model = _KINDS[kind]()
+    rng, ref_rng = Rng(7, "init"), Rng(7, "init")
+    params = model.init_params(rng)
+    ref = _init_params_per_array(model, ref_rng)
+    assert list(params) == list(ref)
+    for name, arr in ref.items():
+        assert params[name].dtype == arr.dtype and params[name].shape == arr.shape
+        assert params[name].tobytes() == arr.tobytes(), name
+    # the stream is left where the per-array fills leave it
+    assert rng.uniform_array(5).tobytes() == ref_rng.uniform_array(5).tobytes()
+
+
+def test_init_params_without_drawn_parameters_draws_nothing():
+    rng = Rng(7, "init")
+    params = model_module.SpecModel([("ln.g", (3,)), ("out.b", (2,))]).init_params(rng)
+    npt.assert_array_equal(params["ln.g"], np.ones(3))
+    npt.assert_array_equal(params["out.b"], np.zeros(2))
+    assert rng.uniform() == Rng(7, "init").uniform()
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_no_grad_forward_records_nothing(kind, monkeypatch):
+    # every op builds its output through ``tensor._record``
+    model = _KINDS[kind]()
+    params = wrap_params(model.init_params(Rng(44, "init")))
+    X = make_batch(tiny_cfg(lookback=model.cfg.lookback), B=4, seed=44)
+    outputs = []
+    record = T._record
+
+    def spy(value, parents, vjp):
+        out = record(value, parents, vjp)
+        outputs.append(out)
+        return out
+
+    monkeypatch.setattr(T, "_record", spy)
+    for train in (False, True):
+        with T.no_grad():
+            model.forward(params, X, train=train, rng=Rng(44, "dropout"))
+        assert len(outputs) > len(params)
+        assert all(out._parents == () and out._vjp is None
+                   and not out.requires_grad for out in outputs)
+        n_ops = len(outputs)
+        outputs.clear()
+        # the same pass outside no_grad records ops
+        model.forward(params, X, train=train, rng=Rng(44, "dropout"))
+        assert len(outputs) == n_ops
+        assert any(out._vjp is not None for out in outputs)
+        outputs.clear()
+
+
+def test_default_size_predict_holds_only_live_activations():
+    # one 370-window predict at the default size, in 256-window float32
+    # batches; a batch's attention scores are 3.7 MB per copy, and the
+    # regime stream's output is 2 MB
+    model = DualStreamModel(ModelConfig())
+    params = model.init_params(Rng(0, "init"))
+    X = Rng(1, "data").gaussian_array((370, 30, 30))
+    tracemalloc.start()
+    try:
+        predict(model, params, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6, peak

@@ -1,4 +1,6 @@
-"""Reference forecasters trained under the same harness as the main model.
+"""Reference forecasters trained under the same harness as the main model,
+and ``MODELS``, the one table of model kinds, which ``checkpoint`` and
+``training`` read from below.
 
 * persistence — predicts the window's most recent scaled target value; no
   parameters, no training loop.
@@ -26,11 +28,19 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DataError
-from .model import SpecModel, window_stack
+from .model import DualStreamModel, ModelConfig, SpecModel, window_stack
 from .tensor import Var, dropout
 
 
 # ------------------------------------------------------------- persistence
+
+
+@dataclass
+class PersistenceConfig:
+    """The persistence forecaster has no learnable parameters."""
+
+    def validate(self) -> "PersistenceConfig":
+        return self
 
 
 class PersistenceModel(SpecModel):
@@ -198,3 +208,14 @@ class NBeatsModel(SpecModel):
         intro = {"stack_forecasts": np.concatenate(
             [f.value for f in forecasts], axis=1)}
         return pred, intro
+
+
+# The one list of model kinds: kind -> (config class, builder(cfg, dataset)).
+MODELS = {
+    "dual_stream": (ModelConfig, lambda cfg, ds: DualStreamModel(cfg)),
+    "tcn": (TcnConfig, lambda cfg, ds: TcnModel(cfg)),
+    "nbeats": (NBeatsConfig,
+               lambda cfg, ds: NBeatsModel(cfg, ds.target_index())),
+    "persistence": (PersistenceConfig,
+                    lambda cfg, ds: PersistenceModel(ds.target_index())),
+}

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import base64
 import csv
+import datetime as dt
 import json
 import math
 from dataclasses import dataclass, field
@@ -30,8 +31,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ScalerParams
+from . import data
+from .baselines import MODELS
+from .data import ScalerParams, SplitSpec, check_split
 from .errors import CompatibilityError, DataError
+from .pipeline import PreparedDataset
 
 SCHEMA_VERSION = 2
 
@@ -171,8 +175,6 @@ def _decode_params(blob: dict) -> dict:
 
 
 def _check_kind(kind) -> str:
-    from .training import MODELS        # training imports this module
-
     if not isinstance(kind, str) or kind not in MODELS:
         raise CompatibilityError(f"unknown model kind {kind!r}")
     return kind
@@ -263,11 +265,6 @@ def save_dataset(ds, path) -> None:
 
 def load_dataset(path):
     """The dataset ``save_dataset`` wrote; malformed if it fails check_split."""
-    import datetime as dt
-
-    from .data import SplitSpec, check_split, make_windows
-    from .pipeline import PreparedDataset
-
     doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("kind") != "prepared_dataset":
         raise CompatibilityError(f"{path} is not a prepared-dataset file")
@@ -286,8 +283,10 @@ def load_dataset(path):
                          n_days * len(names)).reshape(n_days, len(names))
         target_scaled = _unpack(doc["target_scaled"], n_days)
         lookback = _int(doc["lookback"])
-        parts = make_windows(matrix, target_scaled,
-                             check_split(split, lookback), lookback)
+        # looked up on ``data`` at each call, so that a profiler that wraps
+        # ``data.make_windows`` (perfbench/tracer.py) times this call too
+        parts = data.make_windows(matrix, target_scaled,
+                                  check_split(split, lookback), lookback)
         dates = [dt.date.fromisoformat(s) for s in doc["dates"]]
         target_raw = _unpack(doc["target_raw"], n_days)
         if len(dates) != n_days:

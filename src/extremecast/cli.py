@@ -23,9 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .augment import augment_windows
+from .baselines import MODELS
 from .checkpoint import (load_checkpoint, load_dataset, save_checkpoint,
                          save_dataset, write_csv, write_json)
-from .config import RunConfig, load_run_config
+from .config import RunConfig, check_seed, load_run_config
 from .data import load_csv
 from .diagnostics import (kmeans_regimes, occlusion_sensitivity,
                           partial_dependence, permutation_importance,
@@ -33,9 +35,8 @@ from .diagnostics import (kmeans_regimes, occlusion_sensitivity,
 from .errors import CompatibilityError, ConfigError, DataError, ExtremecastError
 from .model import attention_weights, raw_predictions, wrap_params
 from .pipeline import PreparedDataset, prepare
-from .training import (HISTORY_COLUMNS, MODELS, evaluate_checkpoint,
-                       feature_ablation, fit_model_config, learning_curve,
-                       rebuild_model, train)
+from .training import (HISTORY_COLUMNS, evaluate_checkpoint, feature_ablation,
+                       fit_model_config, learning_curve, rebuild_model, train)
 
 EXPLAIN_METHODS = ("occlusion", "pdp", "permutation", "residuals", "kmeans",
                    "attention", "states")
@@ -49,6 +50,11 @@ SWEEP_KINDS = ("learning-curve", "feature-ablation")
 def _sibling(path, suffix: str) -> Path:
     p = Path(path)
     return p.with_name(p.stem + suffix)
+
+
+def _seed(args, default: int) -> int:
+    """``--seed`` when given, held to the seed rule, else ``default``."""
+    return default if args.seed is None else check_seed(args.seed, "--seed")
 
 
 def _base_model_config(run_cfg: RunConfig, kind: str):
@@ -86,7 +92,7 @@ def cmd_prepare(args) -> int:
 
 def cmd_train(args) -> int:
     run_cfg = load_run_config(args.config)
-    seed = run_cfg.seed if args.seed is None else args.seed
+    seed = _seed(args, run_cfg.seed)
     ds = load_dataset(args.data)
     train_cfg = replace(run_cfg.training, seed=seed)
     model_cfg = fit_model_config(_base_model_config(run_cfg, args.model), ds)
@@ -157,9 +163,9 @@ def cmd_explain(args) -> int:
         raise ConfigError(f"unknown explain method {args.method!r}; valid: "
                           + ", ".join(EXPLAIN_METHODS))
     ckpt = load_checkpoint(args.checkpoint)
+    seed = _seed(args, ckpt.seed)
     ds = load_dataset(args.data)
     model = rebuild_model(ckpt, ds)
-    seed = ckpt.seed if args.seed is None else args.seed
     out = Path(args.out)
 
     if args.method == "occlusion":
@@ -245,10 +251,8 @@ def cmd_explain(args) -> int:
 
 
 def cmd_augment_preview(args) -> int:
-    from .augment import augment_windows
-
     run_cfg = load_run_config(args.config)
-    seed = run_cfg.seed if args.seed is None else args.seed
+    seed = _seed(args, run_cfg.seed)
     ds = load_dataset(args.data)
     X1, y1 = _sample(ds, "train", args.sample)
     cfg = replace(run_cfg.augment, enabled=True)
@@ -268,15 +272,17 @@ def cmd_augment_preview(args) -> int:
 
 def cmd_sweep(args) -> int:
     run_cfg = load_run_config(args.config)
-    seed = run_cfg.seed if args.seed is None else args.seed
-    train_cfg = replace(run_cfg.training, seed=seed)
+    train_cfg = replace(run_cfg.training, seed=_seed(args, run_cfg.seed))
     model_cfg = _base_model_config(run_cfg, args.model)
     if args.kind == "learning-curve":
         if not args.data:
             raise ConfigError("learning-curve sweep needs --data")
         ds = load_dataset(args.data)
-        rows = learning_curve(ds, fit_model_config(model_cfg, ds), train_cfg,
-                              csv_path=args.out)
+        rows = learning_curve(ds, fit_model_config(model_cfg, ds), train_cfg)
+        if not rows:
+            raise DataError(
+                "learning-curve sweep: every fraction yields fewer than 2 "
+                f"batches of training.batch_size {train_cfg.batch_size}")
     else:  # feature-ablation
         csv_path = args.input or run_cfg.dataset.csv_path
         if not csv_path:
@@ -288,8 +294,9 @@ def cmd_sweep(args) -> int:
                                 lookback=run_cfg.dataset.lookback,
                                 train_frac=run_cfg.dataset.train_frac,
                                 val_frac=run_cfg.dataset.val_frac,
-                                feature_spec=run_cfg.features,
-                                csv_path=args.out)
+                                feature_spec=run_cfg.features)
+    header = list(rows[0])
+    write_csv(args.out, header, [[row[k] for k in header] for row in rows])
     for row in rows:
         head = list(row.items())[:4]
         print("  " + ", ".join(f"{k}={v}" for k, v in head))

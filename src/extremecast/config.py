@@ -1,6 +1,12 @@
 """Run configuration: one JSON document mapped onto the package's config
 dataclasses.
 
+This module owns the run config's own sections (``RunConfig``,
+``DatasetConfig``, ``TrainConfig``), ``from_json``, which also reads a
+checkpoint's model config, and the seed rule ``0 <= seed < 2**64``
+(``check_seed``), which ``--seed`` obeys too: ``Rng`` masks seeds to 64
+bits.
+
 Each setting is declared once, as a field of the dataclass that owns it.
 ``from_json`` builds a dataclass straight from its JSON object, refusing,
 with the key's dotted path, an unknown key and a value of the wrong JSON
@@ -27,8 +33,9 @@ from typing import get_type_hints
 from .augment import AugmentConfig
 from .errors import ConfigError
 from .features import FeatureSpec
+from .losses import LossConfig
 from .model import ModelConfig
-from .training import TrainConfig
+from .optim import OptimConfig
 
 # Fields a run config may not set, and what sets them instead.
 _SET_ELSEWHERE = {"model.n_features": "the dataset",
@@ -39,6 +46,13 @@ _SET_ELSEWHERE = {"model.n_features": "the dataset",
 _JSON_TYPES = {int: "a JSON integer", float: "a finite number",
                bool: "true or false", str: "a string",
                tuple: "a list of integers"}
+
+
+def check_seed(seed: int, name: str = "seed") -> int:
+    """``seed`` if ``0 <= seed < 2**64``, else ConfigError naming ``name``."""
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"{name} must be in [0, 2**64), got {seed}")
+    return seed
 
 
 @dataclass
@@ -62,6 +76,29 @@ class DatasetConfig:
 
 
 @dataclass
+class TrainConfig:
+    batch_size: int = 64
+    max_epochs: int = 300
+    patience: int = 25
+    seed: int = 0
+    loss: LossConfig = field(default_factory=LossConfig)
+    optim: OptimConfig = field(default_factory=OptimConfig)
+    augment: AugmentConfig = field(default_factory=AugmentConfig)
+
+    def validate(self) -> "TrainConfig":
+        if self.batch_size < 2:
+            raise ConfigError("training.batch_size must be >= 2")
+        if self.patience < 1:
+            raise ConfigError("training.patience must be >= 1")
+        if self.max_epochs < 1:
+            raise ConfigError("training.max_epochs must be >= 1")
+        self.loss.validate()
+        self.optim.validate()
+        self.augment.validate()
+        return self
+
+
+@dataclass
 class RunConfig:
     seed: int = 0
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
@@ -71,8 +108,7 @@ class RunConfig:
     training: TrainConfig = field(default_factory=TrainConfig)
 
     def validate(self) -> "RunConfig":
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        check_seed(self.seed)
         self.dataset.validate()
         self.features.validate()
         self.model.validate()

@@ -10,11 +10,11 @@ bulk weight:
           beta        otherwise
     L = (1/B) * sum_i w_i * (y_i - t_i)^2
 
-``TAIL_Q`` (5%) is ``metrics.TAIL_Q``, the same tail share every report
-scores.  Quantiles use the same linear-interpolation rule as the robust
-scaler (numpy default).  Weights depend on targets only, so no gradient flows
-through them.  With alpha_high == alpha_low == beta the loss is exactly
-beta * MSE.
+The tails are ``metrics.tail_mask``'s, at ``metrics.TAIL_Q`` (5%): the same
+strict tails every report scores.  Quantiles use the robust scaler's
+linear-interpolation rule (numpy default).  Weights depend on targets only,
+so no gradient flows through them.  With alpha_high == alpha_low == beta
+the loss is exactly beta * MSE.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError
-from .metrics import TAIL_Q
+from .metrics import tail_mask
 from .tensor import Var
 
 
@@ -50,11 +50,9 @@ def extreme_weights(target: np.ndarray, cfg: LossConfig) -> np.ndarray:
     t = np.asarray(target, dtype=np.float64)
     if t.ndim != 1 or t.shape[0] < 2:
         raise ValueError("extreme loss needs a 1-D batch of at least 2 targets")
-    tau_hi = np.quantile(t, 1.0 - TAIL_Q)
-    tau_lo = np.quantile(t, TAIL_Q)
     w = np.full(t.shape, cfg.beta, dtype=np.float64)
-    w[t > tau_hi] = cfg.alpha_high
-    w[t < tau_lo] = cfg.alpha_low
+    w[tail_mask(t, "high")[0]] = cfg.alpha_high
+    w[tail_mask(t, "low")[0]] = cfg.alpha_low
     return w
 
 

@@ -75,24 +75,26 @@ def regression_metrics(y: np.ndarray, yhat: np.ndarray) -> MetricSet:
     return MetricSet(mse, rmse, mae, r2, ev, pr, mape, y.size, nulls)
 
 
-def tail_rmse(y: np.ndarray, yhat: np.ndarray,
-              tail: str) -> tuple[float | None, int, str | None]:
-    """(rmse, n, reason) over the strict 5% tail of the observations.
-
-    ``tail``: "high" keeps y > quantile(y, 1 - TAIL_Q); "low" keeps
-    y < quantile(y, TAIL_Q).
-    An empty subset yields (None, 0, reason).
-    """
-    y = np.asarray(y, dtype=np.float64)
-    yhat = np.asarray(yhat, dtype=np.float64)
+def tail_mask(y: np.ndarray, tail: str) -> tuple[np.ndarray, float]:
+    """(mask, threshold) of float64 ``y``'s strict tail, for the reports and
+    the loss: "high" keeps y > quantile(y, 1 - TAIL_Q), "low" y < quantile(y,
+    TAIL_Q)."""
     if tail == "high":
         thr = float(np.quantile(y, 1.0 - TAIL_Q))
-        mask = y > thr
-    elif tail == "low":
+        return y > thr, thr
+    if tail == "low":
         thr = float(np.quantile(y, TAIL_Q))
-        mask = y < thr
-    else:
-        raise ValueError(f"tail must be 'high' or 'low', got {tail!r}")
+        return y < thr, thr
+    raise ValueError(f"tail must be 'high' or 'low', got {tail!r}")
+
+
+def tail_rmse(y: np.ndarray, yhat: np.ndarray,
+              tail: str) -> tuple[float | None, int, str | None]:
+    """(rmse, n, reason) over the strict 5% tail of the observations
+    (``tail_mask``); an empty subset yields (None, 0, reason)."""
+    y = np.asarray(y, dtype=np.float64)
+    yhat = np.asarray(yhat, dtype=np.float64)
+    mask, thr = tail_mask(y, tail)
     n = int(mask.sum())
     if n == 0:
         return None, 0, f"no observations strictly beyond the {tail} threshold {thr!r}"

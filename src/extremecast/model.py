@@ -30,7 +30,7 @@ shared with ``attention_weights``), then ``_regime_stream`` and
 ``_anomaly_stream`` on its output, then the fusion gate, recording the ops in
 that order.  Each stream helper's intermediates die when it returns, and
 ``multi_head_attention`` drops q and k once the scores exist and each score
-array once its last reader has run, so a no-grad pass holds about one
+array once its last reader has run, so an unrecorded pass holds about one
 stream's activations at a time; a recorded pass keeps them on the tape.
 The batch introspection dict holds detached, batch-major arrays: the regime
 probabilities p and q [B, L, N], the transition matrix [N, N], the
@@ -367,14 +367,13 @@ def window_stack(params: dict[str, Var], X) -> Var:
 
 def predict(model, params: dict[str, np.ndarray], X: np.ndarray,
             batch_size: int = 256) -> np.ndarray:
-    """Eval-mode scaled predictions at ``TAPE_DTYPE``, batched, no graph
-    recording, returned as float64."""
+    """Eval-mode scaled predictions at ``TAPE_DTYPE``, batched, returned as
+    float64.  No input requires a gradient, so nothing is recorded."""
     wrapped = wrap_params(params, requires_grad=False, dtype=TAPE_DTYPE)
     out = np.empty(X.shape[0])
-    with T.no_grad():
-        for s in range(0, X.shape[0], batch_size):
-            pred, _ = model.forward(wrapped, X[s:s + batch_size], train=False)
-            out[s:s + batch_size] = pred.value
+    for s in range(0, X.shape[0], batch_size):
+        pred, _ = model.forward(wrapped, X[s:s + batch_size], train=False)
+        out[s:s + batch_size] = pred.value
     return out
 
 

@@ -1,12 +1,14 @@
 """Reverse-mode automatic differentiation over float32 or float64 numpy
 arrays.
 
-A ``Var`` wraps a C-order ndarray plus, when gradients are being recorded,
-the parent nodes and a vector-Jacobian-product closure.  Calling
-``backward`` on a scalar ``Var`` walks the recorded graph once in reverse
-topological order, accumulates gradients into ``.grad`` of every leaf that
-requires them, and frees each recorded node it has passed, so a graph can
-be walked once.
+A ``Var`` wraps a C-order ndarray plus, when it was recorded, the parent
+nodes and a vector-Jacobian-product closure.  One rule decides recording,
+with no global switch: an op goes on the tape exactly when one of its
+inputs requires a gradient (``_recording``), so ``model.predict`` records
+nothing, as none of its inputs requires one.  Calling ``backward`` on a
+scalar ``Var`` walks the recorded graph once in reverse topological order,
+accumulates gradients into ``.grad`` of every leaf that requires them, and
+frees each recorded node it has passed, so a graph can be walked once.
 
 The tape keeps its inputs' dtype: a float32 or float64 array stays as it
 is, anything else becomes float64.  Ops follow numpy 2's promotion (NEP 50),
@@ -61,27 +63,14 @@ is exactly 0 for x below about -37.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 
 import numpy as np
 
-_grad_enabled = True
+from .errors import NumericError
 
 # Python floats, so that they do not promote a float32 operand
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-@contextmanager
-def no_grad():
-    """Disable graph recording inside the block (values still computed)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
 
 
 def _is_tape_dtype(a: np.ndarray) -> bool:
@@ -172,7 +161,7 @@ def _pair(a, b) -> tuple[Var, Var]:
 
 def _recording(parents) -> bool:
     """Whether an op over ``parents`` goes on the tape."""
-    return _grad_enabled and any(p.requires_grad for p in parents)
+    return any(p.requires_grad for p in parents)
 
 
 def _record(value: np.ndarray, parents: tuple, vjp) -> Var:
@@ -753,8 +742,6 @@ def bidirectional(x, fwd, bwd) -> Var:
 
 def check_finite(a, stage: str):
     """Raise NumericError naming ``stage`` when any entry is non-finite."""
-    from .errors import NumericError
-
     v = a.value if isinstance(a, Var) else np.asarray(a)
     if not np.all(np.isfinite(v)):
         raise NumericError(f"non-finite values produced at stage '{stage}'")

@@ -1,5 +1,9 @@
 """Training loop and ablation sweeps.
 
+This module owns building, fitting and scoring models and the two sweeps;
+the kind table (``baselines.MODELS``), ``TrainConfig`` and ``from_json``
+sit below it.
+
 Each epoch shuffles the training windows (stream "shuffle"), iterates
 mini-batches (final partial batch kept only with >= 2 samples, since the
 extreme loss takes in-batch quantiles), runs forward → loss → backward →
@@ -15,7 +19,7 @@ improvement (or at ``max_epochs``) and returns the best epoch's parameters.
 training windows — those nearest the evaluation boundary — by handing
 ``train`` a dataset whose training partition holds only them, and
 ``feature_ablation`` rebuilds the dataset per feature mode with identical
-seeds.
+seeds.  Both return their rows; the CLI writes them.
 """
 
 from __future__ import annotations
@@ -28,17 +32,16 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
-from .augment import AugmentConfig, augment_windows
-from .baselines import (NBeatsConfig, NBeatsModel, PersistenceModel,
-                        TcnConfig, TcnModel)
+from .augment import augment_windows
+from .baselines import MODELS
 from .checkpoint import Checkpoint, check_feature_compatibility
+from .config import TrainConfig, from_json
 from .errors import CompatibilityError, ConfigError, DataError, NumericError
 from .features import FEATURE_MODES, FeatureSpec
 from .losses import LossConfig, compute_loss
 from .metrics import evaluation_report
-from .model import (TAPE_DTYPE, DualStreamModel, ModelConfig, predict,
-                    raw_predictions, wrap_params)
-from .optim import (AdamWState, OptimConfig, adamw_step, clip_global_norm,
+from .model import TAPE_DTYPE, predict, raw_predictions, wrap_params
+from .optim import (AdamWState, adamw_step, clip_global_norm,
                     cosine_warm_restart_lr)
 from .pipeline import PreparedDataset, prepare
 from .rng import Rng
@@ -46,48 +49,6 @@ from .tensor import Var
 
 HISTORY_COLUMNS = ("epoch", "train_loss", "val_loss", "lr")
 LEARNING_CURVE_FRACTIONS = (0.2, 0.4, 0.6, 0.8, 1.0)
-
-
-@dataclass
-class PersistenceConfig:
-    """The persistence forecaster has no learnable parameters."""
-
-    def validate(self) -> "PersistenceConfig":
-        return self
-
-
-# The one list of model kinds: kind -> (config class, builder(cfg, dataset)).
-MODELS = {
-    "dual_stream": (ModelConfig, lambda cfg, ds: DualStreamModel(cfg)),
-    "tcn": (TcnConfig, lambda cfg, ds: TcnModel(cfg)),
-    "nbeats": (NBeatsConfig,
-               lambda cfg, ds: NBeatsModel(cfg, ds.target_index())),
-    "persistence": (PersistenceConfig,
-                    lambda cfg, ds: PersistenceModel(ds.target_index())),
-}
-
-
-@dataclass
-class TrainConfig:
-    batch_size: int = 64
-    max_epochs: int = 300
-    patience: int = 25
-    seed: int = 0
-    loss: LossConfig = field(default_factory=LossConfig)
-    optim: OptimConfig = field(default_factory=OptimConfig)
-    augment: AugmentConfig = field(default_factory=AugmentConfig)
-
-    def validate(self) -> "TrainConfig":
-        if self.batch_size < 2:
-            raise ConfigError("training.batch_size must be >= 2")
-        if self.patience < 1:
-            raise ConfigError("training.patience must be >= 1")
-        if self.max_epochs < 1:
-            raise ConfigError("training.max_epochs must be >= 1")
-        self.loss.validate()
-        self.optim.validate()
-        self.augment.validate()
-        return self
 
 
 @dataclass
@@ -114,8 +75,6 @@ def build_model(model_cfg, dataset: PreparedDataset):
 def model_config_from_dict(kind: str, doc: dict):
     """Rebuild a model config dataclass from its JSON form, read as strictly
     as a run config's sections (``config.from_json``)."""
-    from .config import from_json       # config imports this module
-
     if kind not in MODELS:
         raise ConfigError(f"unknown model kind {kind!r}")
     try:
@@ -301,14 +260,8 @@ def _effective_batches(n: int, cfg: TrainConfig) -> int:
     return len(_batch_spans(n, cfg.batch_size))
 
 
-def _rows_to_csv(rows: list, csv_path) -> None:
-    from .checkpoint import write_csv
-    header = list(rows[0].keys()) if rows else []
-    write_csv(csv_path, header, [[row[k] for k in header] for row in rows])
-
-
 def learning_curve(dataset: PreparedDataset, model_cfg, train_cfg: TrainConfig,
-                   fractions=LEARNING_CURVE_FRACTIONS, csv_path=None) -> list:
+                   fractions=LEARNING_CURVE_FRACTIONS) -> list:
     """Retrain on trailing fractions of the training windows; rows of
     (fraction, n_train, test metrics)."""
     cfg = train_cfg.validate()
@@ -336,15 +289,13 @@ def learning_curve(dataset: PreparedDataset, model_cfg, train_cfg: TrainConfig,
                "best_val_loss": state.best_val_loss}
         row.update(report["metrics"])
         rows.append(row)
-    if csv_path is not None:
-        _rows_to_csv(rows, csv_path)
     return rows
 
 
 def feature_ablation(table, model_cfg, train_cfg: TrainConfig,
                      modes=FEATURE_MODES, lookback: int = 30,
                      train_frac: float = 0.8, val_frac: float = 0.2,
-                     feature_spec=None, csv_path=None) -> list:
+                     feature_spec=None) -> list:
     """Train and evaluate under each feature mode with identical seeds."""
     if not modes:
         raise ConfigError("feature_ablation needs at least one mode")
@@ -360,6 +311,4 @@ def feature_ablation(table, model_cfg, train_cfg: TrainConfig,
                "best_val_loss": state.best_val_loss}
         row.update(report["metrics"])
         rows.append(row)
-    if csv_path is not None:
-        _rows_to_csv(rows, csv_path)
     return rows

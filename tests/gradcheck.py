@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from extremecast.errors import NumericError
-from extremecast.tensor import Var, backward, no_grad
+from extremecast.tensor import Var, backward
 
 DEFAULT_EPS = 1e-5
 
@@ -76,28 +76,30 @@ def grad_check(
     worst_index = 0
     per_param: dict[str, float] = {}
     n_entries = 0
-    with no_grad():
-        for name, var in work.items():
-            arr = var.value
-            grad = analytic[name]
-            pmax = 0.0
-            for i in range(arr.size):
-                orig = arr.flat[i]
-                arr.flat[i] = orig + eps
-                lo_hi = float(f(work).value)
-                arr.flat[i] = orig - eps
-                lo_lo = float(f(work).value)
-                arr.flat[i] = orig
-                if not (math.isfinite(lo_hi) and math.isfinite(lo_lo)):
-                    raise NumericError(
-                        f"grad_check: non-finite loss perturbing {name}[{i}]")
-                numeric = (lo_hi - lo_lo) / (2.0 * eps)
-                a = float(grad.flat[i])
-                rel = abs(a - numeric) / max(abs(a), abs(numeric), floor)
-                if rel > pmax:
-                    pmax = rel
-                if rel > worst:
-                    worst, worst_param, worst_index = rel, name, i
-                n_entries += 1
-            per_param[name] = pmax
+    # the difference points run on inputs that require no gradient, so
+    # they record nothing
+    probe = {k: Var(v.copy()) for k, v in params.items()}
+    for name, var in probe.items():
+        arr = var.value
+        grad = analytic[name]
+        pmax = 0.0
+        for i in range(arr.size):
+            orig = arr.flat[i]
+            arr.flat[i] = orig + eps
+            lo_hi = float(f(probe).value)
+            arr.flat[i] = orig - eps
+            lo_lo = float(f(probe).value)
+            arr.flat[i] = orig
+            if not (math.isfinite(lo_hi) and math.isfinite(lo_lo)):
+                raise NumericError(
+                    f"grad_check: non-finite loss perturbing {name}[{i}]")
+            numeric = (lo_hi - lo_lo) / (2.0 * eps)
+            a = float(grad.flat[i])
+            rel = abs(a - numeric) / max(abs(a), abs(numeric), floor)
+            if rel > pmax:
+                pmax = rel
+            if rel > worst:
+                worst, worst_param, worst_index = rel, name, i
+            n_entries += 1
+        per_param[name] = pmax
     return GradCheckReport(worst, worst_param, worst_index, n_entries, per_param)

@@ -24,8 +24,10 @@ import pytest
 
 import extremecast
 from extremecast.augment import AugmentConfig, augment_windows, time_warp
-from extremecast.baselines import NBeatsConfig, NBeatsModel, TcnConfig, TcnModel
+from extremecast.baselines import (NBeatsConfig, NBeatsModel, PersistenceConfig,
+                                   TcnConfig, TcnModel)
 from extremecast.cli import main as cli_main
+from extremecast.config import TrainConfig
 from extremecast.data import SplitSpec, chronological_split, impute_two_stage
 from extremecast.diagnostics import (kmeans, occlusion_sensitivity,
                                      partial_dependence,
@@ -39,8 +41,8 @@ from extremecast.pipeline import PreparedDataset, prepare
 from extremecast.rng import Rng
 from extremecast.synthetic import sinusoid_ar_table, table_to_csv
 from extremecast.tensor import Var
-from extremecast.training import (PersistenceConfig, TrainConfig, build_model,
-                                  evaluate_checkpoint, evaluate_model, train)
+from extremecast.training import (build_model, evaluate_checkpoint,
+                                  evaluate_model, train)
 from gradcheck import grad_check
 from persistence_task import persistence_task_table
 

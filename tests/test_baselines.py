@@ -13,7 +13,6 @@ Oracles:
 import numpy as np
 import pytest
 
-import extremecast.tensor as T
 from extremecast.baselines import (
     NBeatsConfig,
     NBeatsModel,
@@ -196,8 +195,7 @@ def test_tcn_gradients_fd():
     model = TcnModel(tiny_tcn_cfg())
     raw = model.init_params(Rng(21, "init"))
     X = Rng(21, "data").gaussian_array((4, 8, 4))
-    with T.no_grad():
-        base = model.forward(raw, X)[0].value
+    base = model.forward(raw, X)[0].value   # raw arrays: nothing recorded
     target = base + np.array([0.11, -0.05, 0.02, -0.08])
 
     def loss_fn(work):
@@ -283,8 +281,7 @@ def test_nbeats_gradients_fd():
     model = NBeatsModel(tiny_nbeats_cfg(), target_index=0)
     raw = model.init_params(Rng(61, "init"))
     X = Rng(61, "data").gaussian_array((4, 8, 2))
-    with T.no_grad():
-        base = model.forward(raw, X)[0].value
+    base = model.forward(raw, X)[0].value   # raw arrays: nothing recorded
     target = base + np.array([0.07, -0.12, 0.04, -0.02])
 
     def loss_fn(work):

@@ -16,12 +16,13 @@ import pytest
 
 import extremecast
 from extremecast import cli
+from extremecast.baselines import MODELS
 from extremecast.checkpoint import load_checkpoint, load_dataset
 from extremecast.cli import main
 from extremecast.features import FEATURE_MODES
 from extremecast.model import embed, multi_head_attention, wrap_params
 from extremecast.synthetic import sinusoid_ar_table, table_to_csv
-from extremecast.training import MODELS, rebuild_model
+from extremecast.training import rebuild_model
 from test_config import set_path, validate_report
 
 CONFIG = {
@@ -197,6 +198,46 @@ def test_seed_resolution_order(work):
                  "--out", str(out), "--model", "persistence",
                  "--seed", "123"]) == 0
     assert json.loads(out.read_text())["seed"] == 123   # flag beats all
+
+
+# Every command that takes --seed, with the output path it would write.
+SEED_COMMANDS = {
+    "train": lambda w, out: ["train", "--config", w / "config.json",
+                             "--data", w / "data.json", "--out", out,
+                             "--model", "persistence"],
+    "explain": lambda w, out: ["explain", "--checkpoint", w / "ckpt.json",
+                               "--data", w / "data.json", "--method", "kmeans",
+                               "--out", out],
+    "augment-preview": lambda w, out: ["augment-preview",
+                                       "--config", w / "config.json",
+                                       "--data", w / "data.json", "--out", out],
+    "sweep": lambda w, out: ["sweep", "--config", w / "config.json",
+                             "--kind", "learning-curve",
+                             "--data", w / "data.json", "--out", out,
+                             "--model", "persistence"],
+}
+
+
+@pytest.mark.parametrize("seed", [-3, 2**64, 2**64 + 5])
+@pytest.mark.parametrize("command", SEED_COMMANDS)
+def test_out_of_range_seed_flag_exit_2(work, tmp_path, capsys, command, seed):
+    # the config's seed rule: Rng masks a seed to 64 bits, so these would
+    # alias 2**64 - 3 and seeds 0 and 5
+    out = tmp_path / "out"
+    argv = SEED_COMMANDS[command](work, out) + ["--seed", seed]
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --seed must be in [0, 2**64)")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_largest_seed_flag_is_kept(work, tmp_path):
+    out = tmp_path / "ckpt.json"
+    argv = SEED_COMMANDS["train"](work, out) + ["--seed", 2**64 - 1]
+    assert main([str(a) for a in argv]) == 0
+    assert load_checkpoint(out).seed == 2**64 - 1
 
 
 # ------------------------------------------------------------------ explain
@@ -776,6 +817,26 @@ def test_sweep_learning_curve_csv(work):
     assert main(["sweep", "--config", str(work / "config.json"),
                  "--kind", "learning-curve",
                  "--out", str(out), "--model", "persistence"]) == 2
+
+
+def test_learning_curve_sweep_without_rows_exit_3(work, tmp_path, capsys):
+    # 400 days leave fewer than 2 batches of 512 windows at every fraction
+    doc = json.loads((work / "config.json").read_text())
+    doc["training"]["batch_size"] = 512
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "lc.csv"
+    capsys.readouterr()
+    with pytest.warns(UserWarning, match="fewer than 2 batches"):
+        code = main(["sweep", "--config", str(config),
+                     "--kind", "learning-curve",
+                     "--data", str(work / "data.json"),
+                     "--out", str(out), "--model", "persistence"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "fewer than 2 batches" in err and "batch_size 512" in err
+    assert not out.exists()
 
 
 def test_sweep_feature_ablation_csv(work, tmp_path):

@@ -15,13 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extremecast.augment import AugmentConfig
-from extremecast.config import (DatasetConfig, RunConfig, load_run_config,
-                                run_config_from_dict)
+from extremecast.baselines import MODELS
+from extremecast.config import (DatasetConfig, RunConfig, TrainConfig,
+                                load_run_config, run_config_from_dict)
 from extremecast.errors import ConfigError
 from extremecast.features import FeatureSpec
 from extremecast.metrics import evaluation_report
 from extremecast.pipeline import prepare
-from extremecast.training import MODELS, TrainConfig, fit_model_config
+from extremecast.training import fit_model_config
 from persistence_task import persistence_task_table
 
 REPORT_SCHEMA = json.loads(
@@ -310,6 +311,14 @@ def test_inverted_scale_range_is_a_config_error():
         run_config_from_dict({"augment": inverted})
     with pytest.raises(ConfigError, match=r"augment\.scale_low"):
         TrainConfig(augment=AugmentConfig(**inverted)).validate()
+
+
+def test_seed_must_be_below_2_to_the_64():
+    # Rng masks a seed to 64 bits, so 2**64 + 5 would draw seed 5's streams
+    assert run_config_from_dict({"seed": 2**64 - 1}).training.seed == 2**64 - 1
+    for seed in (2**64, 2**64 + 5):
+        with pytest.raises(ConfigError, match=_names("seed")):
+            run_config_from_dict({"seed": seed})
 
 
 def test_seed_and_augment_are_threaded_into_training():

@@ -553,9 +553,12 @@ def test_init_params_without_drawn_parameters_draws_nothing(monkeypatch):
 
 @pytest.mark.parametrize("kind", sorted(_KINDS))
 def test_no_grad_forward_records_nothing(kind, monkeypatch):
-    # every op builds its output through ``tensor._record``
+    # every op builds its output through ``tensor._record``; a pass over
+    # inputs that require no gradient records none of them
     model = _KINDS[kind]()
-    params = wrap_params(model.init_params(Rng(44, "init")))
+    raw = model.init_params(Rng(44, "init"))
+    frozen = wrap_params(raw, requires_grad=False)
+    params = wrap_params(raw)
     X = make_batch(tiny_cfg(lookback=model.cfg.lookback), B=4, seed=44)
     outputs = []
     record = T._record
@@ -567,14 +570,13 @@ def test_no_grad_forward_records_nothing(kind, monkeypatch):
 
     monkeypatch.setattr(T, "_record", spy)
     for train in (False, True):
-        with T.no_grad():
-            model.forward(params, X, train=train, rng=Rng(44, "dropout"))
+        model.forward(frozen, X, train=train, rng=Rng(44, "dropout"))
         assert len(outputs) > len(params)
         assert all(out._parents == () and out._vjp is None
                    and not out.requires_grad for out in outputs)
         n_ops = len(outputs)
         outputs.clear()
-        # the same pass outside no_grad records ops
+        # the same pass over parameters that require gradients records ops
         model.forward(params, X, train=train, rng=Rng(44, "dropout"))
         assert len(outputs) == n_ops
         assert any(out._vjp is not None for out in outputs)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from extremecast import tensor as T
 from extremecast.errors import NumericError
 from extremecast.rng import Rng
-from extremecast.tensor import Var, backward, no_grad
+from extremecast.tensor import Var, backward
 from gradcheck import grad_check
 from test_model import _bidirectional_by_steps, _linear_t_by_ops, _t
 
@@ -215,10 +215,12 @@ def test_grad_accumulates_over_reuse():
 
 
 def test_no_grad_blocks_recording():
-    x = Var(2.0, requires_grad=True)
-    with no_grad():
-        y = x * x
-    assert not y.requires_grad and y._parents == ()
+    # an op over inputs that require no gradient records nothing
+    x = Var(2.0)
+    y = x * x
+    assert not y.requires_grad and y._parents == () and y._vjp is None
+    z = x * Var(2.0, requires_grad=True)
+    assert z.requires_grad and len(z._parents) == 2
 
 
 def test_backward_requires_scalar():
@@ -538,9 +540,9 @@ def test_recurrence_under_no_grad_records_nothing():
     for cell in ("lstm", "gru"):
         raw, names = _bidirectional_params(rng, cell, 8, 8)
         p = {k: Var(v, requires_grad=True) for k, v in raw.items()}
+        frozen = {k: Var(v) for k, v in raw.items()}
         x = Var(rng.gaussian_array((40, 8, 16)))
-        with no_grad():
-            out, kept, _ = _traced_bidirectional(x, p, names)
+        out, kept, _ = _traced_bidirectional(x, frozen, names)
         assert not out.requires_grad and out._parents == () and out._vjp is None
         # only the output array outlives the call; the recorded node also
         # keeps every step's residuals
@@ -570,10 +572,9 @@ def test_bidirectional_under_no_grad_holds_one_projection():
     rng = Rng(16, "init")
     for cell in ("lstm", "gru"):
         raw, names = _bidirectional_params(rng, cell, 8, 8)
-        p = {k: Var(v, requires_grad=True) for k, v in raw.items()}
+        frozen = {k: Var(v) for k, v in raw.items()}
         x = Var(rng.gaussian_array((60, 8, 32)))
-        with no_grad():
-            out, _, peak = _traced_bidirectional(x, p, names)
+        out, _, peak = _traced_bidirectional(x, frozen, names)
         assert not out.requires_grad and out._parents == () and out._vjp is None
         projection = x.value.nbytes * raw["f.Wx"].shape[1] // 8
         # the output, one direction's projection and small per-step arrays

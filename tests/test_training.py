@@ -10,7 +10,9 @@ import pytest
 
 import extremecast.training as training
 from extremecast.augment import AugmentConfig
-from extremecast.baselines import NBeatsConfig, NBeatsModel, TcnConfig, TcnModel
+from extremecast.baselines import (NBeatsConfig, NBeatsModel, PersistenceConfig,
+                                   TcnConfig, TcnModel)
+from extremecast.config import TrainConfig
 from extremecast.errors import (CompatibilityError, ConfigError, DataError,
                                NumericError)
 from extremecast.features import FeatureSpec
@@ -19,8 +21,7 @@ from extremecast.model import DualStreamModel, ModelConfig
 from extremecast.optim import OptimConfig, cosine_warm_restart_lr
 from extremecast.pipeline import prepare
 from extremecast.rng import Rng
-from extremecast.training import (PersistenceConfig, TrainConfig,
-                                  _batch_spans, _training_arrays, build_model,
+from extremecast.training import (_batch_spans, _training_arrays, build_model,
                                   evaluate_checkpoint, evaluate_model,
                                   feature_ablation, fit_model_config,
                                   learning_curve, model_config_from_dict,

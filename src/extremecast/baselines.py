@@ -1,6 +1,7 @@
 """Reference forecasters trained under the same harness as the main model,
 and ``MODELS``, the one table of model kinds, which ``checkpoint`` and
-``training`` read from below.
+``training`` read from below.  Every kind's ``forward(params, X, train,
+rng)`` returns its scaled next-day prediction alone, a ``Var`` of shape [B].
 
 * persistence — predicts the window's most recent scaled target value; no
   parameters, no training loop.
@@ -54,7 +55,7 @@ class PersistenceModel(SpecModel):
         super().__init__([])
 
     def forward(self, params, X, train: bool = False, rng=None):
-        return window_stack(params, X)[:, -1, self.target_index], {}
+        return window_stack(params, X)[:, -1, self.target_index]
 
 
 # --------------------------------------------------------------------- TCN
@@ -130,8 +131,6 @@ class TcnModel(SpecModel):
 
     def forward(self, params, X, train: bool = False, rng=None):
         cfg = self.cfg
-        if train and cfg.dropout > 0.0 and rng is None:
-            raise ConfigError("train-mode forward with dropout needs a dropout stream")
         h = window_stack(params, X)
         if h.shape[2] != cfg.n_features:
             raise ConfigError(
@@ -147,8 +146,7 @@ class TcnModel(SpecModel):
             h = z + res
             T.check_finite(h, f"tcn_block_{i}")
         pred = T.linear(h[:, -1, :], params["head.W"], params["head.b"])[:, 0]
-        T.check_finite(pred, "tcn_head")
-        return pred, {}
+        return T.check_finite(pred, "tcn_head")
 
 
 # ------------------------------------------------------------ N-BEATS-lite
@@ -190,24 +188,18 @@ class NBeatsModel(SpecModel):
 
     def forward(self, params, X, train: bool = False, rng=None):
         residual = window_stack(params, X)[:, :, self.target_index]       # [B, L]
-        forecasts = []
+        total = None
         for s in range(self.cfg.stacks):
             fc = {n: (params[f"stack.{s}.{n}.W"], params[f"stack.{s}.{n}.b"])
                   for n in ("fc1", "fc2", "back", "fore")}
             h = T.gelu(T.linear(residual, *fc["fc1"]))
             h = T.gelu(T.linear(h, *fc["fc2"]))
             backcast = T.linear(h, *fc["back"])
-            forecasts.append(T.linear(h, *fc["fore"]))
+            forecast = T.linear(h, *fc["fore"])
+            total = forecast if total is None else total + forecast
             residual = residual - backcast
             T.check_finite(residual, f"nbeats_stack_{s}")
-        total = forecasts[0]
-        for f in forecasts[1:]:
-            total = total + f
-        pred = total[:, 0]
-        T.check_finite(pred, "nbeats_head")
-        intro = {"stack_forecasts": np.concatenate(
-            [f.value for f in forecasts], axis=1)}
-        return pred, intro
+        return T.check_finite(total[:, 0], "nbeats_head")
 
 
 # The one list of model kinds: kind -> (config class, builder(cfg, dataset)).

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from .diagnostics import (kmeans_regimes, occlusion_sensitivity,
                           partial_dependence, permutation_importance,
                           ranking_agreement, residual_diagnostics)
 from .errors import CompatibilityError, ConfigError, DataError, ExtremecastError
-from .model import attention_weights, raw_predictions, wrap_params
+from .model import attention_weights, introspect, raw_predictions, wrap_params
 from .pipeline import PreparedDataset, prepare
 from .training import (HISTORY_COLUMNS, evaluate_checkpoint, feature_ablation,
                        fit_model_config, learning_curve, rebuild_model, train)
@@ -235,14 +236,13 @@ def cmd_explain(args) -> int:
         print(f"attention map for sample {args.sample}: "
               f"{attn.shape[0]}x{attn.shape[1]} (head-averaged)")
     else:  # states
-        _, intro = model.forward(*_sample_window(ckpt, ds, args), train=False)
-        P = intro["p"][0]                               # [L, N]
+        states = introspect(*_sample_window(ckpt, ds, args), model.cfg)
+        P, trans = states["p"][0], states["transition"]  # [L, N], [N, N]
         write_csv(out, [f"state{j}" for j in range(P.shape[1])],
                   [list(row) for row in P])
         trans_path = _sibling(out, "_transition.csv")
-        write_csv(trans_path, [f"state{j}" for j in
-                               range(intro["transition"].shape[1])],
-                  [list(row) for row in intro["transition"]])
+        write_csv(trans_path, [f"state{j}" for j in range(trans.shape[1])],
+                  [list(row) for row in trans])
         print(f"state probabilities for sample {args.sample}: "
               f"{P.shape[0]} steps x {P.shape[1]} states")
         print(f"transition matrix -> {trans_path}")
@@ -407,15 +407,25 @@ def _keep_freed_heap() -> None:
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
+def _plain_warning(message, category, filename, lineno, line=None) -> str:
+    """A warning as one ``warning: …`` line, like the CLI's error lines."""
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     _keep_freed_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
+    # warnings stay UserWarnings for library callers; only their printed
+    # form changes while a command runs
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _plain_warning
     try:
         return args.func(args)
     except ExtremecastError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

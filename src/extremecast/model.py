@@ -19,36 +19,35 @@ vector to the scalar next-day prediction.
 Layouts: the input windows, the embedding, attention, amplification, the
 stream readouts, fusion and the prediction are batch-major ([B, L, F] and
 [B, F]).  Each recurrent stack runs batch-minor, [L, F, B], from end to end:
-``forward`` transposes the embedding once into the LSTM stack and the
+the pass transposes the embedding once into the LSTM stack and the
 amplified attention output once into the GRU stack (views), takes the
 emission softmax over axis 1 of [L, N, B] and the readouts as [F, B] blocks
 (``H[L-1]``, ``G[L-1, :HG]``, ``G[0, HG:]``), and transposes each stream's
 readout vector back before its head.
 
-Code layout: ``forward`` runs ``embed`` (the embedding, stated once and
+Code layout: ``_dual_stream`` runs ``embed`` (the embedding, stated once and
 shared with ``attention_weights``), then ``_regime_stream`` and
 ``_anomaly_stream`` on its output, then the fusion gate, recording the ops in
 that order.  Each stream helper's intermediates die when it returns, and
 ``multi_head_attention`` drops q and k once the scores exist and each score
 array once its last reader has run, so an unrecorded pass holds about one
 stream's activations at a time; a recorded pass keeps them on the tape.
-The batch introspection dict holds detached, batch-major arrays: the regime
-probabilities p and q [B, L, N], the transition matrix [N, N], the
-amplification alpha [B, L] and the fusion gate gamma [B, DS].  It holds no
-attention weights: ``attention_weights`` computes those for the windows it
-is given (``explain attention``).
+``DualStreamModel.forward`` returns the pass's prediction alone.  For the
+windows it is given, ``introspect`` returns the internals the pass already
+holds (``explain states``) and ``attention_weights`` the attention weights
+(``explain attention``).
 
 A bidirectional recurrent layer is one ``tensor.bidirectional`` node over
 the layer input and its parameters: it projects all timesteps of each
 direction with ``linear_t``'s math, frees that projection once the direction
 is scanned, and writes both directions' hidden states into one [L, 2H, B]
 array.  Every other affine map is one node: ``tensor.linear`` (x W + b)
-batch-major, ``tensor.linear_t`` (Wᵀ x + b) batch-minor.  Only q_L reaches
-the tape; the earlier q_t are computed in plain numpy for the introspection
-dict.
+batch-major, ``tensor.linear_t`` (Wᵀ x + b) batch-minor.  Of the q_t only
+q_L, which the readout takes, is computed.
 
 Dropout (train mode only) applies after the embedding activation and inside
-the anomaly MLP, in that order, consuming the dropout stream deterministically.
+the anomaly MLP, in that order, consuming the dropout stream deterministically
+(``tensor.dropout`` refuses to run without one).
 Gate layouts: LSTM gates order i, f, o, g (the three sigmoids first so they
 share one activation); GRU gates order r, z, n with separate input/hidden
 biases so the reset gate multiplies only the hidden half of the candidate.
@@ -251,31 +250,33 @@ def attention_weights(params: dict[str, Var], X, cfg: ModelConfig) -> np.ndarray
     return attn.value
 
 
-def forward(params: dict[str, Var], X, cfg: ModelConfig, train: bool = False,
-            dropout_rng: Rng | None = None) -> tuple[Var, dict]:
-    """Batch forward pass.
+def introspect(params: dict[str, Var], X, cfg: ModelConfig) -> dict[str, np.ndarray]:
+    """Eval-mode internals of the windows X [B, L, F]: the regime
+    probabilities p [B, L, N], the transition matrix [N, N], the
+    amplification alpha [B, L] and the fusion gate gamma [B, DS]."""
+    _, P, trans, alpha, gamma = _dual_stream(params, X, cfg)
+    return {"p": P.value.transpose(2, 0, 1), "transition": trans.value,
+            "alpha": alpha.value[:, :, 0], "gamma": gamma.value}
 
-    X: [B, L, F] scaled feature windows (Var or ndarray).  Returns the
-    scaled next-day prediction [B] and an introspection dict of detached
-    arrays: regime probabilities p and q, transition matrix, amplification
-    alpha and fusion gate gamma.
-    """
-    if train and cfg.dropout > 0.0 and dropout_rng is None:
-        raise ConfigError("train-mode forward with dropout needs a dropout stream")
+
+def _dual_stream(params: dict[str, Var], X, cfg: ModelConfig, train: bool = False,
+                 dropout_rng: Rng | None = None) -> tuple[Var, Var, Var, Var, Var]:
+    """The batch pass on the scaled feature windows X [B, L, F] (Var or
+    ndarray): (scaled next-day prediction [B], regime probabilities P
+    [L, N, B], transition matrix [N, N], amplification alpha [B, L, 1],
+    fusion gate gamma [B, DS])."""
     E = embed(params, X, cfg, train, dropout_rng)
-    o_m, intro = _regime_stream(E, params, cfg)
-    o_a, intro["alpha"] = _anomaly_stream(E, params, cfg, train, dropout_rng)
+    o_m, P, trans = _regime_stream(E, params, cfg)
+    o_a, alpha = _anomaly_stream(E, params, cfg, train, dropout_rng)
     fused, gamma = fuse_outputs(o_m, o_a, params["fuse.W"], params["fuse.b"])
     pred = T.linear(fused, params["out.W"], params["out.b"])[:, 0]
-    check_finite(pred, "head")
-    intro["gamma"] = gamma.value.copy()
-    return pred, intro
+    return check_finite(pred, "head"), P, trans, alpha, gamma
 
 
 def _regime_stream(E: Var, params: dict[str, Var],
-                   cfg: ModelConfig) -> tuple[Var, dict]:
+                   cfg: ModelConfig) -> tuple[Var, Var, Var]:
     """Regime stream, batch-minor from the embedding to the readout:
-    (o_m [B, DS], introspection dict with p, q and the transition matrix)."""
+    (o_m [B, DS], regime probabilities P [L, N, B], transition [N, N])."""
     B, L, _ = E.shape
     N = cfg.n_states
     H = _batch_minor(E)
@@ -284,23 +285,19 @@ def _regime_stream(E: Var, params: dict[str, Var],
     check_finite(H, "bilstm")                     # [L, 2HL, B]
     P = T.softmax(T.linear_t(H, params["em.W"], params["em.b"]), axis=1)
     trans = T.softmax(params["trans.logits"], axis=-1)
-    trans_t = T.swapaxes(trans, 0, 1)
     p0 = np.full((N, B), 1.0 / N, dtype=P.value.dtype)
-    # q_t = T^T p_{t-1}; the readout takes only q_L, the rest feed the
-    # introspection dict
-    Q = trans_t.value @ np.concatenate([p0[None], P.value[:L - 1]])
-    check_finite(Q, "state_track")                # [L, N, B]
-    q_last = T.matmul(trans_t, Var(p0) if L == 1 else P[L - 2])
+    # q_L = T^T p_{L-1}, with a uniform p_0
+    q_last = T.matmul(T.swapaxes(trans, 0, 1), Var(p0) if L == 1 else P[L - 2])
+    check_finite(q_last, "state_track")           # [N, B]
     o_m = T.linear(T.swapaxes(T.concat([H[L - 1], q_last], axis=0), 0, 1),
                    params["head_m.W"], params["head_m.b"])
-    return o_m, {"p": _batch_major(P.value), "q": _batch_major(Q),
-                 "transition": trans.value.copy()}
+    return o_m, P, trans
 
 
 def _anomaly_stream(E: Var, params: dict[str, Var], cfg: ModelConfig,
-                    train: bool, dropout_rng: Rng | None) -> tuple[Var, np.ndarray]:
+                    train: bool, dropout_rng: Rng | None) -> tuple[Var, Var]:
     """Anomaly stream, batch-major through attention and amplification, then
-    batch-minor through the GRU stack: (o_a [B, DS], alpha [B, L])."""
+    batch-minor through the GRU stack: (o_a [B, DS], alpha [B, L, 1])."""
     L, HG = E.shape[1], cfg.gru_hidden
     Z = multi_head_attention(E, params, cfg.n_heads)[0]
     check_finite(Z, "attention")
@@ -317,17 +314,12 @@ def _anomaly_stream(E: Var, params: dict[str, Var], cfg: ModelConfig,
     h_bwd_first = G[0, HG:]
     o_a = T.linear(T.swapaxes(T.concat([h_fwd_last, h_bwd_first], axis=0), 0, 1),
                    params["head_a.W"], params["head_a.b"])
-    return o_a, alpha.value[:, :, 0].copy()
+    return o_a, alpha
 
 
 def _batch_minor(x: Var) -> Var:
     """A [B, L, F] stack as a [L, F, B] view."""
     return T.swapaxes(T.swapaxes(x, 0, 1), 1, 2)
-
-
-def _batch_major(a: np.ndarray) -> np.ndarray:
-    """A [L, N, B] array as a fresh [B, L, N] one."""
-    return np.ascontiguousarray(a.transpose(2, 0, 1))
 
 
 def fuse_outputs(o_m: Var, o_a: Var, W: Var, b: Var) -> tuple[Var, Var]:
@@ -345,8 +337,9 @@ class DualStreamModel(SpecModel):
         super().__init__(_param_specs(cfg))
 
     def forward(self, params: dict[str, Var], X, train: bool = False,
-                rng: Rng | None = None) -> tuple[Var, dict]:
-        return forward(params, X, self.cfg, train, rng)
+                rng: Rng | None = None) -> Var:
+        """The scaled next-day prediction [B] of the windows X [B, L, F]."""
+        return _dual_stream(params, X, self.cfg, train, rng)[0]
 
 
 def wrap_params(params: dict[str, np.ndarray], requires_grad: bool = True,
@@ -372,8 +365,7 @@ def predict(model, params: dict[str, np.ndarray], X: np.ndarray,
     wrapped = wrap_params(params, requires_grad=False, dtype=TAPE_DTYPE)
     out = np.empty(X.shape[0])
     for s in range(0, X.shape[0], batch_size):
-        pred, _ = model.forward(wrapped, X[s:s + batch_size], train=False)
-        out[s:s + batch_size] = pred.value
+        out[s:s + batch_size] = model.forward(wrapped, X[s:s + batch_size]).value
     return out
 
 

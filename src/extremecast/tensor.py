@@ -66,7 +66,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 
 # Python floats, so that they do not promote a float32 operand
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -499,13 +499,16 @@ def dropout(a: Var, rate: float, rng, training: bool) -> Var:
     """Inverted dropout.
 
     Consumes ``a.size`` uniforms from ``rng`` only when active (training and
-    rate > 0); an entry is kept when its uniform is >= rate and scaled by
-    1/(1-rate).  Identity in eval mode or at rate 0.
+    rate > 0), and raises ``ConfigError`` when active without a stream; an
+    entry is kept when its uniform is >= rate and scaled by 1/(1-rate).
+    Identity in eval mode or at rate 0.
     """
     if not training or rate == 0.0:
         return a
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
+    if rng is None:
+        raise ConfigError("train-mode forward with dropout needs a dropout stream")
     mask = (rng.uniform_array(a.value.shape) >= rate) / (1.0 - rate)
     return mul(a, Var(mask.astype(a.value.dtype, copy=False)))
 

@@ -147,7 +147,7 @@ def _train_step(model, params, X, y, cfg: TrainConfig, state: TrainState,
     step's tape as it walks it; the parameter gradients die with this frame,
     before validation runs."""
     wrapped = wrap_params(params, dtype=TAPE_DTYPE)
-    pred, _ = model.forward(wrapped, X, train=True, rng=dropout_rng)
+    pred = model.forward(wrapped, X, train=True, rng=dropout_rng)
     loss = compute_loss(pred, y, cfg.loss)
     loss_value = float(loss.value)
     if not math.isfinite(loss_value):

@@ -36,7 +36,7 @@ from extremecast.features import FeatureSpec, build_features, savgol_causal
 from extremecast.losses import LossConfig, compute_loss
 from extremecast.metrics import TAIL_Q, regression_metrics
 from extremecast.model import (DualStreamModel, ModelConfig, attention_weights,
-                               forward, fuse_outputs, wrap_params)
+                               fuse_outputs, introspect, wrap_params)
 from extremecast.pipeline import PreparedDataset, prepare
 from extremecast.rng import Rng
 from extremecast.synthetic import sinusoid_ar_table, table_to_csv
@@ -113,7 +113,7 @@ def tiny_dual_cfg() -> ModelConfig:
 
 def _grad_check_model(model, params, X, targets, budget_s=60.0):
     def f(wrapped):
-        pred, _ = model.forward(wrapped, X, train=False)
+        pred = model.forward(wrapped, X, train=False)
         return compute_loss(pred, targets, LossConfig())
 
     t0 = time.time()
@@ -211,7 +211,7 @@ def test_criterion_03_simplex_invariants():
             requires_grad=False)
         X = Rng(2000 + draw, "acceptance").gaussian_array(
             (B, cfg.lookback, cfg.n_features), 0.0, 1.0 + (draw % 3))
-        _, intro = forward(params, X, cfg)
+        intro = introspect(params, X, cfg)
         attn = attention_weights(params, X, cfg)
         for name, rows in (("p", intro["p"].reshape(-1, cfg.n_states)),
                            ("attention", attn.reshape(-1, cfg.lookback)),
@@ -627,7 +627,7 @@ def test_criterion_11_diagnostics_sanity():
     class PlantedModel:
         def forward(self, params, X, train=False, rng=None):
             Xv = X if isinstance(X, Var) else Var(X)
-            return Var(slope * Xv.value[:, :, 0].mean(axis=1)), {}
+            return Var(slope * Xv.value[:, :, 0].mean(axis=1))
 
     pdp = partial_dependence(PlantedModel(), {}, planted, "x0", grid_size=20)
     fit = np.polyfit(np.array(pdp["grid"]), np.array(pdp["mean_prediction"]), 1)

@@ -10,10 +10,14 @@ Oracles:
 * finite-difference gradient checks on tiny configs.
 """
 
+import types
+
 import numpy as np
 import pytest
 
+from extremecast import tensor as T
 from extremecast.baselines import (
+    MODELS,
     NBeatsConfig,
     NBeatsModel,
     PersistenceModel,
@@ -37,6 +41,18 @@ def tiny_nbeats_cfg():
     return NBeatsConfig(lookback=8, stacks=2, fc_units=6)
 
 
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_forward_returns_the_prediction_alone(kind):
+    # every kind at its default config, in eval and train mode
+    config_cls, build = MODELS[kind]
+    model = build(config_cls(), types.SimpleNamespace(target_index=lambda: 0))
+    X = Rng(3, "data").gaussian_array((4, 30, 30))
+    params = model.init_params(Rng(3, "init"))
+    for train in (False, True):
+        pred = model.forward(params, X, train=train, rng=Rng(3, "dropout"))
+        assert isinstance(pred, Var) and pred.shape == (4,)
+
+
 # ------------------------------------------------------------- persistence
 
 
@@ -44,9 +60,8 @@ def test_persistence_returns_last_target_value():
     rng = Rng(5, "x")
     X = rng.gaussian_array((6, 7, 3))
     model = PersistenceModel(target_index=2)
-    pred, intro = model.forward({}, X)
+    pred = model.forward({}, X)
     assert np.array_equal(pred.value, X[:, -1, 2])
-    assert intro == {}
 
 
 def test_persistence_requires_target_column():
@@ -141,15 +156,15 @@ def test_tcn_receptive_field_is_bitwise_causal():
     params = model.init_params(Rng(7, "init"))
     rng = Rng(7, "data")
     X = rng.gaussian_array((5, cfg.lookback, cfg.n_features))
-    base = model.forward(params, X)[0].value
+    base = model.forward(params, X).value
 
     outside = X.copy()
     outside[:, : cfg.lookback - 4, :] += 11.0
-    assert np.array_equal(model.forward(params, outside)[0].value, base)
+    assert np.array_equal(model.forward(params, outside).value, base)
 
     inside = X.copy()
     inside[:, cfg.lookback - 4, :] += 11.0
-    assert not np.array_equal(model.forward(params, inside)[0].value, base)
+    assert not np.array_equal(model.forward(params, inside).value, base)
 
 
 def test_tcn_zero_weights_output_bias():
@@ -158,7 +173,7 @@ def test_tcn_zero_weights_output_bias():
               for k, v in model.init_params(Rng(1, "init")).items()}
     params["head.b"] = np.array([2.5])
     X = Rng(1, "data").gaussian_array((4, 8, 4))
-    pred, _ = model.forward(params, X)
+    pred = model.forward(params, X)
     np.testing.assert_array_equal(pred.value, np.full(4, 2.5))
 
 
@@ -168,8 +183,8 @@ def test_tcn_forward_shape_and_eval_determinism():
     model = TcnModel(cfg)
     params = model.init_params(Rng(9, "init"))
     X = Rng(9, "data").gaussian_array((6, 8, 4))
-    a = model.forward(params, X)[0].value
-    b = model.forward(params, X)[0].value
+    a = model.forward(params, X).value
+    b = model.forward(params, X).value
     assert a.shape == (6,)
     assert np.array_equal(a, b)
     with pytest.raises(ConfigError):
@@ -184,9 +199,9 @@ def test_tcn_dropout_training_path_uses_stream():
     model = TcnModel(cfg)
     params = model.init_params(Rng(2, "init"))
     X = Rng(2, "data").gaussian_array((3, 8, 4))
-    one = model.forward(params, X, train=True, rng=Rng(4, "dropout"))[0].value
-    two = model.forward(params, X, train=True, rng=Rng(4, "dropout"))[0].value
-    other = model.forward(params, X, train=True, rng=Rng(5, "dropout"))[0].value
+    one = model.forward(params, X, train=True, rng=Rng(4, "dropout")).value
+    two = model.forward(params, X, train=True, rng=Rng(4, "dropout")).value
+    other = model.forward(params, X, train=True, rng=Rng(5, "dropout")).value
     assert np.array_equal(one, two)
     assert not np.array_equal(one, other)
 
@@ -195,11 +210,11 @@ def test_tcn_gradients_fd():
     model = TcnModel(tiny_tcn_cfg())
     raw = model.init_params(Rng(21, "init"))
     X = Rng(21, "data").gaussian_array((4, 8, 4))
-    base = model.forward(raw, X)[0].value   # raw arrays: nothing recorded
+    base = model.forward(raw, X).value   # raw arrays: nothing recorded
     target = base + np.array([0.11, -0.05, 0.02, -0.08])
 
     def loss_fn(work):
-        pred, _ = model.forward(work, X)
+        pred = model.forward(work, X)
         return compute_loss(pred, target, LossConfig())
 
     report = grad_check(loss_fn, raw)
@@ -221,16 +236,28 @@ def test_nbeats_config_validation():
         NBeatsConfig(fc_units=0).validate()
 
 
-def test_nbeats_decomposition_identity():
+def test_nbeats_decomposition_identity(monkeypatch):
     model = NBeatsModel(tiny_nbeats_cfg(), target_index=1)
     params = model.init_params(Rng(31, "init"))
     X = Rng(31, "data").gaussian_array((5, 8, 3))
-    pred, intro = model.forward(params, X)
-    fc = intro["stack_forecasts"]
-    assert fc.shape == (5, 2)
-    recomposed = fc[:, 0].copy()
-    for s in range(1, fc.shape[1]):
-        recomposed = recomposed + fc[:, s]
+    # each stack's forecast, as its ``fore`` head computes it
+    fore = [params[f"stack.{s}.fore.W"] for s in range(model.cfg.stacks)]
+    forecasts = []
+    linear = T.linear
+
+    def spy(x, W, b):
+        out = linear(x, W, b)
+        if any(W is w for w in fore):
+            forecasts.append(out.value)
+        return out
+
+    monkeypatch.setattr(T, "linear", spy)
+    pred = model.forward(params, X)
+    monkeypatch.undo()
+    assert [f.shape for f in forecasts] == [(5, 1), (5, 1)]
+    recomposed = forecasts[0][:, 0].copy()
+    for f in forecasts[1:]:
+        recomposed = recomposed + f[:, 0]
     assert np.array_equal(pred.value, recomposed)
 
 
@@ -248,8 +275,8 @@ def test_nbeats_zeroed_trailing_stacks_are_noops():
                if k.startswith(("stack.0.", "stack.1."))}
 
     X = Rng(41, "data").gaussian_array((6, 8, 2))
-    np.testing.assert_array_equal(model4.forward(params4, X)[0].value,
-                                  model2.forward(params2, X)[0].value)
+    np.testing.assert_array_equal(model4.forward(params4, X).value,
+                                  model2.forward(params2, X).value)
 
 
 def test_nbeats_zero_weights_output_forecast_biases():
@@ -259,7 +286,7 @@ def test_nbeats_zero_weights_output_forecast_biases():
     params["stack.0.fore.b"] = np.array([1.25])
     params["stack.1.fore.b"] = np.array([-0.25])
     X = Rng(1, "data").gaussian_array((3, 8, 2))
-    pred, _ = model.forward(params, X)
+    pred = model.forward(params, X)
     np.testing.assert_array_equal(pred.value, np.full(3, 1.0))
 
 
@@ -267,25 +294,25 @@ def test_nbeats_uses_only_target_column():
     model = NBeatsModel(tiny_nbeats_cfg(), target_index=1)
     params = model.init_params(Rng(51, "init"))
     X = Rng(51, "data").gaussian_array((4, 8, 3))
-    base = model.forward(params, X)[0].value
+    base = model.forward(params, X).value
     X2 = X.copy()
     X2[:, :, 0] += 9.0
     X2[:, :, 2] -= 4.0
-    assert np.array_equal(model.forward(params, X2)[0].value, base)
+    assert np.array_equal(model.forward(params, X2).value, base)
     X3 = X.copy()
     X3[:, 3, 1] += 1.0
-    assert not np.array_equal(model.forward(params, X3)[0].value, base)
+    assert not np.array_equal(model.forward(params, X3).value, base)
 
 
 def test_nbeats_gradients_fd():
     model = NBeatsModel(tiny_nbeats_cfg(), target_index=0)
     raw = model.init_params(Rng(61, "init"))
     X = Rng(61, "data").gaussian_array((4, 8, 2))
-    base = model.forward(raw, X)[0].value   # raw arrays: nothing recorded
+    base = model.forward(raw, X).value   # raw arrays: nothing recorded
     target = base + np.array([0.07, -0.12, 0.04, -0.02])
 
     def loss_fn(work):
-        pred, _ = model.forward(work, X)
+        pred = model.forward(work, X)
         return compute_loss(pred, target, LossConfig())
 
     report = grad_check(loss_fn, raw)

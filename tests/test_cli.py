@@ -839,6 +839,43 @@ def test_learning_curve_sweep_without_rows_exit_3(work, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_warnings_print_one_plain_line_each(tmp_path):
+    # in a fresh process, where no test harness records warnings: a constant
+    # pdp feature and each skipped learning-curve fraction print as one
+    # ``warning: …`` line, without the source path and line
+    table = sinusoid_ar_table(seed=11, n_days=400)
+    table.columns["precip"][150:] = 0.0           # constant on val and test
+    table_to_csv(table, tmp_path / "raw.csv")
+    doc = dict(CONFIG, training=dict(CONFIG["training"], batch_size=512))
+    doc["dataset"] = dict(CONFIG["dataset"], csv_path=str(tmp_path / "raw.csv"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    data, ckpt = str(tmp_path / "data.json"), str(tmp_path / "ckpt.json")
+    assert main(["prepare", "--config", str(config), "--out", data]) == 0
+    assert main(["train", "--config", str(config), "--data", data,
+                 "--model", "persistence", "--out", ckpt]) == 0
+    src = str(Path(list(extremecast.__path__)[0]).resolve().parent)
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "extremecast", *argv],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+
+    pdp = run("explain", "--checkpoint", ckpt, "--data", data, "--method", "pdp",
+              "--feature", "precip", "--out", str(tmp_path / "pdp.csv"))
+    assert pdp.returncode == 0, pdp.stderr
+    assert pdp.stderr == ("warning: feature 'precip' is constant on test; "
+                          "emitting a single-point curve\n")
+    sweep = run("sweep", "--config", str(config), "--kind", "learning-curve",
+                "--data", data, "--model", "persistence",
+                "--out", str(tmp_path / "lc.csv"))
+    assert sweep.returncode == 3, sweep.stderr
+    lines = sweep.stderr.splitlines()
+    assert lines[:-1] == [f"warning: fraction {f} yields fewer than 2 batches; "
+                          "skipped" for f in (0.2, 0.4, 0.6, 0.8, 1.0)]
+    assert lines[-1].startswith("error: learning-curve sweep")
+
+
 def test_sweep_feature_ablation_csv(work, tmp_path):
     doc = json.loads((work / "config.json").read_text())
     doc["training"]["max_epochs"] = 1

@@ -190,7 +190,10 @@ NON_INTEGRAL_OR_NON_FINITE = (
        for value in (math.nan, math.inf, -math.inf, 10**400)])
 
 
-@pytest.mark.parametrize("path,value", CONSTRAINTS)
+# every case is named by its values, never by its position, so a new row is
+# a pure addition
+@pytest.mark.parametrize("path,value", CONSTRAINTS,
+                         ids=lambda v: "empty_list" if v == [] else None)
 def test_each_constraint_names_its_path(path, value):
     with pytest.raises(ConfigError, match=_names(path)):
         run_config_from_dict(set_path({}, path, value))

@@ -69,7 +69,7 @@ class LinearSurrogate:
 
     def forward(self, params, X, train=False, rng=None):
         arr = X.value if isinstance(X, Var) else np.asarray(X)
-        return Var(self.coef * arr[:, :, self.f].mean(axis=1)), {}
+        return Var(self.coef * arr[:, :, self.f].mean(axis=1))
 
 
 # -------------------------------------------------------------- occlusion
@@ -165,7 +165,7 @@ def test_permutation_importance_window_coherence_and_determinism():
         def forward(self, params, X, train=False, rng=None):
             arr = X.value if isinstance(X, Var) else np.asarray(X)
             captured.append(arr.copy())
-            return Var(arr[:, -1, 0]), {}
+            return Var(arr[:, -1, 0])
 
     base = ds.part("test").X
     permutation_importance(Capture(), {}, ds, repeats=1, seed=1)

@@ -20,8 +20,8 @@ from extremecast.baselines import (NBeatsConfig, NBeatsModel, PersistenceModel,
 from extremecast.losses import LossConfig, compute_loss
 from extremecast.model import (TAPE_DTYPE, DualStreamModel, ModelConfig,
                                attention_weights, bigru_layer, bilstm_layer,
-                               fuse_outputs, multi_head_attention, predict,
-                               wrap_params)
+                               fuse_outputs, introspect, multi_head_attention,
+                               predict, wrap_params)
 from extremecast.rng import Rng
 from extremecast.tensor import Var
 
@@ -83,14 +83,14 @@ def test_forward_shapes_and_simplex_invariants(monkeypatch):
         return Z, attn
 
     monkeypatch.setattr(model_module, "multi_head_attention", spy)
-    pred, intro = model.forward(params, X)
+    pred = model.forward(params, X)
     monkeypatch.undo()
+    intro = introspect(params, X, cfg)
     attn = attention_weights(params, X, cfg)
 
-    assert pred.shape == (B,)
-    assert list(intro) == ["p", "q", "transition", "alpha", "gamma"]
+    assert isinstance(pred, Var) and pred.shape == (B,)
+    assert list(intro) == ["p", "transition", "alpha", "gamma"]
     assert intro["p"].shape == (B, L, N)
-    assert intro["q"].shape == (B, L, N)
     assert intro["transition"].shape == (N, N)
     assert attn.shape == (B, cfg.n_heads, L, L)
     assert intro["alpha"].shape == (B, L)
@@ -99,10 +99,9 @@ def test_forward_shapes_and_simplex_invariants(monkeypatch):
     assert len(seen) == 1 and seen[0].tobytes() == attn.tobytes()
 
     npt.assert_allclose(intro["p"].sum(axis=-1), np.ones((B, L)), atol=1e-12)
-    npt.assert_allclose(intro["q"].sum(axis=-1), np.ones((B, L)), atol=1e-12)
     npt.assert_allclose(intro["transition"].sum(axis=-1), np.ones(N), atol=1e-12)
     npt.assert_allclose(attn.sum(axis=-1), np.ones((B, cfg.n_heads, L)), atol=1e-12)
-    assert np.all(intro["p"] >= 0) and np.all(intro["q"] >= 0)
+    assert np.all(intro["p"] >= 0)
     assert np.all(attn >= 0)
     # amplification stays in (1, 1 + gain); fusion gate in (0, 1)
     assert np.all(intro["alpha"] > 1.0) and np.all(intro["alpha"] < 1.0 + cfg.amp_gain)
@@ -113,26 +112,10 @@ def test_zero_logits_give_uniform_transition_and_q1():
     cfg = tiny_cfg()
     model = DualStreamModel(cfg)
     params = wrap_params(model.init_params(Rng(2, "init")))
-    _, intro = model.forward(params, make_batch(cfg))
+    intro = introspect(params, make_batch(cfg), cfg)
     N = cfg.n_states
-    # softmax of all-zero logits is exactly uniform, and q_1 = p_0 T keeps it
+    # softmax of all-zero logits is exactly uniform
     npt.assert_array_equal(intro["transition"], np.full((N, N), 1.0 / N))
-    npt.assert_allclose(intro["q"][:, 0, :], np.full((3, N), 1.0 / N), atol=1e-15)
-
-
-def test_state_track_uses_previous_step_probabilities():
-    cfg = tiny_cfg()
-    model = DualStreamModel(cfg)
-    raw = model.init_params(Rng(3, "init"))
-    # make the transition non-uniform so the recurrence is visible
-    raw["trans.logits"] = np.arange(cfg.n_states ** 2, dtype=float).reshape(
-        cfg.n_states, cfg.n_states)
-    params = wrap_params(raw)
-    _, intro = model.forward(params, make_batch(cfg))
-    trans = intro["transition"]
-    for t in range(1, cfg.lookback):
-        npt.assert_allclose(intro["q"][:, t, :], intro["p"][:, t - 1, :] @ trans,
-                            atol=1e-12)
 
 
 def test_fusion_betweenness():
@@ -224,8 +207,8 @@ def test_eval_forward_bitwise_deterministic():
     model = DualStreamModel(cfg)
     raw = model.init_params(Rng(20, "init"))
     X = make_batch(cfg, B=4)
-    p1, _ = model.forward(wrap_params(raw), X, train=False)
-    p2, _ = model.forward(wrap_params(raw), X, train=False)
+    p1 = model.forward(wrap_params(raw), X, train=False)
+    p2 = model.forward(wrap_params(raw), X, train=False)
     npt.assert_array_equal(p1.value, p2.value)
 
 
@@ -234,10 +217,10 @@ def test_train_dropout_deterministic_and_stream_accounted():
     model = DualStreamModel(cfg)
     raw = model.init_params(Rng(21, "init"))
     X = make_batch(cfg, B=4)
-    p1, _ = model.forward(wrap_params(raw), X, train=True, rng=Rng(7, "dropout"))
-    p2, _ = model.forward(wrap_params(raw), X, train=True, rng=Rng(7, "dropout"))
+    p1 = model.forward(wrap_params(raw), X, train=True, rng=Rng(7, "dropout"))
+    p2 = model.forward(wrap_params(raw), X, train=True, rng=Rng(7, "dropout"))
     npt.assert_array_equal(p1.value, p2.value)
-    p3, _ = model.forward(wrap_params(raw), X, train=True, rng=Rng(8, "dropout"))
+    p3 = model.forward(wrap_params(raw), X, train=True, rng=Rng(8, "dropout"))
     assert not np.array_equal(p1.value, p3.value)
 
     # exactly B*L*D + B*L*(D/2) uniforms consumed (embedding + anomaly MLP)
@@ -280,8 +263,8 @@ def test_predict_batching_stable(monkeypatch):
     # float32 forward widened to float64
     assert full.dtype == np.float64
     npt.assert_array_equal(full, predict(model, raw, X, batch_size=256))
-    direct32, _ = model.forward(wrap_params(raw, requires_grad=False,
-                                            dtype=np.float32), X)
+    direct32 = model.forward(wrap_params(raw, requires_grad=False,
+                                         dtype=np.float32), X)
     assert full.tobytes() == direct32.value.astype(np.float64).tobytes()
     # different batch sizes agree to float32 rounding: GEMM blocking differs
     # with the batch dimension, which reorders sums in every layer.  These
@@ -305,7 +288,7 @@ def test_predict_batching_stable(monkeypatch):
     npt.assert_array_equal(full, predict(model, raw, X, batch_size=256))
     npt.assert_allclose(predict(model, raw, X, batch_size=3), full,
                         rtol=0, atol=1e-12)
-    direct, _ = model.forward(wrap_params(raw, requires_grad=False), X)
+    direct = model.forward(wrap_params(raw, requires_grad=False), X)
     npt.assert_array_equal(full, direct.value)
 
 
@@ -314,8 +297,8 @@ def test_amp_gain_zero_pins_alpha_between_one_and_two():
     cfg = tiny_cfg(amp_gain=0.0)
     model = DualStreamModel(cfg)
     params = wrap_params(model.init_params(Rng(31, "init")))
-    _, intro = model.forward(params, make_batch(cfg))
-    npt.assert_array_equal(intro["alpha"], np.ones_like(intro["alpha"]))
+    alpha = introspect(params, make_batch(cfg), cfg)["alpha"]
+    npt.assert_array_equal(alpha, np.ones_like(alpha))
 
 
 def test_gru_constant_input_converges_to_fixed_point():
@@ -404,7 +387,7 @@ def _train_step_loss(cfg, seed=41):
     model = DualStreamModel(cfg)
     params = wrap_params(model.init_params(Rng(seed, "init")))
     X = make_batch(cfg, B=4, seed=seed)
-    pred, _ = model.forward(params, X, train=True, rng=Rng(seed, "dropout"))
+    pred = model.forward(params, X, train=True, rng=Rng(seed, "dropout"))
     return compute_loss(pred, np.linspace(-1.0, 1.0, 4), LossConfig()), params
 
 
@@ -420,12 +403,12 @@ def _as_bytes(arrays):
 
 def _step_and_eval_bytes(cfg, seed=41):
     """Parameter gradients of a train step, eval predictions and the eval
-    introspection dict, as bytes."""
+    internals from ``introspect``, as bytes."""
     _, grads = _train_step_grads(cfg, seed)
     model = DualStreamModel(cfg)
     raw = model.init_params(Rng(seed, "init"))
     X = make_batch(cfg, B=4, seed=seed)
-    _, intro = model.forward(wrap_params(raw, requires_grad=False), X)
+    intro = introspect(wrap_params(raw, requires_grad=False), X, cfg)
     return _as_bytes(grads), predict(model, raw, X).tobytes(), _as_bytes(intro)
 
 
@@ -492,7 +475,7 @@ def test_tape_runs_in_float32_at_tape_dtype(kind):
     raw = model.init_params(Rng(42, "init"))
     X = make_batch(tiny_cfg(lookback=model.cfg.lookback), B=5, seed=42)
     params = wrap_params(raw, dtype=TAPE_DTYPE)
-    pred, _ = model.forward(params, X, train=True, rng=Rng(42, "dropout"))
+    pred = model.forward(params, X, train=True, rng=Rng(42, "dropout"))
     loss = compute_loss(pred, np.linspace(-1.0, 1.0, 5), LossConfig())
     assert loss.value.dtype == np.float64
     # collected before ``backward``, which frees the tape it walks; each
@@ -510,8 +493,8 @@ def test_tape_runs_in_float32_at_tape_dtype(kind):
     assert all(p.grad is None or p.grad.dtype == np.float32
                for p in params.values())
     # predict is a float32 eval forward of the same batch, bit for bit
-    direct, _ = model.forward(wrap_params(raw, requires_grad=False,
-                                          dtype=np.float32), X)
+    direct = model.forward(wrap_params(raw, requires_grad=False,
+                                       dtype=np.float32), X)
     assert (predict(model, raw, X).tobytes()
             == direct.value.astype(np.float64).tobytes())
 

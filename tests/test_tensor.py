@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from extremecast import tensor as T
-from extremecast.errors import NumericError
+from extremecast.errors import ConfigError, NumericError
 from extremecast.rng import Rng
 from extremecast.tensor import Var, backward
 from gradcheck import grad_check
@@ -274,6 +274,16 @@ def test_dropout_semantics():
     assert abs(frac - 0.25) < 0.03
     with pytest.raises(ValueError):
         T.dropout(x, 1.0, Rng(0, "dropout"), training=True)
+
+
+def test_active_dropout_requires_a_stream():
+    # the one statement of the rule every model kind's train pass relies on
+    x = Var(np.ones((3, 4)), requires_grad=True)
+    with pytest.raises(ConfigError, match="needs a dropout stream"):
+        T.dropout(x, 0.25, None, training=True)
+    # inactive dropout draws nothing, so it needs no stream
+    assert T.dropout(x, 0.25, None, training=False) is x
+    assert T.dropout(x, 0.0, None, training=True) is x
 
 
 def test_check_finite_names_stage():

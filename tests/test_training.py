@@ -267,7 +267,7 @@ def test_non_finite_loss_aborts_with_location(dataset, monkeypatch):
 
         def forward(self, params, X, train=False, rng=None):
             from extremecast.tensor import Var
-            return Var(np.full(X.shape[0], np.inf)), {}
+            return Var(np.full(X.shape[0], np.inf))
 
     monkeypatch.setattr(training, "build_model",
                         lambda cfg, ds: (ExplodingModel(), "tcn"))

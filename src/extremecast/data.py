@@ -117,7 +117,9 @@ def load_csv(path: str, target: str = TARGET_COLUMN) -> TimeSeriesTable:
         if name == date_col:
             continue
         try:
-            parsed = np.array([float(c) if c.strip() else np.nan for c in cells])
+            parsed = np.fromiter(
+                map(float, [c or "nan" for c in map(str.strip, cells)]),
+                np.float64, len(cells))
         except ValueError:
             continue        # a text cell: the column is not numeric
         inf = np.flatnonzero(np.isinf(parsed))

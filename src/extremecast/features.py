@@ -13,6 +13,10 @@ Raw numeric columns always stay in the candidate pool.  Feature modes:
 "full" builds every group, "minimal" only the four cyclical calendar
 encodings, "raw_only" no derived features.
 
+The rolling statistics and the smoother take a stack of series with time on
+the last axis, so building runs one call per (window, stat) for all series;
+every value keeps the bits of one numpy call per series and day.
+
 Selection ranks candidates by |Pearson r| between feature(t) and target(t+1)
 over train-partition rows, keeps the top k, breaks ties lexicographically,
 and forces zero-variance features to rank last (r treated as 0).
@@ -39,6 +43,7 @@ CLIMATOLOGY_STD_FLOOR = 1e-8
 FEATURE_MODES = ("full", "minimal", "raw_only")
 _ROLLING = {"mean": np.mean, "min": np.min, "max": np.max,
             "std": partial(np.std, ddof=1)}
+_RUNNING = {"min": np.minimum, "max": np.maximum}
 
 
 @dataclass
@@ -56,26 +61,61 @@ class FeatureSpec:
 
 
 def rolling_stat(x: np.ndarray, window: int, stat: str) -> np.ndarray:
-    """Trailing statistic over the last `window` days, partial at the start.
+    """Trailing statistic over the last `window` days of each series of
+    ``x[..., n]`` (time on the last axis), partial at the start.
 
-    std uses ddof=1; a single-point window yields std 0.  Each full window
-    is reduced as one row of a sliding-window view along its last axis,
-    which runs the same inner loop as the call on the 1-D slice, so the
-    bits equal a per-day loop's.
+    std uses ddof=1; a single-point window yields std 0.  Every value has
+    the bits of the 1-D call on its row's trailing slice, because a
+    reduction along the last axis of a stack runs each row's inner loop as
+    the call on that row alone does.  mean and std reduce all full windows
+    as the rows of one sliding-window view, and each start-of-series day in
+    one call for every series.  min and max run np.minimum/np.maximum:
+    accumulated over the first window-1 days, folded over `window` shifted
+    views for the full windows.  That gives the reduction's value, but
+    where it is 0.0 or not finite the sign of a zero or a NaN's payload may
+    differ, so those windows are reduced again.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     if stat not in _ROLLING:
         raise ValueError(f"unknown rolling stat {stat!r}")
+    if stat in _RUNNING:
+        return _rolling_extreme(x, window, stat)
     reduce = _ROLLING[stat]
-    n = x.shape[0]
-    out = np.zeros(n)
+    n = x.shape[-1]
+    out = np.zeros(x.shape)
     # a one-point std is left at 0 rather than computed with ddof=1
     lo = 1 if stat == "std" else 0
     for i in range(lo, min(window - 1, n)):
-        out[i] = reduce(x[:i + 1])
+        out[..., i] = reduce(x[..., :i + 1], axis=-1)
     if n >= window > lo:
-        out[window - 1:] = reduce(sliding_window_view(x, window), axis=-1)
+        out[..., window - 1:] = reduce(sliding_window_view(x, window, axis=-1),
+                                       axis=-1)
+    return out
+
+
+def _rolling_extreme(x: np.ndarray, window: int, stat: str) -> np.ndarray:
+    """rolling_stat's min and max.  A separate path because the folds cost
+    per call where a sliding-window reduction costs per element: about 3x
+    faster on the feature stacks, 7% of `extremecast prepare`
+    (BENCH_32.json, ablation "fork")."""
+    running, reduce = _RUNNING[stat], _ROLLING[stat]
+    n = x.shape[-1]
+    head = min(window - 1, n)
+    out = np.empty(x.shape)
+    running.accumulate(x[..., :head], axis=-1, out=out[..., :head])
+    full = out[..., head:]
+    if n >= window:
+        full[...] = x[..., :n - head]
+        for j in range(1, window):
+            running(full, x[..., j:j + n - head], out=full)
+    redo = out == 0.0
+    redo |= ~np.isfinite(out)
+    for *row, i in zip(*np.nonzero(redo[..., :head])):
+        out[(*row, i)] = reduce(x[(*row, slice(0, i + 1))])
+    at = np.nonzero(redo[..., head:])
+    if at[0].size:
+        full[at] = reduce(sliding_window_view(x, window, axis=-1)[at], axis=-1)
     return out
 
 
@@ -92,26 +132,29 @@ def _sg_coeffs(n_pts: int, order: int) -> np.ndarray:
 
 
 def savgol_causal(x: np.ndarray, window: int = 7, poly: int = 3) -> np.ndarray:
-    """Causal Savitzky-Golay: value at t from the window ending at t.
+    """Causal Savitzky-Golay on each series of ``x[..., n]`` (time on the
+    last axis): the value at t comes from the window ending at t.
 
     Start-of-series windows shrink and the polynomial order drops to
     n_pts - 1 when fewer points than poly + 1 are available.  Exact for
-    polynomials up to `poly` once the window is full.
+    polynomials up to `poly` once the window is full.  Each window length's
+    weights are solved once for all series.  Every day is a stack of
+    [1, m] @ [m, 1] products, one per series, which runs the vector dot
+    kernel of the one-day ``weights @ x[t-m+1:t+1]``, so the bits equal a
+    per-day loop's; the matrix-vector forms ``x[..., :m] @ weights`` and
+    ``view @ weights`` move them.
     """
     if window < 1 or poly < 0:
         raise ValueError("window must be >= 1 and poly >= 0")
-    n = x.shape[0]
-    coeffs = {m: _sg_coeffs(m, min(poly, m - 1)) for m in range(1, min(window, n) + 1)}
-    out = np.empty(n)
+    n = x.shape[-1]
+    out = np.empty(x.shape)
     for i in range(min(window - 1, n)):
-        out[i] = coeffs[i + 1] @ x[:i + 1]
+        weights = _sg_coeffs(i + 1, min(poly, i))[:, None]
+        out[..., i] = (x[..., None, :i + 1] @ weights)[..., 0, 0]
     if n >= window:
-        # a stack of [1, window] @ [window, 1] products runs the vector dot
-        # kernel of the one-day `coeffs @ x[i-window+1:i+1]`, so the bits
-        # equal a per-day loop's; a plain `view @ coeffs` (matrix-vector
-        # kernel) moves them
-        view = sliding_window_view(x, window)[:, None, :]
-        out[window - 1:] = (view @ coeffs[window][:, None])[:, 0, 0]
+        weights = _sg_coeffs(window, min(poly, window - 1))[:, None]
+        view = sliding_window_view(x, window, axis=-1)[..., None, :]
+        out[..., window - 1:] = (view @ weights)[..., 0, 0]
     return out
 
 
@@ -230,22 +273,39 @@ def build_features(table: TimeSeriesTable, split: SplitSpec,
     put("week_of_year", cal["week_of_year"], "calendar")
 
     cols = table.columns
-    for name in KEY_SERIES:
-        if name not in cols:
-            continue
+    keys = [name for name in KEY_SERIES if name in cols]
+    series = {name: cols[name] for name in keys}
+    reads = {stat: list(keys) for stat in _ROLLING}   # the series each is read for
+    if "tempmax" in cols and "tempmin" in cols:
+        series["temp_range"] = cols["tempmax"] - cols["tempmin"]
+        reads["std"].append("temp_range")
+    if "tempmax" in cols and "precip" in cols:
+        series["drought_index"] = cols["tempmax"] - 2.0 * cols["precip"]
+        reads["mean"].append("drought_index")
+
+    def stack(names):
+        """The named series as the rows of one C-contiguous [len(names), n]
+        array, so each (window, stat) is one call for all of them."""
+        return np.array([series[name] for name in names]).reshape(len(names), n)
+
+    rolled = {}
+    for stat, names in reads.items():
+        rows = stack(names)
+        for w in ROLLING_WINDOWS:
+            rolled.update(zip([(name, w, stat) for name in names],
+                              rolling_stat(rows, w, stat)))
+    for name in keys:
         for w in ROLLING_WINDOWS:
             for stat in ("mean", "min", "max", "std"):
-                put(f"{name}_{w}d_{stat}", rolling_stat(cols[name], w, stat),
-                    "rolling")
-    if "tempmax" in cols and "tempmin" in cols:
-        rng_ = cols["tempmax"] - cols["tempmin"]
-        put("temp_range", rng_, "rolling")
+                put(f"{name}_{w}d_{stat}", rolled[name, w, stat], "rolling")
+    if "temp_range" in series:
+        put("temp_range", series["temp_range"], "rolling")
         for w in ROLLING_WINDOWS:
-            put(f"temp_range_vol_{w}", rolling_stat(rng_, w, "std"), "rolling")
+            put(f"temp_range_vol_{w}", rolled["temp_range", w, "std"],
+                "rolling")
 
-    for name in KEY_SERIES:
-        if name in cols:
-            put(f"{name}_smooth", savgol_causal(cols[name]), "smoothing")
+    for name, values in zip(keys, savgol_causal(stack(keys))):
+        put(f"{name}_smooth", values, "smoothing")
 
     clim = fit_climatology(table, sorted(cols), split.slice_("train"), doy)
     for name in sorted(cols):
@@ -257,10 +317,10 @@ def build_features(table: TimeSeriesTable, split: SplitSpec,
 
     if "temp" in cols and "humidity" in cols:
         put("heat_index_proxy", cols["temp"] + 0.1 * cols["humidity"], "interaction")
-    if "tempmax" in cols and "precip" in cols:
-        drought = cols["tempmax"] - 2.0 * cols["precip"]
-        put("drought_index", drought, "interaction")
-        put("drought_index_30d", rolling_stat(drought, 30, "mean"), "interaction")
+    if "drought_index" in series:
+        put("drought_index", series["drought_index"], "interaction")
+        put("drought_index_30d", rolled["drought_index", 30, "mean"],
+            "interaction")
 
     for name in DIFF_SERIES:
         if name in cols:
@@ -270,14 +330,16 @@ def build_features(table: TimeSeriesTable, split: SplitSpec,
     return feats, groups
 
 
-def pearson(a: np.ndarray, b: np.ndarray) -> float:
-    """Plain Pearson correlation; 0 when either side has zero variance."""
-    da = a - a.mean()
-    db = b - b.mean()
-    denom = np.sqrt((da * da).sum() * (db * db).sum())
-    if denom == 0.0:
-        return 0.0
-    return float((da * db).sum() / denom)
+def pearson(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Plain Pearson correlation of each row of ``a[..., m]`` with ``b[m]``
+    along the last axis; 0 where either side has zero variance.  Each row's
+    value has the bits of the call on that row alone; 1-D ``a`` gives a
+    0-d array."""
+    da = a - a.mean(axis=-1, keepdims=True)
+    db = b - b.mean(axis=-1, keepdims=True)
+    num = (da * db).sum(axis=-1)
+    denom = np.sqrt((da * da).sum(axis=-1) * (db * db).sum(axis=-1))
+    return np.divide(num, denom, out=np.zeros_like(num), where=denom != 0.0)
 
 
 @dataclass
@@ -306,8 +368,8 @@ def select_features(candidates: dict[str, np.ndarray], target: np.ndarray,
     lo, hi = split.train
     if hi - lo < 3:
         raise DataError("train partition too short for selection")
-    corr = {}
-    for name, x in candidates.items():
-        corr[name] = pearson(x[lo:hi - 1], target[lo + 1:hi])
+    rows = np.array([x[lo:hi - 1] for x in candidates.values()])
+    rows = rows.reshape(len(candidates), hi - 1 - lo)   # no candidates: [0, m]
+    corr = dict(zip(candidates, pearson(rows, target[lo + 1:hi]).tolist()))
     ranked = sorted(corr, key=lambda n: (-abs(corr[n]), n))
     return SelectionResult(ranked[:min(k, len(ranked))], corr, dict(groups or {}))

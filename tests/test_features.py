@@ -1,8 +1,9 @@
 """Feature engineering tests: frozen small fixtures, polynomial-exactness of
 the causal smoother, train-only climatology, causality under future edits,
-and selection ranking rules.  The vectorised rolling statistics, smoother
-and climatology are checked bit for bit against the per-day loops kept here
-as references."""
+and selection ranking rules.  The vectorised rolling statistics, smoother,
+climatology and correlations are checked bit for bit against the per-day
+and per-series loops kept here as references; the row-stacked statistics
+are checked row by row through ``rowwise``."""
 
 import datetime as dt
 import warnings
@@ -72,6 +73,24 @@ def savgol_loop(x, window=7, poly=3):
     return out
 
 
+def rowwise(loop):
+    """A one-series reference applied to every row of x[..., n]."""
+    def apply(x, *args):
+        rows = [loop(row, *args) for row in np.atleast_2d(x)]
+        return np.array(rows).reshape(x.shape)
+    return apply
+
+
+def pearson_loop(a, b):
+    """Reference: the scalar correlation of one series with the target."""
+    da = a - a.mean()
+    db = b - b.mean()
+    denom = np.sqrt((da * da).sum() * (db * db).sum())
+    if denom == 0.0:
+        return 0.0
+    return float((da * db).sum() / denom)
+
+
 def climatology_loop(table, columns, train_slice, doy):
     """Reference: one boolean mask and two reductions per column and day;
     ``doy`` is ignored, the days come from ``timetuple``."""
@@ -134,17 +153,30 @@ def test_rolling_is_trailing_only():
 ROLLING_WINDOWS_TESTED = (1, 2, 7, 8, 9, 30, 128, 129)
 
 
+# cells that can make a stacked statistic's bits differ from the per-day
+# call's: NaNs of both signs, both zeros and both infinities
+SPECIAL_CELLS = (np.nan, np.copysign(np.nan, -1.0), 0.0, -0.0, np.inf, -np.inf)
+
+
 @st.composite
 def rolling_cases(draw):
-    """A window, a length below, at or above it, and a series with a seeded
-    scale and offset and a few NaN cells."""
+    """A window, a length below, at or above it, and a stack of 1 to 5
+    series (or one 1-D series) with seeded scales and offsets and a few
+    special cells."""
     window = draw(st.sampled_from(ROLLING_WINDOWS_TESTED))
     n = max(0, window + draw(st.integers(-window, 40)))
+    rows = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    x = (rng.normal(size=n) * 10.0 ** draw(st.integers(-3, 4))
-         + draw(st.floats(-1e3, 1e3)))
+    x = (rng.normal(size=(rows, n))
+         * 10.0 ** rng.integers(-3, 5, size=(rows, 1))
+         + rng.uniform(-1e3, 1e3, size=(rows, 1)))
     if n:
-        x[draw(st.lists(st.integers(0, n - 1), max_size=3))] = np.nan
+        cells = st.tuples(st.integers(0, rows * n - 1),
+                          st.sampled_from(SPECIAL_CELLS))
+        for at, value in draw(st.lists(cells, max_size=6)):
+            x.flat[at] = value
+    if rows == 1 and draw(st.booleans()):
+        x = x[0]
     return x, window
 
 
@@ -152,20 +184,25 @@ def rolling_cases(draw):
 @given(rolling_cases())
 def test_rolling_stat_matches_per_day_loop_bitwise(case):
     x, window = case
-    for stat in ("mean", "min", "max", "std"):
-        assert_same_bits(rolling_stat(x, window, stat),
-                         rolling_loop(x, window, stat), stat)
+    # sums over both infinities are NaN on both sides
+    with np.errstate(invalid="ignore"):
+        for stat in ("mean", "min", "max", "std"):
+            assert_same_bits(rolling_stat(x, window, stat),
+                             rowwise(rolling_loop)(x, window, stat), stat)
 
 
 def test_rolling_min_max_match_per_day_loop_with_signed_zeros():
     gen = np.random.default_rng(4)
     cells = np.array([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf])
     for _ in range(200):
-        x = gen.choice(cells, size=int(gen.integers(1, 45)))
+        shape = (int(gen.integers(1, 6)), int(gen.integers(1, 45)))
+        x = gen.choice(cells, size=shape)
         for window in (2, 7, 9, 30):
             for stat in ("min", "max"):
                 assert_same_bits(rolling_stat(x, window, stat),
-                                 rolling_loop(x, window, stat), stat)
+                                 rowwise(rolling_loop)(x, window, stat), stat)
+                assert_same_bits(rolling_stat(x[0], window, stat),
+                                 rolling_loop(x[0], window, stat), stat)
 
 
 def test_rolling_std_of_one_point_is_zero_without_warning():
@@ -218,11 +255,25 @@ def test_savgol_causal_and_smooths_noise():
 def test_savgol_matches_per_day_loop_bitwise(window, poly, n):
     n = {"short": window - 1, "equal": window, "long": 2000}[n]
     gen = np.random.default_rng(window * 100 + n)
+    stack = []
     for scale in (1e-3, 1.0, 1e4):
         x = gen.normal(size=n) * scale + gen.uniform(-1e3, 1e3)
         for series in (x, x[::-1]):
             assert_same_bits(savgol_causal(series, window, poly),
                              savgol_loop(series, window, poly))
+            stack.append(series)
+    stack = np.stack(stack)
+    assert_same_bits(savgol_causal(stack, window, poly),
+                     rowwise(savgol_loop)(stack, window, poly))
+
+
+@SETTINGS
+@given(rolling_cases(), st.integers(0, 3))
+def test_savgol_stack_matches_per_day_loop_bitwise(case, poly):
+    x, window = case
+    with np.errstate(invalid="ignore"):
+        assert_same_bits(savgol_causal(x, window, poly),
+                         rowwise(savgol_loop)(x, window, poly))
 
 
 def test_savgol_matches_per_day_loop_on_strided_input():
@@ -413,17 +464,45 @@ def test_all_derived_features_are_causal():
                                err_msg=name)
 
 
-def test_full_features_match_per_day_references_bitwise(monkeypatch):
-    table = gappy(sinusoid_ar_table(seed=8, n_days=1500), 8, 0.15)
+def assert_features_match_references(table, monkeypatch):
+    """build_features equals, name for name and bit for bit, a build whose
+    rolling statistics, smoother and climatology are the per-day loops."""
     split = chronological_split(table.n_days, 30)
     got, _ = build_features(table, split, FeatureSpec())
-    monkeypatch.setattr(features, "rolling_stat", rolling_loop)
-    monkeypatch.setattr(features, "savgol_causal", savgol_loop)
-    monkeypatch.setattr(features, "fit_climatology", climatology_loop)
-    want, _ = build_features(table, split, FeatureSpec())
+    with monkeypatch.context() as patch:
+        patch.setattr(features, "rolling_stat", rowwise(rolling_loop))
+        patch.setattr(features, "savgol_causal", rowwise(savgol_loop))
+        patch.setattr(features, "fit_climatology", climatology_loop)
+        want, _ = build_features(table, split, FeatureSpec())
     assert list(got) == list(want)
     for name in want:
         assert_same_bits(got[name], want[name], name)
+
+
+def test_full_features_match_per_day_references_bitwise(monkeypatch):
+    table = gappy(sinusoid_ar_table(seed=8, n_days=1500), 8, 0.15)
+    assert_features_match_references(table, monkeypatch)
+
+
+def test_signed_zero_features_match_per_day_references_bitwise(monkeypatch):
+    # key series of zeros: every rolling min and max is a zero or a NaN, so
+    # only the reduction's own choice of zero sign and NaN payload matches.
+    # A -0.0 every fourth day makes a running np.minimum keep the other zero
+    # at the start of the 30-day windows (asserted, so the case stays hard),
+    # and a -NaN followed by a NaN sits in the full 7- and 30-day windows
+    n = 400
+    zeros = np.zeros(n)
+    alternating = np.where(np.arange(n) % 2, -0.0, 0.0)
+    every_fourth = np.where(np.arange(n) % 4, 0.0, -0.0)
+    nans = alternating.copy()
+    nans[200], nans[201] = np.copysign(np.nan, -1.0), np.nan
+    table = sinusoid_ar_table(seed=3, n_days=n)
+    for name, values in (("tempmax", zeros), ("tempmin", alternating),
+                         ("temp", every_fourth), ("feelslike", nans)):
+        table.columns[name] = values
+    running = np.signbit(np.minimum.accumulate(every_fourth[:29]))
+    assert (running != np.signbit(rolling_loop(every_fourth, 30, "min")[:29])).any()
+    assert_features_match_references(table, monkeypatch)
 
 
 # --------------------------------------------------------------- selection
@@ -439,6 +518,52 @@ def test_pearson_frozen():
     da, db = a - a.mean(), b - b.mean()
     expect = (da * db).sum() / np.sqrt((da * da).sum() * (db * db).sum())
     assert pearson(a, b) == pytest.approx(expect, rel=1e-15)
+
+
+@st.composite
+def correlation_cases(draw):
+    """A [K, m] stack of seeded series, some constant or scaled copies of
+    the target, and the target."""
+    k, m = draw(st.integers(1, 6)), draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    target = rng.normal(size=m) * 10.0 ** rng.integers(-3, 5)
+    rows = (rng.normal(size=(k, m)) * 10.0 ** rng.integers(-3, 5, size=(k, 1))
+            + rng.uniform(-1e3, 1e3, size=(k, 1)))
+    for i in draw(st.lists(st.integers(0, k - 1), max_size=2)):
+        rows[i] = rows[i, 0]
+    for i in draw(st.lists(st.integers(0, k - 1), max_size=2)):
+        rows[i] = -3.0 * target + 1.0
+    return rows, target
+
+
+@SETTINGS
+@given(correlation_cases())
+def test_pearson_rows_match_scalar_reference_bitwise(case):
+    rows, target = case
+    got = pearson(rows, target)
+    want = np.array([pearson_loop(row, target) for row in rows])
+    assert_same_bits(got, want)
+    assert_same_bits(pearson(rows[0], target), want[0].reshape(()))
+
+
+def test_selection_correlations_match_scalar_reference_bitwise(monkeypatch):
+    table, split, feats, groups = build_full(n_days=600, seed=5)
+    target = table.columns["tempmax"]
+    got = select_features(feats, target, split, 10, groups)
+    monkeypatch.setattr(features, "pearson", lambda rows, target: np.array(
+        [pearson_loop(row, target) for row in rows]))
+    want = select_features(feats, target, split, 10, groups)
+    assert got.selected == want.selected
+    assert got.audit_rows() == want.audit_rows()
+    for name, r in want.correlations.items():
+        assert type(got.correlations[name]) is float
+        assert_same_bits(np.float64(got.correlations[name]), np.float64(r),
+                         name)
+
+
+def test_selection_of_no_candidates_is_empty():
+    res = select_features({}, np.zeros(120), chronological_split(120, 10), 3)
+    assert res.selected == [] and res.correlations == {}
 
 
 def test_selection_ranks_by_next_day_correlation():

@@ -48,9 +48,11 @@ q_L, which the readout takes, is computed.
 Dropout (train mode only) applies after the embedding activation and inside
 the anomaly MLP, in that order, consuming the dropout stream deterministically
 (``tensor.dropout`` refuses to run without one).
-Gate layouts: LSTM gates order i, f, o, g (the three sigmoids first so they
-share one activation); GRU gates order r, z, n with separate input/hidden
-biases so the reset gate multiplies only the hidden half of the candidate.
+Gate layouts: LSTM gates order i, f, o, g (the three sigmoids first, so
+``tensor.bidirectional`` halves one leading column block of each weight and
+the step kernel activates all four gates with one ``tanh``); GRU gates order
+r, z, n with separate input/hidden biases so the reset gate multiplies only
+the hidden half of the candidate, the two sigmoids again leading.
 All weights init Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) drawn in
 parameter-name order from the "init" stream; biases and the transition
 logits start at zero (uniform transition rows).

@@ -46,18 +46,37 @@ frees the projection after that direction's scan, the scan computes
 ``Whᵀ h`` per step and writes every hidden state straight into the output,
 and the single vjp runs backpropagation through time in one loop per
 direction, then ``linear_t``'s gradient math on the projection.  The step
-math lives once, in plain-numpy kernels on [G*H, B] blocks; the single-step
-``lstm_cell`` and ``gru_cell`` ops keep the batch-major [B, G*H] layout and
-call the kernels on transposed views.  The BPTT adds gradients up in the
+math lives once, in plain-numpy kernels on [G*H, B] blocks whose
+logistic-gate rows arrive halved (below).  The single-step ``lstm_cell`` and
+``gru_cell`` ops keep the batch-major [B, G*H] layout: each halves the
+logistic columns of a copy of its gate input and calls the kernel on
+transposed views, so it writes none of its inputs.  The BPTT adds gradients up in the
 order of the per-step composition of those ops in the batch-minor
 orientation, so its results equal that composition bit for bit.  Callers
 convert layouts only at the ends of a stack.
 
-The logistic has one definition, ``_sigmoid_value``: ``0.5 * tanh(0.5 * x)
-+ 0.5``, computed in place in one fresh array.  It serves the ``sigmoid`` op
-and the LSTM and GRU gate blocks alike.  It lies within 2.2e-16 of
-``1 / (1 + exp(-x))``; below about 1e-8 it loses relative precision, and it
-is exactly 0 for x below about -37.
+The logistic has one definition, ``0.5 * tanh(0.5 * x) + 0.5``.
+``_sigmoid_value`` computes it in place in one fresh array for the
+``sigmoid`` op, and its last two operations, ``_logistic_tail``, finish the
+LSTM and GRU gate blocks.  It lies within 2.2e-16 of ``1 / (1 + exp(-x))``;
+below about 1e-8 it loses relative precision, and it is exactly 0 for x
+below about -37.
+
+The step kernels take the logistic gates' pre-activations already halved:
+rows i, f, o of the LSTM's [i | f | o | g] block and rows r, u of the GRU's
+[r | u | n] blocks.  The LSTM step then makes one in-place ``tanh`` over its
+whole [4H, B] block and applies the tail to the first 3H rows; the GRU step
+makes no multiplication of its own before its ``tanh``.  ``bidirectional``
+provides the halving once per call: it scales the logistic-gate columns of
+``Wx``, ``b``/``bx``, ``Wh`` and ``bh`` by 0.5 into fresh arrays.  A power
+of two commutes with rounding, so every product, FMA and sum of the
+projection and of ``Whᵀ h`` comes out as exactly 0.5 times its unscaled
+value, and each gate keeps the bits of ``_sigmoid_value`` on the unscaled
+pre-activation.  The exception is the subnormal range: where a halved
+weight, a partial product or a partial sum falls below the smallest normal
+number (about 1.2e-38 in float32, 2.2e-308 in float64), halving rounds and
+a gate's last bit can move.  The vjps read gate values, never the
+pre-activations, so the backward uses the unscaled weights.
 """
 
 from __future__ import annotations
@@ -323,13 +342,13 @@ def linear_t(x, W, b) -> Var:
     x, W, b = as_var(x), as_var(W), as_var(b)
     if x.ndim < 2 or W.ndim != 2:
         raise ValueError("linear_t takes x with ndim >= 2 and a 2-d W")
-    return _record(_linear_t_value(x, W, b), (x, W, b),
+    return _record(_linear_t_value(x.value, W.value, b.value), (x, W, b),
                    lambda g: _linear_t_grads(g, x, W, b))
 
 
-def _linear_t_value(x: Var, W: Var, b: Var) -> np.ndarray:
-    out = W.value.T @ x.value
-    out += b.value[:, None]
+def _linear_t_value(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = W.T @ x
+    out += b[:, None]
     return out
 
 
@@ -356,14 +375,18 @@ def tanh(a) -> Var:
     return _record(tv, (a,), lambda g: (g * (1.0 - tv * tv),))
 
 
+def _logistic_tail(t: np.ndarray) -> np.ndarray:
+    """``0.5 * t + 0.5`` in place: the logistic of x from t = tanh(0.5 * x)."""
+    t *= 0.5
+    t += 0.5
+    return t
+
+
 def _sigmoid_value(v: np.ndarray, out=None) -> np.ndarray:
     # the out= keeps a 0-d input an array, so the in-place tanh accepts it;
     # ``out`` may be ``v`` itself
     s = np.multiply(v, 0.5, out=np.empty_like(v) if out is None else out)
-    np.tanh(s, out=s)
-    s *= 0.5
-    s += 0.5
-    return s
+    return _logistic_tail(np.tanh(s, out=s))
 
 
 def sigmoid(a) -> Var:
@@ -513,31 +536,53 @@ def dropout(a: Var, rate: float, rng, training: bool) -> Var:
     return mul(a, Var(mask.astype(a.value.dtype, copy=False)))
 
 
+def _halve_columns(a: np.ndarray, n: int) -> np.ndarray:
+    """A copy of ``a`` with its first ``n`` columns (last axis) times 0.5."""
+    a = a.copy()
+    a[..., :n] *= 0.5
+    return a
+
+
 def _lstm_step(z: np.ndarray, c_prev: np.ndarray, out=None):
     """LSTM step kernel on [gates*H, B] blocks: (h, c, residuals for
-    ``_lstm_step_vjp``).  ``h`` is written into ``out`` when one is given."""
+    ``_lstm_step_vjp``).  ``z`` is the [i | f | o | g] pre-activation block
+    with rows i, f, o halved; it is overwritten with the gate values (one
+    ``tanh`` over the whole block, then the logistic tail on the first 3H
+    rows) and kept as a residual.  ``h`` is written into ``out`` when one is
+    given."""
     hsz = c_prev.shape[0]
-    gates = _sigmoid_value(z[: 3 * hsz])
-    i = gates[:hsz]
-    f = gates[hsz : 2 * hsz]
-    o = gates[2 * hsz :]
-    g = np.tanh(z[3 * hsz :])
+    np.tanh(z, out=z)
+    _logistic_tail(z[: 3 * hsz])
+    i = z[:hsz]
+    f = z[hsz : 2 * hsz]
+    o = z[2 * hsz : 3 * hsz]
+    g = z[3 * hsz :]
     c = f * c_prev
     c += i * g
     tc = np.tanh(c)
-    return np.multiply(o, tc, out=out), c, (i, f, o, g, c_prev, tc)
+    return np.multiply(o, tc, out=out), c, (z, c_prev, tc)
 
 
 def _lstm_step_vjp(gh: np.ndarray, gc: np.ndarray, res):
     """Adjoint of ``_lstm_step`` for gradients (gh, gc) of (h, c):
-    (gradient of z, gradient of c_prev), on [gates*H, B] blocks."""
-    i, f, o, g, cb, tc = res
-    hsz = i.shape[0]
+    (gradient of the unhalved z, gradient of c_prev), on [gates*H, B]
+    blocks.  The i, f, o rows are (gc*g, gc*c_prev, gh*tanh(c)) times the
+    gates, times one minus the gates, each as one [3H, B] block."""
+    act, cb, tc = res
+    hsz = cb.shape[0]
+    gates = act[: 3 * hsz]
+    i = act[:hsz]
+    f = act[hsz : 2 * hsz]
+    o = act[2 * hsz : 3 * hsz]
+    g = act[3 * hsz :]
     gc = gc + gh * o * (1.0 - tc * tc)
-    gz = np.empty((4 * hsz,) + i.shape[1:], dtype=gc.dtype)
-    np.multiply(gc * g * i, 1.0 - i, out=gz[:hsz])
-    np.multiply(gc * cb * f, 1.0 - f, out=gz[hsz : 2 * hsz])
-    np.multiply(gh * tc * o, 1.0 - o, out=gz[2 * hsz : 3 * hsz])
+    gz = np.empty(act.shape, dtype=gc.dtype)
+    np.multiply(gc, g, out=gz[:hsz])
+    np.multiply(gc, cb, out=gz[hsz : 2 * hsz])
+    np.multiply(gh, tc, out=gz[2 * hsz : 3 * hsz])
+    block = gz[: 3 * hsz]
+    block *= gates
+    block *= 1.0 - gates
     np.multiply(gc * i, 1.0 - g * g, out=gz[3 * hsz :])
     return gz, gc * f
 
@@ -556,23 +601,26 @@ def lstm_cell(z: Var, c_prev: Var) -> Var:
     The adjoint is hand-derived: with incoming gradient split as
     (gh, gc_out), the cell-state gradient is gc = gc_out + gh*o*(1-tanh(c)^2)
     and the gate pre-activation gradients follow the usual sigmoid/tanh
-    chain rules.  The step kernels run on transposed views.
+    chain rules.  The step kernels run on transposed views of a copy of
+    ``z`` with its i, f, o columns halved, so ``z`` is not written.
     """
     z = as_var(z)
     c_prev = as_var(c_prev)
     hsz = c_prev.value.shape[1]
-    h, c, res = _lstm_step(z.value.T, c_prev.value.T)
+    h, c, res = _lstm_step(_halve_columns(z.value, 3 * hsz).T, c_prev.value.T)
     return _record(np.concatenate([h, c]).T, (z, c_prev),
                    lambda grad: tuple(g.T for g in _lstm_step_vjp(
                        grad[:, :hsz].T, grad[:, hsz:].T, res)))
 
 
 def _gru_step(zx: np.ndarray, zh: np.ndarray, h_prev: np.ndarray, out=None):
-    """GRU step kernel on [gates*H, B] blocks: (h, residuals for
-    ``_gru_step_vjp``).  ``h`` is written into ``out`` when one is given."""
+    """GRU step kernel on [gates*H, B] blocks whose r and u rows arrive
+    halved, in ``zx`` and ``zh`` alike: (h, residuals for ``_gru_step_vjp``).
+    Neither input is written.  ``h`` is written into ``out`` when one is
+    given."""
     hsz = h_prev.shape[0]
     ru = zx[: 2 * hsz] + zh[: 2 * hsz]
-    _sigmoid_value(ru, out=ru)
+    _logistic_tail(np.tanh(ru, out=ru))
     r = ru[:hsz]
     u = ru[hsz:]
     zh_n = zh[2 * hsz :]
@@ -581,24 +629,26 @@ def _gru_step(zx: np.ndarray, zh: np.ndarray, h_prev: np.ndarray, out=None):
     np.tanh(n, out=n)
     h = np.multiply(u, h_prev, out=out)
     h += (1.0 - u) * n
-    return h, (r, u, n, zh_n, h_prev)
+    return h, (ru, n, zh_n, h_prev)
 
 
 def _gru_step_vjp(grad: np.ndarray, res):
-    """Adjoint of ``_gru_step``: gradients of (zx, zh, h_prev), on
-    [gates*H, B] blocks."""
-    r, u, n, zh_n, pb = res
-    hsz = r.shape[0]
-    gn = grad * (1.0 - u)
-    gu = grad * (pb - n)
-    gzx = np.empty((3 * hsz,) + r.shape[1:], dtype=grad.dtype)
-    an = np.multiply(gn, 1.0 - n * n, out=gzx[2 * hsz :])
-    gr = an * zh_n
-    np.multiply(gr * r, 1.0 - r, out=gzx[:hsz])
-    np.multiply(gu * u, 1.0 - u, out=gzx[hsz : 2 * hsz])
+    """Adjoint of ``_gru_step``: gradients of (the unhalved zx, zh, h_prev),
+    on [gates*H, B] blocks.  The r and u rows are (grad*(1-u)*(1-n^2)*zh_n,
+    grad*(h_prev-n)) times [r; u], times 1 - [r; u], as one [2H, B] block."""
+    ru, n, zh_n, pb = res
+    hsz = n.shape[0]
+    one_minus = 1.0 - ru
+    gzx = np.empty((3 * hsz,) + n.shape[1:], dtype=grad.dtype)
+    an = np.multiply(grad * one_minus[hsz:], 1.0 - n * n, out=gzx[2 * hsz :])
+    np.multiply(an, zh_n, out=gzx[:hsz])
+    np.multiply(grad, pb - n, out=gzx[hsz : 2 * hsz])
+    block = gzx[: 2 * hsz]
+    block *= ru
+    block *= one_minus
     gzh = gzx.copy()
-    np.multiply(an, r, out=gzh[2 * hsz :])
-    return gzx, gzh, grad * u
+    np.multiply(an, ru[:hsz], out=gzh[2 * hsz :])
+    return gzx, gzh, grad * ru[hsz:]
 
 
 def gru_cell(zx: Var, zh: Var, h_prev: Var) -> Var:
@@ -614,12 +664,15 @@ def gru_cell(zx: Var, zh: Var, h_prev: Var) -> Var:
 
     (reset gate applied to the hidden projection of the candidate, the
     standard "v3" GRU variant).  The adjoint is hand-derived.  The step
-    kernels run on transposed views.
+    kernels run on transposed views of copies of ``zx`` and ``zh`` with
+    their r and u columns halved, so no input is written.
     """
     zx = as_var(zx)
     zh = as_var(zh)
     h_prev = as_var(h_prev)
-    h, res = _gru_step(zx.value.T, zh.value.T, h_prev.value.T)
+    n = 2 * h_prev.value.shape[1]
+    h, res = _gru_step(_halve_columns(zx.value, n).T,
+                       _halve_columns(zh.value, n).T, h_prev.value.T)
     return _record(h.T, (zx, zh, h_prev),
                    lambda grad: tuple(g.T for g in _gru_step_vjp(grad.T, res)))
 
@@ -627,8 +680,10 @@ def gru_cell(zx: Var, zh: Var, h_prev: Var) -> Var:
 def _scan(zx: np.ndarray, W: np.ndarray, bh, reverse: bool, out: np.ndarray,
           keep: bool) -> list:
     """Run one direction from zero states over the input projection ``zx``
-    [L, G*H, B], writing step t's hidden state straight into ``out[t]``
-    (``out`` is a [L, H, B] view whose [H, B] blocks are C-contiguous).
+    [L, G*H, B] with its logistic-gate rows halved, as are those of ``W``
+    and ``bh`` (the module docstring's halving rule), writing step t's
+    hidden state straight into ``out[t]`` (``out`` is a [L, H, B] view whose
+    [H, B] blocks are C-contiguous).
     ``bh`` is the GRU's hidden bias as a [G*H, 1] column, None for the LSTM.
     Returns the (t, h_prev, residuals) of every step when ``keep``, else an
     empty list.  No residual refers to ``zx``, and a kept GRU step holds a
@@ -646,8 +701,8 @@ def _scan(zx: np.ndarray, W: np.ndarray, bh, reverse: bool, out: np.ndarray,
             z += bh
             h, res = _gru_step(zx[t], z, h_prev, out[t])
             if keep:
-                r, u, n, zh_n, _ = res
-                res = (r, u, n, zh_n.copy(), h_prev)
+                ru, n, zh_n, _ = res
+                res = (ru, n, zh_n.copy(), h_prev)
         if keep:
             steps.append((t, h_prev, res))
     return steps
@@ -698,17 +753,21 @@ def bidirectional(x, fwd, bwd) -> Var:
     backward) is the cell's step kernel on ``zx[t] + Whᵀ h`` (LSTM) or on
     ``zx[t]`` and ``Whᵀ h + bh`` (GRU): every gate block is a contiguous
     [H, B] row block, and ``lstm_cell`` / ``gru_cell`` on the transposed
-    blocks compute the same bits.  The forward direction, then the backward
-    one, is projected and scanned, writing its hidden states straight into
-    its half of the output, forward half first.  A direction's projection
-    is freed before the next one is made, recorded or not: no vjp reads it.
+    blocks compute the same bits.  Each direction's step math runs on fresh
+    copies of its parameters whose logistic-gate columns are halved (the
+    module docstring's halving rule); no input array is written.  The
+    forward direction, then the backward one, is projected and scanned,
+    writing its hidden states straight into its half of the output, forward
+    half first.  A direction's projection is freed before the next one is
+    made, recorded or not: no vjp reads it.
 
     The node's parents are ``(x, *fwd, *bwd)``.  Per-step residuals are kept
     only when the node is recorded.  The vjp feeds each direction's BPTT its
-    half of the output gradient and passes the projection's gradient through
-    ``linear_t``'s gradient math; the input gradient is the forward
-    direction's term plus the backward one's.  Values and gradients equal
-    those of ``linear_t`` nodes feeding a recurrence bit for bit.
+    half of the output gradient and the unscaled ``Wh``, and passes the
+    projection's gradient through ``linear_t``'s gradient math; the input
+    gradient is the forward direction's term plus the backward one's.
+    Values and gradients equal those of ``linear_t`` nodes feeding a
+    recurrence bit for bit, outside the subnormal range.
     """
     x = as_var(x)
     dirs = [[as_var(p) for p in ps] for ps in (fwd, bwd)]
@@ -716,15 +775,17 @@ def bidirectional(x, fwd, bwd) -> Var:
         raise ValueError("each direction takes (Wx, b, Wh) for an LSTM "
                          "or (Wx, bx, Wh, bh) for a GRU")
     lstm = len(dirs[0]) == 3
+    hsz = dirs[0][2].value.shape[0]
+    n_logistic = (3 if lstm else 2) * hsz
     parents = (x, *dirs[0], *dirs[1])
     keep = _recording(parents)
-    hsz = dirs[0][2].value.shape[0]
     L, _, B = x.shape
     out = np.empty((L, 2 * hsz, B), dtype=np.result_type(*(p.value for p in parents)))
     scans = []
-    for d, (Wx, b, Wh, *bh) in enumerate(dirs):
-        zx = _linear_t_value(x, Wx, b)
-        steps = _scan(zx, Wh.value, bh[0].value[:, None] if bh else None,
+    for d, ps in enumerate(dirs):
+        Wx, b, Wh, *bh = (_halve_columns(p.value, n_logistic) for p in ps)
+        zx = _linear_t_value(x.value, Wx, b)
+        steps = _scan(zx, Wh, bh[0][:, None] if bh else None,
                       d == 1, out[:, d * hsz:(d + 1) * hsz], keep)
         scans.append((steps, zx.shape))
         del zx  # before the next direction's projection is made

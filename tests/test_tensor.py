@@ -11,8 +11,9 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from extremecast import tensor as T
 from extremecast.errors import ConfigError, NumericError
@@ -58,7 +59,7 @@ def test_sigmoid_zero_d_and_strided_view():
     zero_d = T._sigmoid_value(np.array(0.7))
     assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
     assert abs(zero_d - _sigmoid_exp_form(np.array(0.7))) <= 2.3e-16
-    # the LSTM passes its gate block as a strided column slice z[:, :3H]
+    # a strided column slice, as of a batch-major gate block z[:, :3H]
     z = Rng(4, "sigmoid").gaussian_array((6, 8), 0.0, 4.0)
     view = z[:, :6]
     before = view.copy()
@@ -375,6 +376,154 @@ def test_recurrent_cell_gradients_fd():
         return T.mean(d * d)
 
     fd_ok(f_gru, {"zx": zx0, "zh": zh0, "hp": hp0})
+
+
+# Per-gate reference step kernels: each gate's activation and adjoint is
+# formed on its own [H, B] block from the unhalved pre-activations.  The
+# block kernels, fed the logistic rows times 0.5, must reproduce every byte.
+
+def _ref_sigmoid(v):
+    s = np.multiply(v, 0.5, out=np.empty_like(v))
+    np.tanh(s, out=s)
+    s *= 0.5
+    s += 0.5
+    return s
+
+
+def _ref_lstm_step(z, c_prev, out=None):
+    hsz = c_prev.shape[0]
+    gates = _ref_sigmoid(z[: 3 * hsz])
+    i = gates[:hsz]
+    f = gates[hsz : 2 * hsz]
+    o = gates[2 * hsz :]
+    g = np.tanh(z[3 * hsz :])
+    c = f * c_prev
+    c += i * g
+    tc = np.tanh(c)
+    return np.multiply(o, tc, out=out), c, (i, f, o, g, c_prev, tc)
+
+
+def _ref_lstm_step_vjp(gh, gc, res):
+    i, f, o, g, cb, tc = res
+    hsz = i.shape[0]
+    gc = gc + gh * o * (1.0 - tc * tc)
+    gz = np.empty((4 * hsz,) + i.shape[1:], dtype=gc.dtype)
+    np.multiply(gc * g * i, 1.0 - i, out=gz[:hsz])
+    np.multiply(gc * cb * f, 1.0 - f, out=gz[hsz : 2 * hsz])
+    np.multiply(gh * tc * o, 1.0 - o, out=gz[2 * hsz : 3 * hsz])
+    np.multiply(gc * i, 1.0 - g * g, out=gz[3 * hsz :])
+    return gz, gc * f
+
+
+def _ref_gru_step(zx, zh, h_prev, out=None):
+    hsz = h_prev.shape[0]
+    ru = zx[: 2 * hsz] + zh[: 2 * hsz]
+    ru = _ref_sigmoid(ru)
+    r = ru[:hsz]
+    u = ru[hsz:]
+    zh_n = zh[2 * hsz :]
+    n = r * zh_n
+    n += zx[2 * hsz :]
+    np.tanh(n, out=n)
+    h = np.multiply(u, h_prev, out=out)
+    h += (1.0 - u) * n
+    return h, (r, u, n, zh_n, h_prev)
+
+
+def _ref_gru_step_vjp(grad, res):
+    r, u, n, zh_n, pb = res
+    hsz = r.shape[0]
+    gn = grad * (1.0 - u)
+    gu = grad * (pb - n)
+    gzx = np.empty((3 * hsz,) + r.shape[1:], dtype=grad.dtype)
+    an = np.multiply(gn, 1.0 - n * n, out=gzx[2 * hsz :])
+    gr = an * zh_n
+    np.multiply(gr * r, 1.0 - r, out=gzx[:hsz])
+    np.multiply(gu * u, 1.0 - u, out=gzx[hsz : 2 * hsz])
+    gzh = gzx.copy()
+    np.multiply(an, r, out=gzh[2 * hsz :])
+    return gzx, gzh, grad * u
+
+
+def _halved(a, n):
+    a = a.copy()
+    a[:n] *= 0.5
+    return a
+
+
+def _flush_below_2_pow_100(v):
+    return v if abs(v) >= 2.0**-100 else 0.0
+
+
+@st.composite
+def _step_inputs(draw):
+    """(cell, dtype, H, arrays): the step kernel's inputs and output
+    gradients, with moderate values beside ±0, tiny and huge ones.  Drawn
+    values below 2**-100 in magnitude become 0, so that halving never
+    rounds (the subnormal exception of the halving rule); the fixed
+    subnormal 2**-140 of float32 is a power of two and halves exactly."""
+    cell = draw(st.sampled_from(["lstm", "gru"]))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    H, B = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    width = 32 if dtype == np.float32 else 64
+    values = st.one_of(
+        st.floats(-8.0, 8.0, width=width).map(_flush_below_2_pow_100),
+        st.floats(-2.0**100, 2.0**100, width=width).map(_flush_below_2_pow_100),
+        st.sampled_from([0.0, -0.0, 2.0**-100, -2.0**-100, 2.0**-140, -2.0**-140,
+                         2.0**80, -2.0**80]))
+    rows = {"lstm": (4, 1, 1, 1), "gru": (3, 3, 1, 1)}[cell]
+    return cell, dtype, H, [draw(hnp.arrays(dtype, (k * H, B), elements=values))
+                            for k in rows]
+
+
+# No shrink phase: shrinking a failing draw of these arrays runs for minutes,
+# and an unshrunk draw is at most [16, 5].
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          phases=[Phase.explicit, Phase.generate])
+@given(_step_inputs())
+def test_block_step_kernels_equal_per_gate_reference_bytewise(drawn):
+    cell, dtype, H, arrays = drawn
+    with np.errstate(all="ignore"):
+        if cell == "lstm":
+            z, c_prev, gh, gc = arrays
+            h0, c0, res0 = _ref_lstm_step(z, c_prev)
+            want = [h0, c0, *_ref_lstm_step_vjp(gh, gc, res0)]
+            h1, c1, res1 = T._lstm_step(_halved(z, 3 * H), c_prev)
+            got = [h1, c1, *T._lstm_step_vjp(gh, gc, res1)]
+        else:
+            zx, zh, h_prev, grad = arrays
+            h0, res0 = _ref_gru_step(zx, zh, h_prev)
+            want = [h0, *_ref_gru_step_vjp(grad, res0)]
+            h1, res1 = T._gru_step(_halved(zx, 2 * H), _halved(zh, 2 * H), h_prev)
+            got = [h1, *T._gru_step_vjp(grad, res1)]
+    assert [a.dtype for a in got] == [dtype] * len(want)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def _bytes(values):
+    return [np.asarray(v).tobytes() for v in values]
+
+
+def test_cells_and_bidirectional_write_none_of_their_inputs():
+    rng = Rng(21, "init")
+    H, B = 3, 4
+    for op, shapes in ((T.lstm_cell, [(B, 4 * H), (B, H)]),
+                       (T.gru_cell, [(B, 3 * H), (B, 3 * H), (B, H)])):
+        arrays = [rng.gaussian_array(s) for s in shapes]
+        before = _bytes(arrays)
+        args = [Var(a, requires_grad=True) for a in arrays]
+        backward(T.sum_(op(*args)))
+        assert _bytes(a.value for a in args) == before, op.__name__
+    for cell in ("lstm", "gru"):
+        raw, names = _bidirectional_params(rng, cell, 3, H)
+        raw["x"] = rng.gaussian_array((5, 3, B))
+        before = _bytes(raw[k] for k in sorted(raw))
+        for recorded in (True, False):
+            p = {k: Var(v, requires_grad=recorded) for k, v in raw.items()}
+            out = _bidirectional(p["x"], p, names)
+            if recorded:
+                backward(T.sum_(out))
+            assert _bytes(p[k].value for k in sorted(p)) == before, (cell, recorded)
 
 
 def test_matmul_skips_gradient_of_constant_operand():

@@ -5,15 +5,16 @@ rng)`` returns its scaled next-day prediction alone, a ``Var`` of shape [B].
 
 * persistence — predicts the window's most recent scaled target value; no
   parameters, no training loop.
-* TCN — stacked causal dilated 1-D convolutions with layer normalization,
-  GELU, dropout, and residual connections (1x1 projection when channel
-  counts change); linear head on the last timestep.  Layer normalization
-  stands in for batch normalization so eval-mode outputs never depend on
-  batch statistics.
-* N-BEATS-lite — univariate doubly-residual stacks on the scaled target
-  history: per stack two GELU fully-connected layers, then linear backcast
-  (length L) and forecast (scalar) heads; stack input is the previous
-  residual (input - backcast); the prediction is the sum of stack forecasts.
+* TCN (Bai, Kolter & Koltun, arXiv:1803.01271) — stacked causal dilated
+  1-D convolutions with layer normalization, ReLU, dropout, and residual
+  connections (1x1 projection when channel counts change); linear head on
+  the last timestep.  Unlike the paper, a block has one convolution instead
+  of two, and layer normalization instead of weight normalization.
+* N-BEATS-lite (Oreshkin et al., arXiv:1905.10437) — univariate
+  doubly-residual stacks on the scaled target history: per stack two ReLU
+  fully-connected layers (the paper has four), then linear backcast (length
+  L) and forecast (scalar) heads; stack input is the previous residual
+  (input - backcast); the prediction is the sum of stack forecasts.
 
 The trainable baselines train on the run config's ``training.loss``, like
 the dual-stream model.  Weights initialize U(-1/sqrt(fan_in),
@@ -139,7 +140,7 @@ class TcnModel(SpecModel):
             kernels = [params[f"block.{i}.conv.W{j}"] for j in range(cfg.kernel)]
             z = causal_conv(h, kernels, params[f"block.{i}.conv.b"], dilation)
             z = _layer_norm(z, params[f"block.{i}.ln.g"], params[f"block.{i}.ln.b"])
-            z = T.gelu(z)
+            z = T.relu(z)
             z = dropout(z, cfg.dropout, rng, train)
             res_key = f"block.{i}.res.W"
             res = T.matmul(h, params[res_key]) if res_key in params else h
@@ -192,8 +193,8 @@ class NBeatsModel(SpecModel):
         for s in range(self.cfg.stacks):
             fc = {n: (params[f"stack.{s}.{n}.W"], params[f"stack.{s}.{n}.b"])
                   for n in ("fc1", "fc2", "back", "fore")}
-            h = T.gelu(T.linear(residual, *fc["fc1"]))
-            h = T.gelu(T.linear(h, *fc["fc2"]))
+            h = T.relu(T.linear(residual, *fc["fc1"]))
+            h = T.relu(T.linear(h, *fc["fc2"]))
             backcast = T.linear(h, *fc["back"])
             forecast = T.linear(h, *fc["fore"])
             total = forecast if total is None else total + forecast

@@ -13,8 +13,9 @@ space the model consumes, and report errors in raw target units:
   within-window coherence) and average the RMSE drop over repeats.
 
 Residual diagnostics produce ACF values with +-1.96/sqrt(n) bands, a
-Freedman-Diaconis histogram, normal Q-Q pairs at positions (i-0.5)/n, and
-residual-vs-predicted pairs.  ``kmeans_regimes`` clusters z-scored
+Freedman-Diaconis histogram of at most n bins, normal Q-Q pairs at positions
+(i-0.5)/n (``statistics.NormalDist``'s quantiles), and residual-vs-predicted
+pairs.  ``kmeans_regimes`` clusters z-scored
 (year, month, target) day vectors with k-means++ seeding and Lloyd
 iterations, reporting centroids in original units.
 """
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from statistics import NormalDist
 
 import numpy as np
 
@@ -165,9 +167,6 @@ def autocorrelation(e: np.ndarray, max_lag: int) -> np.ndarray:
 
 
 def residual_diagnostics(residuals: np.ndarray, predictions=None) -> dict:
-    # scipy is imported where it runs, so the other commands never load it
-    from scipy.special import ndtri
-
     e = np.asarray(residuals, dtype=np.float64)
     n = e.shape[0]
     if n < 30:
@@ -179,12 +178,18 @@ def residual_diagnostics(residuals: np.ndarray, predictions=None) -> dict:
     acf = autocorrelation(e, max_lag)
     band = 1.96 / math.sqrt(n)
 
-    counts, edges = np.histogram(e, bins="fd")
+    # Freedman-Diaconis, capped at n bins (bins="fd" asks for billions when a
+    # tiny IQR sits under a wide range); below the cap, numpy builds the same
+    # edges for this int as for "fd"
+    width = 2.0 * np.subtract(*np.percentile(e, [75, 25])) * n ** (-1.0 / 3.0)
+    bins = int(min(np.ceil((e.max() - e.min()) / width), n)) if width else 1
+    counts, edges = np.histogram(e, bins=bins)
 
     std = float(np.std(e, ddof=1))
     z = (e - e.mean()) / std if std > 0.0 else np.zeros_like(e)
     empirical = np.sort(z)
-    theoretical = ndtri((np.arange(1, n + 1) - 0.5) / n)
+    inv_cdf = NormalDist().inv_cdf
+    theoretical = [inv_cdf((i - 0.5) / n) for i in range(1, n + 1)]
 
     out = {
         "n": n,
@@ -194,7 +199,7 @@ def residual_diagnostics(residuals: np.ndarray, predictions=None) -> dict:
         "band": band,
         "histogram": {"edges": [float(v) for v in edges],
                       "counts": [int(c) for c in counts]},
-        "qq": [{"theoretical": float(t), "empirical": float(q)}
+        "qq": [{"theoretical": t, "empirical": float(q)}
                for t, q in zip(theoretical, empirical)],
     }
     if predictions is not None:

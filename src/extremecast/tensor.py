@@ -81,15 +81,9 @@ pre-activations, so the backward uses the unscaled weights.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import ConfigError, NumericError
-
-# Python floats, so that they do not promote a float32 operand
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def _is_tape_dtype(a: np.ndarray) -> bool:
@@ -402,17 +396,12 @@ def sigmoid(a) -> Var:
     return _record(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
-def gelu(a) -> Var:
-    """Exact (erf-based) GELU."""
-    # scipy is imported where it runs: only the TCN and N-BEATS baselines
-    from scipy.special import erf
-
+def relu(a) -> Var:
+    """``max(x, 0)``; the vjp passes the gradient where x > 0, and 0 at the
+    kink."""
     a = as_var(a)
     v = a.value
-    c = 0.5 * (1.0 + erf(v * _INV_SQRT2))
-    out = v * c
-    pdf = np.exp(-0.5 * v * v) * _INV_SQRT2PI
-    return _record(out, (a,), lambda g: (g * (c + v * pdf),))
+    return _record(np.maximum(v, 0.0), (a,), lambda g: (g * (v > 0),))
 
 
 def _max_keepdims(v: np.ndarray, axis: int) -> np.ndarray:

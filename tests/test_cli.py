@@ -932,39 +932,38 @@ def test_heap_policy_pins_mmap_threshold_before_trim(monkeypatch, pinned):
 
 # ------------------------------------------------------------ scipy-free paths
 
-# prepare, train (dual stream, augmentation on), evaluate and explain
-# occlusion|permutation|pdp in one fresh process, after importing every
-# module the benchmark imports; prints the scipy modules then loaded, then
-# runs the two commands that do need scipy and prints the jsonschema modules
-# loaded by all eight
+# every command in one fresh process in which any scipy import raises:
+# prepare, train for all four kinds, evaluate, the seven explain methods,
+# augment-preview and both sweeps (with the TCN and N-BEATS baselines);
+# prints the commands that failed and the jsonschema modules loaded
 _NO_SCIPY_RUN = """
-import importlib, json, sys
-for name in ("cli", "pipeline", "data", "checkpoint", "training", "tensor",
-             "model", "rng", "augment", "synthetic"):
-    importlib.import_module("extremecast." + name)
+import json, sys
+sys.modules["scipy"] = None
 from extremecast import cli
 cfg, out = sys.argv[1:3]
 data = ["--data", out + "/data.json"]
-explain = ["explain", "--checkpoint", out + "/ckpt.json", *data]
-steps = [["prepare", "--config", cfg, "--out", out + "/data.json"],
-         ["train", "--config", cfg, *data, "--out", out + "/ckpt.json"],
-         ["evaluate", "--checkpoint", out + "/ckpt.json", *data,
-          "--report", out + "/report.json"],
-         explain + ["--method", "occlusion", "--out", out + "/occ.csv"],
-         explain + ["--method", "permutation", "--repeats", "1",
-                    "--out", out + "/perm.csv"],
-         explain + ["--method", "pdp", "--feature", "tempmax",
-                    "--out", out + "/pdp.csv"]]
-for step in steps:
-    if cli.main(step) != 0:
-        sys.exit(f"step failed: {step[:2]}")
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-codes = [cli.main(explain + ["--method", "residuals",
-                             "--out", out + "/resid.json"]),
-         cli.main(["train", "--config", cfg, *data, "--model", "tcn",
-                   "--out", out + "/tcn.json"])]
+explain = ["explain", "--checkpoint", out + "/dual_stream.json", *data]
+steps = [["prepare", "--config", cfg, "--out", out + "/data.json"]]
+steps += [["train", "--config", cfg, *data, "--model", kind,
+           "--out", f"{out}/{kind}.json"]
+          for kind in ("dual_stream", "tcn", "nbeats", "persistence")]
+steps += [["evaluate", "--checkpoint", out + "/dual_stream.json", *data,
+           "--report", out + "/report.json"]]
+steps += [explain + ["--method", method, "--out", f"{out}/{method}.out", *extra]
+          for method, extra in [("occlusion", []),
+                                ("pdp", ["--feature", "tempmax"]),
+                                ("permutation", ["--repeats", "1"]),
+                                ("residuals", []), ("kmeans", []),
+                                ("attention", []), ("states", [])]]
+steps += [["augment-preview", "--config", cfg, *data,
+           "--out", out + "/augment.csv"],
+          ["sweep", "--config", cfg, "--kind", "learning-curve", *data,
+           "--model", "tcn", "--out", out + "/curve.csv"],
+          ["sweep", "--config", cfg, "--kind", "feature-ablation",
+           "--model", "nbeats", "--out", out + "/ablation.csv"]]
+failed = [step[:4] for step in steps if cli.main(step) != 0]
 schema = sorted(m for m in sys.modules if m.split(".")[0] == "jsonschema")
-print(json.dumps({"scipy": loaded, "codes": codes, "jsonschema": schema}))
+print(json.dumps({"failed": failed, "jsonschema": schema}))
 """
 
 
@@ -982,6 +981,4 @@ def test_main_paths_load_no_scipy(tmp_path):
         timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
     result = json.loads(done.stdout.strip().splitlines()[-1])
-    assert result["scipy"] == []
-    assert result["codes"] == [0, 0]
-    assert result["jsonschema"] == []
+    assert result == {"failed": [], "jsonschema": []}

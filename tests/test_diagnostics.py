@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 from scipy.stats import spearmanr
 
 from extremecast.baselines import NBeatsConfig, NBeatsModel, PersistenceModel
@@ -278,7 +279,6 @@ def test_iid_gaussian_acf_mostly_inside_bands():
 def test_qq_pairs_near_diagonal_for_perfectly_normal_sample():
     # residuals placed exactly at normal quantiles (any location/scale);
     # the Q-Q pairs then sit on the diagonal up to standardization effects
-    from scipy.special import ndtri
     n = 500
     perfect = 3.0 + 2.0 * ndtri((np.arange(1, n + 1) - 0.5) / n)
     e = perfect[Rng(12, "resid").permutation(n)]
@@ -298,6 +298,38 @@ def test_histogram_follows_freedman_diaconis():
     assert sum(out["histogram"]["counts"]) == 200
     edges = out["histogram"]["edges"]
     assert all(a < b for a, b in zip(edges, edges[1:]))
+
+
+@pytest.mark.parametrize("n", [30, 370, 5000])
+def test_qq_theoretical_matches_scipy_ndtri(n):
+    # statistics.NormalDist (AS241) against scipy's ndtri (Cephes)
+    out = residual_diagnostics(Rng(16, "resid").gaussian_array(n))
+    got = np.array([p["theoretical"] for p in out["qq"]])
+    want = ndtri((np.arange(1, n + 1) - 0.5) / n)
+    assert np.max(np.abs(got - want)) <= 2e-15
+
+
+@pytest.mark.parametrize("e", [
+    Rng(17, "resid").gaussian_array(370),
+    np.round(Rng(18, "resid").gaussian_array(64), 1),  # ties
+    np.r_[np.zeros(40), 1.0, 2.0],                      # zero IQR: one bin
+    np.full(35, 4.25),                                   # zero range
+], ids=["gaussian", "ties", "zero-iqr", "constant"])
+def test_histogram_keeps_numpy_fd_bytes(e):
+    counts, edges = np.histogram(e, bins="fd")
+    out = residual_diagnostics(e)
+    assert out["histogram"] == {"edges": [float(v) for v in edges],
+                                "counts": [int(c) for c in counts]}
+
+
+def test_histogram_bins_capped_at_n():
+    # an IQR of about 1e-9 under a range of 10: Freedman-Diaconis alone asks
+    # for about 1e10 bins
+    e = Rng(19, "resid").gaussian_array(370, 0.0, 1e-9)
+    e[100] = 10.0
+    hist = residual_diagnostics(e)["histogram"]
+    assert len(hist["counts"]) == 370 and sum(hist["counts"]) == 370
+    assert hist["edges"][0] == e.min() and hist["edges"][-1] == e.max()
 
 
 def test_residual_diagnostics_guards_and_pairs():

@@ -1,11 +1,9 @@
 """The package's import graph, read from the source alone (no import runs).
 
-Every import of a package module or the standard library sits at module
-top, and the package's relative imports form an acyclic graph, so the
-module that owns a name sits below the modules that use it.  The one
-deferred import is ``scipy.special``: ``tensor.gelu`` and
-``diagnostics.residual_diagnostics`` load scipy only on the paths that run
-them.
+Every import, of numpy, the standard library or a package module, sits at
+module top, with no exception, and the package's relative imports form an
+acyclic graph, so the module that owns a name sits below the modules that
+use it.
 """
 
 import ast
@@ -13,7 +11,6 @@ import graphlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "extremecast"
-DEFERRED = {"scipy.special"}
 
 
 def _modules() -> dict:
@@ -43,15 +40,14 @@ def _package_deps(node, modules) -> set:
     return {alias.name for alias in node.names if alias.name in modules}
 
 
-def test_no_function_body_imports_but_scipy_special():
+def test_no_function_body_imports():
     deferred = []
     for name, tree in _modules().items():
         for func in ast.walk(tree):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for node in _imports(func):
                     deferred += [f"{name}.{func.name}: {imported}"
-                                 for imported in _names(node)
-                                 if imported not in DEFERRED]
+                                 for imported in _names(node)]
     assert deferred == []
 
 
